@@ -54,7 +54,7 @@ from .paraboloid import (
     ParaboloidTouch,
     TailReport,
     ThetaField,
-    ThetaSolver,
+    replay_lower_bound,
     tail_experiment,
     theta_field,
     theta_upper,

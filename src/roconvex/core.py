@@ -7,6 +7,7 @@ symmetric n-by-n matrices stored by their upper triangle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -307,7 +308,15 @@ class Grid:
 
 
 def make_grid(spec: GridSpec, max_nodes: int | None = None) -> Grid:
-    """Build the tensor grid for `spec`, masking nodes outside the clip region."""
+    """Build the tensor grid for `spec`, masking nodes outside the clip region.
+
+    Grids are read-only, so the few most recently used ones are cached and shared.
+    """
+    return _make_grid(spec, MAX_GRID_NODES if max_nodes is None else max_nodes)
+
+
+@functools.lru_cache(maxsize=8)
+def _make_grid(spec: GridSpec, budget: int) -> Grid:
     dim = spec.shape.dim
     if dim > MAX_GRID_DIM:
         raise CapacityError(f"grid dimension {dim} exceeds budget {MAX_GRID_DIM}")
@@ -315,7 +324,6 @@ def make_grid(spec: GridSpec, max_nodes: int | None = None) -> Grid:
         raise CapacityError(
             f"points_per_axis {spec.points_per_axis} exceeds budget {MAX_POINTS_PER_AXIS}"
         )
-    budget = MAX_GRID_NODES if max_nodes is None else max_nodes
     total = spec.points_per_axis**dim
     if total > budget:
         raise CapacityError(f"node count {total} exceeds budget {budget}")

@@ -2,13 +2,19 @@
 
 The opening at a point x0 against a finite constraint cloud {y} is
 
-    a(p) = max_y  max(0, 2 (f(y) - f(x0) - p.(y - x0)) / |y - x0|^2),
+    a(p) = max(0, max_y c_y - B_y.p),  c_y = 2 (f(y) - f(x0)) / |y - x0|^2,
+                                       B_y = 2 (y - x0) / |y - x0|^2,
 
-a convex piecewise-affine function of the slope p. The solver minimizes a(p)
-by subgradient descent with diminishing normalized steps, warm-started at the
-gradient (exact when the handle provides one, weighted least squares
-otherwise), followed by a few exact line-search polish rounds. A brute-force
-slope-grid oracle is provided for small instances; solvers must match it.
+a convex piecewise-affine function of the slope p, so its minimum is a linear
+program in at most five variables. The solver runs a revised simplex on its dual
+
+    max sum_y lam_y c_y  s.t.  sum_y lam_y B_y = 0,  lam_0 + sum_y lam_y = 1,  lam >= 0,
+
+where lam_0 weighs the row t >= 0 (c = 0, B = 0) that is the clamp max(0, .).
+The optimal basis gives the slope (its simplex multipliers) and a certificate:
+support points with weights lam whose value sum lam c bounds every opening over
+the cloud from below. `replay_lower_bound` checks that certificate from f alone.
+A brute-force slope-grid oracle is provided for small instances.
 """
 
 from __future__ import annotations
@@ -23,13 +29,11 @@ import numpy as np
 from .core import GridSpec, SampledField, ball_samples, ball_volume, make_grid
 from .corpus import FunctionHandle
 
-
-@dataclass(frozen=True)
-class ThetaSolver:
-    max_iters: int = 200
-    tol: float = 1e-7
-    polish_rounds: int = 4
-    line_search_iters: int = 44
+MAX_PIVOTS = 500  # an opening LP has at most 5 rows; a solve past this cap raises
+BLAND_AFTER = 8  # consecutive degenerate pivots before Bland's rule replaces Dantzig's
+OPT_RTOL = 1e-12  # reduced costs up to OPT_RTOL * max|c| count as optimal
+GAP_RTOL = 1e-9  # converged: opening - lower bound <= GAP_RTOL * max(1, opening)
+DUAL_RTOL = 1e-9  # replay: |sum lam B| <= DUAL_RTOL * max(1, max|B|)
 
 
 @dataclass(frozen=True)
@@ -40,8 +44,11 @@ class ParaboloidTouch:
     slope: np.ndarray  # (m, n) matrix
     opening: float
     value_at_x0: float
-    converged: bool
-    iterations: int
+    converged: bool  # opening - lower_bound <= GAP_RTOL * max(1, opening)
+    iterations: int  # simplex pivots
+    support: np.ndarray  # (k, dim) constraint nodes carrying the dual weights
+    weights: np.ndarray  # (k,) their weights; the rest, 1 - sum, sits on the row t >= 0
+    lower_bound: float  # sum of weights * c over the support
 
     def to_dict(self) -> dict:
         return {
@@ -51,6 +58,9 @@ class ParaboloidTouch:
             "value_at_x0": self.value_at_x0,
             "converged": self.converged,
             "iterations": self.iterations,
+            "support": self.support.tolist(),
+            "weights": self.weights.tolist(),
+            "lower_bound": self.lower_bound,
         }
 
 
@@ -124,12 +134,14 @@ class _TouchProblem:
         d, q, fy = d[keep], q[keep], fy[keep]
         if d.shape[0] == 0:
             raise ValueError("constraint cloud is empty after removing x0")
-        self.shape = shape
         self.x0 = x0
         self.fx0 = fx0
+        self.coords = coords[keep]
         self.c = 2.0 * (fy - fx0) / q
         self.B = 2.0 * d / q[:, None]
-        self.pdim = d.shape[1]
+        # Columns map storage coordinates to flattened matrices; for symmetric
+        # shapes the slope p = P s is then symmetric by construction.
+        self.P = shape.coords_to_matrix(np.eye(shape.dim)).reshape(shape.dim, -1).T
 
     def scores(self, p: np.ndarray) -> np.ndarray:
         return self.c - self.B @ p
@@ -137,147 +149,92 @@ class _TouchProblem:
     def objective(self, p: np.ndarray) -> float:
         return float(np.max(self.scores(p)))
 
-    def ls_slope(self) -> np.ndarray:
-        """Least-squares slope with near-constraint emphasis (weights 1/|d|^4)."""
-        sol, *_ = np.linalg.lstsq(self.B, self.c, rcond=None)
-        return sol
 
+def _solve_dual(prob: _TouchProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Revised simplex on the dual LP of the opening, in storage coordinates.
 
-def _line_min(scores0: np.ndarray, bu: np.ndarray, s_max: float, iters: int) -> float:
-    """Minimize s -> max(scores0 - s * bu) over [-s_max, s_max] (convex piecewise affine)."""
-
-    def right_deriv(s: float) -> float:
-        vals = scores0 - s * bu
-        m = np.max(vals)
-        act = vals >= m - 1e-12 * max(1.0, abs(m))
-        return float(np.max(-bu[act]))
-
-    def left_deriv(s: float) -> float:
-        vals = scores0 - s * bu
-        m = np.max(vals)
-        act = vals >= m - 1e-12 * max(1.0, abs(m))
-        return float(np.min(-bu[act]))
-
-    lo, hi = -s_max, s_max
-    if right_deriv(lo) >= 0.0:
-        return lo
-    if left_deriv(hi) <= 0.0:
-        return hi
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if right_deriv(mid) >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
-def _minimize_opening(prob: _TouchProblem, solver: ThetaSolver, p_init: np.ndarray | None):
-    # Normalize by the constraint scale so the iterate path is identical for
-    # scaled copies of the same function (exact covariance for power-of-two
-    # scalings; 1-ulp otherwise).
-    sigma = float(np.max(np.abs(prob.c)))
-    if not (sigma > 0.0 and math.isfinite(sigma)):
-        sigma = 1.0
-    c = prob.c / sigma
-    B = prob.B
-
-    def objective(p: np.ndarray) -> float:
-        return float(np.max(c - B @ p))
-
-    if p_init is None:
-        p0, *_ = np.linalg.lstsq(B, c, rcond=None)
-    else:
-        p0 = np.asarray(p_init, dtype=float).reshape(-1) / sigma
-    p_best = p0.copy()
-    f_best = objective(p_best)
-    row_norms = np.sqrt(np.sum(B * B, axis=1))
-    scale = max(0.5, abs(f_best)) / max(float(np.median(row_norms)), 1e-12)
-
-    # Phase 1: diminishing normalized subgradient steps from the warm start.
-    p = p0.copy()
-    iterations = 0
-    for k in range(solver.max_iters):
-        iterations += 1
-        scores = c - B @ p
-        j = int(np.argmax(scores))
-        fval = float(scores[j])
-        if fval < f_best:
-            f_best = fval
-            p_best = p.copy()
-        if fval <= 0.0:
+    Column 0 is the row t >= 0; column j >= 1 is cloud row j - 1. A column's
+    entries are (B_y P, 1) against the right-hand side (0, ..., 0, 1). Returns
+    the slope (flattened matrix), the basic cloud rows, their weights, and the
+    pivot count.
+    """
+    A = np.vstack([np.zeros(prob.P.shape[1]), prob.B @ prob.P])
+    c = np.concatenate([[0.0], prob.c])
+    k = A.shape[1]
+    tol = OPT_RTOL * float(np.max(np.abs(c)))
+    eye = np.eye(k + 1)
+    rhs = eye[k]
+    # Start from the unit basis: slack columns for the k slope rows, column 0
+    # (weight 1) for the last row. Crash each slack out with a degenerate pivot
+    # on the cloud column of largest pivot element.
+    basis = np.zeros(k + 1, dtype=int)
+    M = eye.copy()
+    for row in range(k):
+        w = np.linalg.solve(M.T, eye[row])
+        r = np.abs(A @ w[:k] + w[k])
+        j = int(np.argmax(r))
+        if not r[j] > 1e-9 * float(np.max(np.abs(A))):
+            raise ValueError("constraint cloud does not span the slope space")
+        basis[row] = j
+        M[:, row] = np.append(A[j], 1.0)
+    pivots = k
+    degenerate = 0
+    while True:
+        lam = np.linalg.solve(M, rhs)
+        pi = np.linalg.solve(M.T, c[basis])
+        d = c - A @ pi[:k] - pi[k]
+        d[basis] = 0.0
+        bland = degenerate >= BLAND_AFTER
+        j = int(np.argmax(d > tol)) if bland else int(np.argmax(d))
+        if not d[j] > tol:
             break
-        g = -B[j]
-        gn = float(np.linalg.norm(g))
-        if gn == 0.0:
-            break
-        p = p - (scale / math.sqrt(k + 1.0)) * g / gn
+        if pivots >= MAX_PIVOTS:
+            raise RuntimeError(f"opening LP at x0 = {prob.x0.tolist()} exceeded {MAX_PIVOTS} pivots")
+        u = np.linalg.solve(M, np.append(A[j], 1.0))
+        # The last row of every column is 1, so sum(u) = 1 and some u_i > 0.
+        ok = u > 1e-11 * float(np.max(np.abs(u)))
+        ratios = np.full(k + 1, np.inf)
+        ratios[ok] = np.where(lam[ok] > 1e-13, lam[ok], 0.0) / u[ok]
+        ties = np.flatnonzero(ratios == np.min(ratios))
+        leave = ties[np.argmin(basis[ties])] if bland else ties[np.argmax(u[ties])]
+        degenerate = degenerate + 1 if ratios[leave] == 0.0 else 0
+        basis[leave] = j
+        M[:, leave] = np.append(A[j], 1.0)
+        pivots += 1
+    cloud = (basis > 0) & (lam > 0.0)
+    return prob.P @ pi[:k], basis[cloud] - 1, lam[cloud], pivots
 
-    # Phase 2: exact line searches along the active subgradient and coordinates,
-    # plus an active-set equalization step that jumps to the tie point of the
-    # currently active constraints (the vertex structure of the max).
-    improved = True
-    rounds = 0
-    while rounds < solver.polish_rounds and improved:
-        rounds += 1
-        improved = False
-        scores = c - B @ p_best
-        j = int(np.argmax(scores))
-        dirs = [B[j] / max(float(np.linalg.norm(B[j])), 1e-300)]
-        dirs.extend(np.eye(prob.pdim))
-        top = float(scores[j])
-        spread = max(1e-12, 1e-6 * max(1.0, abs(top)))
-        active = np.flatnonzero(scores >= top - spread)
-        if active.size < prob.pdim + 1:
-            order = np.argsort(scores)[::-1]
-            active = order[: prob.pdim + 1]
-        m = np.concatenate([B[active], np.ones((active.size, 1))], axis=1)
-        sol, *_ = np.linalg.lstsq(m, c[active], rcond=None)
-        eq_dir = sol[:-1] - p_best
-        eq_norm = float(np.linalg.norm(eq_dir))
-        if eq_norm > 0:
-            dirs.append(eq_dir / eq_norm)
-        for u in dirs:
-            scores0 = c - B @ p_best
-            bu = B @ u
-            s = _line_min(scores0, bu, scale, solver.line_search_iters)
-            cand = p_best + s * u
-            fc = objective(cand)
-            if fc < f_best - solver.tol * max(1.0, abs(f_best)):
-                f_best = fc
-                p_best = cand
-                improved = True
 
-    if p_init is not None and np.array_equal(p_best, p0):
-        p_out = np.asarray(p_init, dtype=float).reshape(-1)  # keep the exact warm start
-    else:
-        p_out = sigma * p_best
-    # Store the opening exactly as the certificate replay recomputes it.
-    f_out = prob.objective(p_out)
-    converged = bool(np.all(np.isfinite(p_out)) and math.isfinite(f_out))
-    return p_out, max(0.0, f_out), converged, iterations
+def _certified(opening: float, lower_bound: float) -> bool:
+    return opening - lower_bound <= GAP_RTOL * max(1.0, opening)
 
 
 def theta_upper(
     f: FunctionHandle | SampledField,
     x0: np.ndarray,
     constraints: GridSpec,
-    solver: ThetaSolver = ThetaSolver(),
 ) -> ParaboloidTouch:
     """Least opening of a paraboloid tangent from above at x0 over the constraint grid."""
     prob = _TouchProblem(f, x0, constraints)
-    p_init = None
+    p, rows, weights, pivots = _solve_dual(prob)
+    lower_bound = float(weights @ prob.c[rows])
     if isinstance(f, FunctionHandle) and f.gradient is not None:
-        p_init = f.gradient_at_coords(prob.x0).reshape(-1)
-    p, a, converged, iterations = _minimize_opening(prob, solver, p_init)
-    slope = p.reshape(constraints.shape.rows, constraints.shape.cols)
+        # Keep the exact gradient when the certificate proves it optimal too.
+        p_grad = f.gradient_at_coords(prob.x0).reshape(-1)
+        if _certified(max(0.0, prob.objective(p_grad)), lower_bound):
+            p = p_grad
+    # Store the opening exactly as the certificate replay recomputes it.
+    opening = max(0.0, prob.objective(p))
     return ParaboloidTouch(
         x0=tuple(float(v) for v in prob.x0),
-        slope=slope,
-        opening=float(a),
+        slope=p.reshape(constraints.shape.rows, constraints.shape.cols),
+        opening=opening,
         value_at_x0=prob.fx0,
-        converged=converged,
-        iterations=iterations,
+        converged=_certified(opening, lower_bound),
+        iterations=pivots,
+        support=prob.coords[rows],
+        weights=weights,
+        lower_bound=lower_bound,
     )
 
 
@@ -287,6 +244,32 @@ def replay_opening(
     """Re-evaluate the constraint maximum at the certified slope."""
     prob = _TouchProblem(f, np.asarray(touch.x0), constraints)
     return max(0.0, prob.objective(touch.slope.reshape(-1)))
+
+
+def replay_lower_bound(
+    f: FunctionHandle | SampledField, touch: ParaboloidTouch, constraints: GridSpec
+) -> float:
+    """Recompute the certified lower bound sum lam_y c_y from f at the support points.
+
+    Checks first that the weights are dual feasible: every support point is a
+    constraint node, lam >= 0, sum lam <= 1 (the rest weighs the row t >= 0),
+    and sum lam_y B_y = 0 up to DUAL_RTOL. Raises ValueError when one fails.
+    """
+    prob = _TouchProblem(f, np.asarray(touch.x0), constraints)
+    rows = []
+    for point in touch.support:
+        hit = np.flatnonzero(np.all(prob.coords == point, axis=1))
+        if hit.size == 0:
+            raise ValueError(f"support point {point.tolist()} is not a constraint node")
+        rows.append(int(hit[0]))
+    w = touch.weights
+    if np.any(w < 0.0) or np.sum(w) > 1.0 + 1e-12:
+        raise ValueError("certificate weights are not a sub-probability vector")
+    B = prob.B[rows]
+    residual = float(np.max(np.abs(w @ B), initial=0.0))
+    if residual > DUAL_RTOL * max(1.0, float(np.max(np.abs(B), initial=0.0))):
+        raise ValueError(f"certificate weights leave sum lam B = {residual:.3e}, not 0")
+    return float(w @ prob.c[rows])
 
 
 def touch_feasibility_gap(
@@ -316,7 +299,7 @@ def theta_upper_bruteforce(
 ) -> tuple[np.ndarray, float]:
     """Dense slope-grid oracle: evaluate the opening on a refined product grid in p.
 
-    Independent of the descent path; intended for small instances (p dimension <= 2).
+    Independent of the LP solver; intended for small instances (p dimension <= 2).
     """
     shape = constraints.shape
     x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -369,7 +352,6 @@ def theta_field(
     count: int = 500,
     seed: int = 0,
     region_radius: float | None = None,
-    solver: ThetaSolver = ThetaSolver(),
     threads: int = 1,
 ) -> ThetaField:
     """Least openings at `count` random points of the half-radius ball."""
@@ -380,7 +362,7 @@ def theta_field(
     pts = ball_samples(shape, constraints.center.coords, region_radius, count, rng)
 
     def solve(k: int) -> ParaboloidTouch:
-        return theta_upper(f, pts[k], constraints, solver)
+        return theta_upper(f, pts[k], constraints)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

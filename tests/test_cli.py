@@ -4,7 +4,7 @@ import pytest
 
 from roconvex.cli import ExperimentConfig, list_corpus, load_config, main, run
 from roconvex.fieldio import read_field, write_field
-from roconvex.core import MatrixShape, grid_spec, sample
+from roconvex.core import CapacityError, MatrixShape, grid_spec, sample
 from roconvex.corpus import neg_det
 
 
@@ -88,6 +88,26 @@ def test_verify_exit_codes(tmp_path):
     )
     manifest = run(cfg)
     assert not manifest.passed
+
+
+def test_tail_rejects_grid_over_budget(tmp_path):
+    # the requested grid size is the one used: past the axis budget it fails loudly
+    argv = ["tail", "--function", "abs_x11", "--grid-points", "15", "--eval-count", "4"]
+    with pytest.raises(CapacityError, match="points_per_axis 15"):
+        main(argv + ["--out", str(tmp_path)])
+    assert not (tmp_path / "tail").exists()
+
+
+def test_theta_summary_reports_solver_counters(tmp_path):
+    cfg = ExperimentConfig(
+        experiment="theta", function="abs_x11", grid_points=7, eval_count=8, out_dir=str(tmp_path)
+    )
+    manifest = run(cfg)
+    assert manifest.checks["lower_bound_replays"] and manifest.passed
+    summary = json.loads((tmp_path / "theta/summary.json").read_text())["summary"]
+    assert 1 <= summary["pivots_mean"] <= summary["pivots_max"]
+    assert abs(summary["duality_gap_max"]) <= 1e-9
+    assert len(summary["witness"]) == 4
 
 
 def test_field_csv_roundtrip(tmp_path):

@@ -1,18 +1,32 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from roconvex.core import GridSpec, MatrixPoint, MatrixShape, grid_spec, sample
+from roconvex import paraboloid
+from roconvex.core import (
+    MAX_GRID_NODES,
+    GridSpec,
+    MatrixPoint,
+    MatrixShape,
+    ball_samples,
+    grid_spec,
+    make_grid,
+    sample,
+)
 from roconvex.corpus import (
     abs_entry,
     frob_norm,
+    get_handle,
     half_norm_sq,
     linear,
     max_linear,
     neg_det,
 )
 from roconvex.paraboloid import (
-    ThetaSolver,
+    GAP_RTOL,
     default_tail_t_grid,
+    replay_lower_bound,
     replay_opening,
     tail_experiment,
     theta_field,
@@ -177,8 +191,83 @@ def test_tail_grid_validation():
 
 
 def test_solver_budget_recorded():
-    touch = theta_upper(
-        frob_norm(S1), np.array([0.3]), spec1(9), ThetaSolver(max_iters=40, polish_rounds=2)
-    )
-    assert touch.iterations <= 40
+    touch = theta_upper(frob_norm(S1), np.array([0.3]), spec1(9))
+    assert 1 <= touch.iterations <= paraboloid.MAX_PIVOTS
     assert touch.converged
+    assert touch.opening - touch.lower_bound <= GAP_RTOL * max(1.0, touch.opening)
+    assert touch.lower_bound == replay_lower_bound(frob_norm(S1), touch, spec1(9))
+
+
+def _highs_opening(prob) -> float:
+    """min t over (p, t) with t >= c_y - B_y.p and t >= 0, in full matrix coordinates."""
+    from scipy.optimize import linprog
+
+    n, k = prob.B.shape
+    a_ub = np.vstack([np.hstack([-prob.B, -np.ones((n, 1))]), np.append(np.zeros(k), -1.0)])
+    b_ub = np.append(-prob.c, 0.0)
+    cost = np.append(np.zeros(k), 1.0)
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * (k + 1), method="highs")
+    assert res.status == 0
+    return float(res.fun)
+
+
+@pytest.mark.parametrize("name", ["abs_x11", "abs_det_2x2", "frob_norm", "neg_det_2x2_sym"])
+def test_openings_match_highs_oracle(name):
+    pytest.importorskip("scipy")
+    h = get_handle(name)
+    spec = grid_spec(h.shape, 1.0, 13, "ball")
+    rng = np.random.default_rng(7)
+    for x0 in ball_samples(h.shape, spec.center.coords, 0.5, 4, rng):
+        touch = theta_upper(h, x0, spec)
+        oracle = _highs_opening(paraboloid._TouchProblem(h, x0, spec))
+        assert touch.opening == pytest.approx(oracle, rel=1e-12, abs=1e-12)
+        assert touch.converged
+        assert touch.opening - touch.lower_bound <= GAP_RTOL * max(1.0, touch.opening)
+
+
+def test_symmetric_slope_is_exactly_symmetric():
+    h = get_handle("neg_det_2x2_sym")
+    spec = grid_spec(h.shape, 1.0, 13, "ball")
+    fld = sample(h, spec)  # no gradient, so the slope comes from the LP
+    touch = theta_upper(fld, np.array([0.1, -0.2, 0.15]), spec)
+    assert np.array_equal(touch.slope, touch.slope.T)
+    assert touch.converged
+    assert replay_lower_bound(fld, touch, spec) == touch.lower_bound
+
+
+def test_opening_zero_at_cloud_edge_through_the_clamp_row():
+    # Every constraint lies on one side of x0, so a plane touches |x| from above
+    # and the whole dual weight sits on the row t >= 0.
+    touch = theta_upper(frob_norm(S1), np.array([1.0]), spec1(9))
+    assert touch.opening == 0.0
+    assert touch.weights.size == 0 and touch.lower_bound == 0.0
+    assert touch.converged
+    assert replay_lower_bound(frob_norm(S1), touch, spec1(9)) == 0.0
+
+
+def test_replay_lower_bound_rejects_tampered_certificates():
+    spec = grid_spec(S22, 1.0, 9, "cube")
+    touch = theta_upper(neg_det(), np.array([0.1, -0.2, 0.05, 0.3]), spec)
+    assert touch.weights.size > 0
+    with pytest.raises(ValueError, match="sub-probability"):
+        replay_lower_bound(neg_det(), replace(touch, weights=2.0 * touch.weights), spec)
+    with pytest.raises(ValueError, match="not 0"):
+        skewed = touch.weights * np.linspace(0.5, 1.0, touch.weights.size)
+        replay_lower_bound(neg_det(), replace(touch, weights=skewed), spec)
+    with pytest.raises(ValueError, match="not a constraint node"):
+        replay_lower_bound(neg_det(), replace(touch, support=touch.support + 0.01), spec)
+
+
+def test_pivot_cap_raises(monkeypatch):
+    monkeypatch.setattr(paraboloid, "MAX_PIVOTS", 1)
+    with pytest.raises(RuntimeError, match="pivots"):
+        theta_upper(neg_det(), np.array([0.1, -0.2, 0.05, 0.3]), grid_spec(S22, 1.0, 9, "cube"))
+
+
+def test_make_grid_cached_per_spec():
+    spec = grid_spec(S22, 1.0, 9, "ball")
+    grid = make_grid(spec)
+    assert make_grid(grid_spec(S22, 1.0, 9, "ball")) is grid
+    assert make_grid(spec, max_nodes=None) is grid and make_grid(spec, MAX_GRID_NODES) is grid
+    assert not grid.coords.flags.writeable and not grid.mask.flags.writeable
+    assert make_grid(grid_spec(S22, 1.0, 9, "cube")) is not grid
