@@ -3,7 +3,6 @@
 from .convex1d import (
     AtomicMeasure1D,
     IntervalUnion,
-    MaximalProfile,
     PLConvex1D,
     convex_taylor_check,
     fubini_tail_experiment,
@@ -24,6 +23,7 @@ from .core import (
     ball_samples,
     ball_volume,
     coordinate_directions,
+    evaluate,
     grid_spec,
     gradient_field,
     make_grid,

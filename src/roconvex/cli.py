@@ -20,8 +20,6 @@ from . import convex1d, envelope, fieldio, lowerbound, paraboloid, verify
 from .core import MatrixShape, ball_samples, grid_spec, gradient_field, sample
 from .corpus import FunctionHandle, corpus, get_handle
 
-EXPERIMENTS = ("verify", "theta", "tail", "envelope", "lemma", "appendix", "all")
-
 ANALYTIC_TOL = 1e-9
 FIELD_TOL_SCALE = 1.0  # field checks pass at K h^2 with K = 1; measured margins
 # on the corpus are <= 0.24 h^2 for flagged functions and >= 9 h^2 for controls.
@@ -488,6 +486,20 @@ _PIPELINES = {
     "appendix": run_appendix,
     "all": run_all,
 }
+EXPERIMENTS = tuple(_PIPELINES)
+
+# (flag, config key, type, help) of the override flags every experiment takes
+_FLAGS = (
+    ("--seed", "seed", int, None),
+    ("--out", "out_dir", str, "output directory"),
+    ("--function", "function", str, "corpus function name"),
+    ("--grid-points", "grid_points", int, None),
+    ("--radius", "radius", float, None),
+    ("--tol", "tol", float, None),
+    ("--eval-count", "eval_count", int, None),
+    ("--samples", "sample_count", int, None),
+    ("--threads", "threads", int, None),
+)
 
 
 def run(cfg: ExperimentConfig) -> RunManifest:
@@ -524,15 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} pipeline")
         p.add_argument("--config", type=str, default=None, help="flat JSON config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--function", type=str, default=None, help="corpus function name")
-        p.add_argument("--grid-points", type=int, default=None)
-        p.add_argument("--radius", type=float, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--eval-count", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
+        for flag, key, kind, text in _FLAGS:
+            p.add_argument(flag, dest=key, type=kind, default=None, help=text)
     lp = sub.add_parser("list-corpus", help="list corpus functions and flags")
     lp.add_argument("--flag", type=str, default=None, help="filter by a convexity flag")
     return parser
@@ -547,17 +552,7 @@ def main(argv: list[str] | None = None) -> int:
     values: dict = {}
     if args.config:
         values.update(load_config(args.config))
-    overrides = {
-        "seed": args.seed,
-        "out_dir": args.out,
-        "function": args.function,
-        "grid_points": args.grid_points,
-        "radius": args.radius,
-        "tol": args.tol,
-        "eval_count": args.eval_count,
-        "sample_count": args.samples,
-        "threads": args.threads,
-    }
+    overrides = {key: getattr(args, key) for _, key, _, _ in _FLAGS}
     values.update({k: v for k, v in overrides.items() if v is not None})
     values["experiment"] = args.experiment
     cfg = ExperimentConfig(**values)

@@ -362,19 +362,6 @@ def osc_on_cube(f: FunctionHandle, half_width: float, points_per_axis: int = 41)
 
 
 @dataclass(frozen=True)
-class MaximalProfile:
-    """Maximal function of one measure: point queries and exact superlevel sets."""
-
-    mu: AtomicMeasure1D
-
-    def __call__(self, x: float) -> float:
-        return maximal_function(self.mu, x)
-
-    def superlevel(self, t: float) -> IntervalUnion:
-        return superlevel(self.mu, t)
-
-
-@dataclass(frozen=True)
 class LineTail:
     """Per-line superlevel data for one direction at one threshold."""
 

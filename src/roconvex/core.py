@@ -10,9 +10,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .corpus import FunctionHandle
 
 # Desk-scale budgets. Larger requests fail loudly instead of thrashing.
 MAX_GRID_DIM = 4
@@ -98,7 +101,8 @@ class MatrixPoint:
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        coords = np.asarray(self.coords, dtype=float).reshape(-1)
+        # + 0.0 turns -0.0 into 0.0, so points that compare equal hash equal.
+        coords = np.asarray(self.coords, dtype=float).reshape(-1) + 0.0
         if coords.size != self.shape.dim:
             raise ValueError(f"expected {self.shape.dim} coordinates, got {coords.size}")
         if not np.all(np.isfinite(coords)):
@@ -117,13 +121,6 @@ class MatrixPoint:
     @classmethod
     def zero(cls, shape: MatrixShape) -> "MatrixPoint":
         return cls(shape, np.zeros(shape.dim))
-
-    @classmethod
-    def from_matrix(cls, shape: MatrixShape, mat: np.ndarray) -> "MatrixPoint":
-        mat = np.asarray(mat, dtype=float)
-        if shape.symmetric and not np.allclose(mat, mat.T, atol=1e-12):
-            raise ValueError("symmetric shape requires a symmetric matrix")
-        return cls(shape, shape.matrix_to_coords(mat))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -302,10 +299,6 @@ class Grid:
     def matrices(self) -> np.ndarray:
         return self.spec.shape.coords_to_matrix(self.coords)
 
-    def points(self) -> Iterator[tuple[MatrixPoint, bool]]:
-        for k in range(self.node_count):
-            yield MatrixPoint(self.spec.shape, self.coords[k]), bool(self.mask[k])
-
 
 def make_grid(spec: GridSpec, max_nodes: int | None = None) -> Grid:
     """Build the tensor grid for `spec`, masking nodes outside the clip region.
@@ -423,7 +416,19 @@ class SampledField:
         return out, ok
 
 
-def sample(f: "FunctionLike", spec: GridSpec, max_nodes: int | None = None) -> SampledField:
+def evaluate(f: FunctionHandle | SampledField, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of a handle or a field at coordinates (K, dim), with a validity mask.
+
+    A field is interpolated and `ok` marks the queries it can answer; a handle
+    answers every query.
+    """
+    if isinstance(f, SampledField):
+        return f.interpolate(coords)
+    vals = f.value_at_coords(coords)
+    return vals, np.ones(vals.shape, dtype=bool)
+
+
+def sample(f: FunctionHandle, spec: GridSpec, max_nodes: int | None = None) -> SampledField:
     """Evaluate `f` at all valid grid nodes of `spec`."""
     grid = make_grid(spec, max_nodes=max_nodes)
     values = np.full(grid.node_count, np.nan)
@@ -505,10 +510,3 @@ def cube_samples(
 def ball_volume(dim: int, radius: float) -> float:
     """Lebesgue volume of the Euclidean ball in `dim` coordinates."""
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) * radius**dim
-
-
-class FunctionLike:
-    """Protocol stub: anything with .value(mats) vectorized over (..., m, n)."""
-
-    def value(self, mats: np.ndarray) -> np.ndarray:  # pragma: no cover - protocol only
-        raise NotImplementedError

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MatrixPoint, MatrixShape
+from .core import MatrixShape
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,6 @@ class FunctionHandle:
 
     def __call__(self, mats: np.ndarray) -> np.ndarray:
         return self.value(np.asarray(mats, dtype=float))
-
-    def value_at(self, point: MatrixPoint) -> float:
-        return float(self.value(point.matrix))
 
     def value_at_coords(self, coords: np.ndarray) -> np.ndarray:
         return self.value(self.shape.coords_to_matrix(coords))

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SampledField
+from .core import SampledField, evaluate
 from .corpus import FunctionHandle
 from .paraboloid import ThetaField
 
@@ -32,8 +32,6 @@ class ConeEnvelopePair:
     w_minus: SampledField
     w_plus: SampledField
     source: SampledField
-    window: float | None = None
-    window_checked: int = 0
 
 
 def _pairwise_envelope(
@@ -43,7 +41,6 @@ def _pairwise_envelope(
     L: float,
     sign: float,
     frob_weights: np.ndarray,
-    window: float | None,
 ) -> np.ndarray:
     """min_y src + L|x-y| (sign=+1) or max_y src - L|x-y| (sign=-1), chunked full scan."""
     out = np.empty(out_coords.shape[0])
@@ -53,12 +50,10 @@ def _pairwise_envelope(
         wx = out_coords[lo:hi] * frob_weights
         dist = np.sqrt(np.maximum(np.sum((wx[:, None, :] - wy[None, :, :]) ** 2, axis=2), 0.0))
         vals = src_vals[None, :] + sign * L * dist
-        if window is not None:
-            vals = np.where(dist < window, vals, np.nan)
         if sign > 0:
-            out[lo:hi] = np.nanmin(vals, axis=1)
+            out[lo:hi] = np.min(vals, axis=1)
         else:
-            out[lo:hi] = np.nanmax(vals, axis=1)
+            out[lo:hi] = np.max(vals, axis=1)
     return out
 
 
@@ -66,14 +61,11 @@ def cone_convolutions(
     source: SampledField,
     L: float,
     output_radius: float | None = None,
-    window: float | None = None,
-    window_check: int = 64,
 ) -> ConeEnvelopePair:
     """Exact discrete cone envelopes of `source`, evaluated on the inner ball.
 
-    `output_radius` defaults to two thirds of the grid radius (the 3/4 -> 1/2
-    domain shrink). A finite search `window` is a verified optimization: values
-    on a deterministic node subset are recomputed by full scan and must agree.
+    Every output node scans every valid source node. `output_radius` defaults
+    to two thirds of the grid radius (the 3/4 -> 1/2 domain shrink).
     """
     if L <= 0.0:
         raise ValueError("cone slope L must be positive")
@@ -92,18 +84,8 @@ def cone_convolutions(
     src_vals = source.values[source.mask]
     out_coords = coords[out_mask]
 
-    lo_vals = _pairwise_envelope(out_coords, src_coords, src_vals, L, +1.0, w, window)
-    hi_vals = _pairwise_envelope(out_coords, src_coords, src_vals, L, -1.0, w, window)
-    checked = 0
-    if window is not None:
-        probe = np.arange(0, out_coords.shape[0], max(1, out_coords.shape[0] // max(window_check, 1)))
-        full_lo = _pairwise_envelope(out_coords[probe], src_coords, src_vals, L, +1.0, w, None)
-        full_hi = _pairwise_envelope(out_coords[probe], src_coords, src_vals, L, -1.0, w, None)
-        if not (np.array_equal(full_lo, lo_vals[probe]) and np.array_equal(full_hi, hi_vals[probe])):
-            raise ValueError(
-                f"window {window} altered the envelope; increase L or drop the window"
-            )
-        checked = int(probe.size)
+    lo_vals = _pairwise_envelope(out_coords, src_coords, src_vals, L, +1.0, w)
+    hi_vals = _pairwise_envelope(out_coords, src_coords, src_vals, L, -1.0, w)
 
     def as_field(vals: np.ndarray) -> SampledField:
         full = np.full(coords.shape[0], np.nan)
@@ -115,8 +97,6 @@ def cone_convolutions(
         w_minus=as_field(lo_vals),
         w_plus=as_field(hi_vals),
         source=source,
-        window=window,
-        window_checked=checked,
     )
 
 
@@ -139,7 +119,7 @@ def envelope_idempotence_gap(pair: ConeEnvelopePair) -> float:
     for fld, sign in ((pair.w_minus, +1.0), (pair.w_plus, -1.0)):
         coords = fld.valid_coords()
         vals = fld.valid_values()
-        again = _pairwise_envelope(coords, coords, vals, pair.L, sign, fld.shape.frob_weights(), None)
+        again = _pairwise_envelope(coords, coords, vals, pair.L, sign, fld.shape.frob_weights())
         worst = max(worst, float(np.max(np.abs(again - vals))))
     return worst
 
@@ -163,15 +143,12 @@ def _kink_indicator(
     f: FunctionHandle | SampledField, coords: np.ndarray, h: float, threshold: float
 ) -> np.ndarray:
     """True where one-sided difference quotients disagree by more than `threshold`."""
-    if isinstance(f, SampledField):
-        def ev(c: np.ndarray) -> np.ndarray:
-            vals, ok = f.interpolate(c)
-            return np.where(ok, vals, np.nan)
-        shape = f.grid.shape
-    else:
-        def ev(c: np.ndarray) -> np.ndarray:
-            return f.value_at_coords(c)
-        shape = f.shape
+
+    def ev(c: np.ndarray) -> np.ndarray:
+        vals, ok = evaluate(f, c)
+        return np.where(ok, vals, np.nan)
+
+    shape = f.shape
     out = np.zeros(coords.shape[0], dtype=bool)
     base = ev(coords)
     for k in range(shape.dim):
@@ -332,25 +309,21 @@ def second_order_remainder(
     radii_arr = np.asarray(list(radii), dtype=float)
     if np.any(np.diff(radii_arr) >= 0):
         raise ValueError("radii must be strictly decreasing")
-    probe_shape = f.grid.shape if isinstance(f, SampledField) else f.shape
-    if probe_shape.symmetric:
+    shape = f.shape
+    if shape.symmetric:
         raise ValueError("second_order_remainder supports general m-by-n shapes")
     if isinstance(f, SampledField):
-        shape = f.grid.shape
         if np.min(radii_arr) < f.grid.spacing:
             raise ValueError("radii below the grid resolution are not admissible for fields")
-
-        def ev(c: np.ndarray) -> np.ndarray:
-            vals, ok = f.interpolate(c)
-            if not np.all(ok):
-                raise ValueError("remainder probe left the valid field region")
-            return vals
-
         grad_ev = None
     else:
-        shape = f.shape
-        ev = f.value_at_coords
         grad_ev = f.gradient_at_coords if f.gradient is not None else None
+
+    def ev(c: np.ndarray) -> np.ndarray:
+        vals, ok = evaluate(f, c)
+        if not np.all(ok):
+            raise ValueError("remainder probe left the valid field region")
+        return vals
 
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     h = hessian_step if hessian_step is not None else max(1e-4, 0.05 * float(np.min(radii_arr)))

@@ -61,37 +61,11 @@ def column_split(x: np.ndarray) -> ColumnSplit:
     return split
 
 
-def coordinate_split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise filtration analog (one coordinate flipped at a time); experimental
-    variant for separately convex functions."""
-    x = np.asarray(x, dtype=float)
-    m, n = x.shape
-    k = m * n
-    partials = np.zeros((k, m, n))
-    refl = np.zeros((k, m, n))
-    flat = x.reshape(-1)
-    for i in range(k):
-        p = np.zeros(k)
-        p[: i + 1] = flat[: i + 1]
-        partials[i] = p.reshape(m, n)
-        q = p.copy()
-        q[i] = -q[i]
-        refl[i] = q.reshape(m, n)
-    return partials, refl
-
-
 def lemma_constant(n: int) -> int:
     """The unrolled recurrence constant: C(n) = 2^(n-1) - 1 over n columns."""
     if n < 1:
         raise ValueError("column count must be >= 1")
     return 2 ** (n - 1) - 1
-
-
-def lemma_constant_separate(coord_count: int) -> int:
-    """Same recurrence over single-coordinate flips; experimental."""
-    if coord_count < 1:
-        raise ValueError("coordinate count must be >= 1")
-    return 2 ** (coord_count - 1) - 1
 
 
 @dataclass(frozen=True)
@@ -175,26 +149,27 @@ def empirical_majorant(
     x0: np.ndarray,
     samples: np.ndarray,
     bins: int = 50,
-    augment_columns: bool = True,
 ) -> RadialMajorant:
     """Monotone running-max majorant of the recentered function over radius bins.
 
     The build set is augmented with the column-split reflections of every
     sample; reflections stay on the same sphere, which keeps the certificate
-    sharp for functions that are convex along rank-one segments.
+    sharp for functions that are convex along rank-one segments. The split of
+    each sample is the one `column_split` builds, taken for all samples at once
+    by column masks, and its points follow the samples in the order
+    (reflection, partial) per sample and column.
     """
     shape = f.shape
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     pts = np.asarray(samples, dtype=float)
-    if augment_columns:
-        extra = []
-        mats = shape.coords_to_matrix(pts) - shape.coords_to_matrix(x0)
-        for k in range(pts.shape[0]):
-            split = column_split(mats[k])
-            for i in range(shape.cols):
-                extra.append(shape.matrix_to_coords(split.reflections[i] + shape.coords_to_matrix(x0)))
-                extra.append(shape.matrix_to_coords(split.partials[i] + shape.coords_to_matrix(x0)))
-        pts = np.concatenate([pts, np.asarray(extra)], axis=0)
+    x0m = shape.coords_to_matrix(x0)
+    mats = (shape.coords_to_matrix(pts) - x0m)[:, None]  # (K, 1, m, n)
+    n = shape.cols
+    upto = np.arange(n)[None, :] <= np.arange(n)[:, None]  # upto[i, j]: partial i keeps column j
+    partials = np.where(upto[:, None, :], mats, 0.0)  # (K, n, m, n)
+    reflections = partials - 2.0 * np.where(np.eye(n, dtype=bool)[:, None, :], mats, 0.0)
+    extra = np.stack([reflections, partials], axis=2) + x0m
+    pts = np.concatenate([pts, shape.matrix_to_coords(extra).reshape(-1, shape.dim)], axis=0)
     vals, _, _ = recentered_values(f, x0, pts)
     dist = shape.frob_norm_coords(pts - x0)
     rmax = float(np.max(dist))

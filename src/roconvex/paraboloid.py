@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import GridSpec, SampledField, ball_samples, ball_volume, make_grid
+from .core import GridSpec, SampledField, ball_samples, ball_volume, evaluate, make_grid
 from .corpus import FunctionHandle
 
 MAX_PIVOTS = 500  # an opening LP has at most 5 rows; a solve past this cap raises
@@ -107,29 +107,39 @@ class TailReport:
         }
 
 
+def _cloud(
+    f: FunctionHandle | SampledField, x0: np.ndarray, constraints: GridSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The masked constraint nodes y, f(y), the flattened matrices y - x0, and |y - x0|^2.
+
+    A field supplies its own node values, so it must be sampled on `constraints`.
+    """
+    if isinstance(f, SampledField) and f.grid != constraints:
+        raise ValueError("field constraints must use the field's own grid")
+    shape = constraints.shape
+    grid = make_grid(constraints)
+    coords = grid.coords[grid.mask]
+    fy = f.valid_values() if isinstance(f, SampledField) else f.value_at_coords(coords)
+    # Flattened matrices, not storage coordinates, so |d|^2 is the Frobenius norm.
+    d = (shape.coords_to_matrix(coords) - shape.coords_to_matrix(x0)).reshape(coords.shape[0], -1)
+    return coords, fy, d, np.sum(d * d, axis=1)
+
+
+def _value_at_x0(f: FunctionHandle | SampledField, x0: np.ndarray) -> float:
+    vals, ok = evaluate(f, x0[None, :])
+    if not ok[0]:
+        raise ValueError("x0 is not interpolable on the constraint grid")
+    return float(vals[0])
+
+
 class _TouchProblem:
     """Constraint data for one evaluation point: c_y and b_y with a(p) = max(0, max(c - B p))."""
 
     def __init__(self, f: FunctionHandle | SampledField, x0: np.ndarray, constraints: GridSpec):
         shape = constraints.shape
         x0 = np.asarray(x0, dtype=float).reshape(-1)
-        grid = make_grid(constraints)
-        coords = grid.coords[grid.mask]
-        if isinstance(f, SampledField):
-            if f.grid != constraints:
-                raise ValueError("field constraints must use the field's own grid")
-            fy = f.valid_values()
-            fx0_arr, ok = f.interpolate(x0[None, :])
-            if not ok[0]:
-                raise ValueError("x0 is not interpolable on the constraint grid")
-            fx0 = float(fx0_arr[0])
-        else:
-            fy = f.value_at_coords(coords)
-            fx0 = float(f.value_at_coords(x0[None, :])[0])
-        mats = shape.coords_to_matrix(coords)
-        x0m = shape.coords_to_matrix(x0)
-        d = (mats - x0m).reshape(mats.shape[0], -1)  # Frobenius-consistent flattening
-        q = np.sum(d * d, axis=1)
+        coords, fy, d, q = _cloud(f, x0, constraints)
+        fx0 = _value_at_x0(f, x0)
         keep = q > (1e-9 * constraints.spacing) ** 2
         d, q, fy = d[keep], q[keep], fy[keep]
         if d.shape[0] == 0:
@@ -276,16 +286,7 @@ def touch_feasibility_gap(
     f: FunctionHandle | SampledField, touch: ParaboloidTouch, constraints: GridSpec
 ) -> float:
     """max_y f(y) - P(y); <= 0 up to roundoff by construction."""
-    shape = constraints.shape
-    grid = make_grid(constraints)
-    coords = grid.coords[grid.mask]
-    if isinstance(f, SampledField):
-        fy = f.valid_values()
-    else:
-        fy = f.value_at_coords(coords)
-    x0 = np.asarray(touch.x0)
-    d = (shape.coords_to_matrix(coords) - shape.coords_to_matrix(x0)).reshape(coords.shape[0], -1)
-    q = np.sum(d * d, axis=1)
+    _, fy, d, q = _cloud(f, np.asarray(touch.x0), constraints)
     pvals = touch.value_at_x0 + d @ touch.slope.reshape(-1) + 0.5 * touch.opening * q
     return float(np.max(fy - pvals))
 
@@ -301,21 +302,9 @@ def theta_upper_bruteforce(
 
     Independent of the LP solver; intended for small instances (p dimension <= 2).
     """
-    shape = constraints.shape
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    grid = make_grid(constraints)
-    coords = grid.coords[grid.mask]
-    if isinstance(f, SampledField):
-        fy = f.valid_values()
-        fx0_arr, ok = f.interpolate(x0[None, :])
-        if not ok[0]:
-            raise ValueError("x0 is not interpolable on the constraint grid")
-        fx0 = float(fx0_arr[0])
-    else:
-        fy = f.value_at_coords(coords)
-        fx0 = float(f.value_at_coords(x0[None, :])[0])
-    d = (shape.coords_to_matrix(coords) - shape.coords_to_matrix(x0)).reshape(coords.shape[0], -1)
-    q = np.sum(d * d, axis=1)
+    _, fy, d, q = _cloud(f, x0, constraints)
+    fx0 = _value_at_x0(f, x0)
     keep = q > (1e-9 * constraints.spacing) ** 2
     d, q, fy = d[keep], q[keep], fy[keep]
     pdim = d.shape[1]

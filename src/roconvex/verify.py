@@ -22,6 +22,7 @@ from .core import (
     ball_samples,
     coordinate_directions,
     cube_samples,
+    evaluate,
     grid_spec,
     make_grid,
     random_directions,
@@ -39,7 +40,6 @@ class SegmentSampler:
     direction_count: int = 16
     step_count: int = 12
     seed: int = 0
-    include_probes: bool = True
 
 
 @dataclass(frozen=True)
@@ -89,21 +89,15 @@ class _Evaluator:
     """Uniform evaluation of a FunctionHandle or a SampledField over coordinates."""
 
     def __init__(self, f: FunctionHandle | SampledField, domain: GridSpec | None):
+        self.f = f
         if isinstance(f, SampledField):
-            self.field = f
-            self.handle = None
             self.domain = f.grid
         else:
-            self.field = None
-            self.handle = f
             self.domain = domain if domain is not None else grid_spec(f.shape)
         self.shape = self.domain.shape
 
     def __call__(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self.handle is not None:
-            vals = self.handle.value_at_coords(coords)
-            return vals, self.in_domain(coords)
-        vals, ok = self.field.interpolate(coords)
+        vals, ok = evaluate(self.f, coords)
         return vals, ok & self.in_domain(coords)
 
     def in_domain(self, coords: np.ndarray) -> np.ndarray:
@@ -143,14 +137,13 @@ def _segment_check(
     for d in directions:
         dc = _direction_coords(shape, d)
         dnorm = shape.frob_norm_coords(dc)
-        if sampler.include_probes:
-            # Deterministic center probes at half and quarter radius catch unit-scale
-            # concavity regardless of the random stream.
-            for frac in (0.5, 0.25):
-                bases.append(ev.domain.center.coords.copy())
-                dirs.append(dc)
-                labels.append(d.label())
-                ts.append(frac * radius / dnorm)
+        # Deterministic center probes at half and quarter radius catch unit-scale
+        # concavity regardless of the random stream.
+        for frac in (0.5, 0.25):
+            bases.append(ev.domain.center.coords.copy())
+            dirs.append(dc)
+            labels.append(d.label())
+            ts.append(frac * radius / dnorm)
         base_draw = ev.draw_bases(sampler.step_count, rng)
         t_draw = rng.uniform(0.0, radius / dnorm, size=sampler.step_count)
         for k in range(sampler.step_count):
@@ -192,10 +185,9 @@ def rank_one_convexity_check(
     sampler: SegmentSampler = SegmentSampler(),
 ) -> ConvexityReport:
     """Midpoint convexity along rank-one segments; positive violations are counterexamples."""
-    ev_shape = f.grid.shape if isinstance(f, SampledField) else f.shape
     rng = np.random.default_rng(sampler.seed + 1)
-    directions = coordinate_directions(ev_shape)
-    directions += random_directions(ev_shape, sampler.direction_count, rng)
+    directions = coordinate_directions(f.shape)
+    directions += random_directions(f.shape, sampler.direction_count, rng)
     return _segment_check(f, domain, sampler, directions, "rank_one_convexity_check")
 
 
@@ -205,11 +197,11 @@ def separate_convexity_check(
     sampler: SegmentSampler = SegmentSampler(),
 ) -> ConvexityReport:
     """Midpoint convexity along the coordinate axes only."""
-    ev_shape = f.grid.shape if isinstance(f, SampledField) else f.shape
-    if ev_shape.symmetric:
-        directions = [RankOneDirection(ev_shape, pair=(i, i)) for i in range(ev_shape.rows)]
+    shape = f.shape
+    if shape.symmetric:
+        directions = [RankOneDirection(shape, pair=(i, i)) for i in range(shape.rows)]
     else:
-        directions = coordinate_directions(ev_shape)
+        directions = coordinate_directions(shape)
     return _segment_check(f, domain, sampler, directions, "separate_convexity_check")
 
 
@@ -321,16 +313,6 @@ def viscosity_subharmonic_check(fld: SampledField) -> NodeMinReport:
     return NodeMinReport(float(flat[k]), witness, int(np.sum(finite)))
 
 
-def _sym_r_matrix(n: int, i: int, j: int) -> np.ndarray:
-    e = np.zeros(n)
-    if i == j:
-        e[i] = 1.0
-    else:
-        e[i] = 1.0
-        e[j] = 1.0
-    return np.outer(e, e)
-
-
 @dataclass(frozen=True)
 class SymmetricOperator:
     """Coefficient tensor a = sum_ij r_ij (x) r_ij over symmetric n-by-n space."""
@@ -344,10 +326,11 @@ class SymmetricOperator:
 
 
 def assemble_symmetric_operator(n: int) -> SymmetricOperator:
+    shape = MatrixShape(n, n, symmetric=True)
     tensor = np.zeros((n, n, n, n))
     for i in range(n):
         for j in range(n):
-            r = _sym_r_matrix(n, i, j)
+            r = RankOneDirection(shape, pair=(i, j)).matrix
             tensor += np.einsum("kl,mn->klmn", r, r)
     return SymmetricOperator(n, tensor)
 
@@ -355,18 +338,20 @@ def assemble_symmetric_operator(n: int) -> SymmetricOperator:
 def symmetric_basis_identity_residual(n: int) -> float:
     """Max entrywise error of 2 sym(e_i (x) e_j) = r_ij - r_ii - r_jj (i != j),
     together with the diagonal representation e_ii = r_ii."""
+    shape = MatrixShape(n, n, symmetric=True)
+    r = {(i, j): RankOneDirection(shape, pair=(i, j)).matrix for i in range(n) for j in range(n)}
     worst = 0.0
     for i in range(n):
         lhs = np.zeros((n, n))
         lhs[i, i] = 1.0
-        worst = max(worst, float(np.max(np.abs(lhs - _sym_r_matrix(n, i, i)))))
+        worst = max(worst, float(np.max(np.abs(lhs - r[i, i]))))
         for j in range(n):
             if i == j:
                 continue
             lhs = np.zeros((n, n))
             lhs[i, j] += 1.0
             lhs[j, i] += 1.0
-            rhs = _sym_r_matrix(n, i, j) - _sym_r_matrix(n, i, i) - _sym_r_matrix(n, j, j)
+            rhs = r[i, j] - r[i, i] - r[j, j]
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
@@ -414,10 +399,11 @@ def symmetric_operator_check(fld: SampledField) -> NodeMinReport:
 
 def apply_symmetric_operator_quadratic(n: int) -> float:
     """Closed form of the operator on |x|^2/2: sum of squared direction norms."""
+    shape = MatrixShape(n, n, symmetric=True)
     acc = 0.0
     for i in range(n):
         for j in range(n):
-            acc += float(np.sum(_sym_r_matrix(n, i, j) ** 2))
+            acc += float(np.sum(RankOneDirection(shape, pair=(i, j)).matrix ** 2))
     return acc
 
 

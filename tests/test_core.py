@@ -89,6 +89,14 @@ def test_grid_budget_errors():
         make_grid(grid_spec(MatrixShape(2, 2), 1.0, 13, "cube"), max_nodes=1000)
 
 
+def test_signed_zero_center_shares_one_grid():
+    shape = MatrixShape(1, 1)
+    plus = grid_spec(shape, 1.0, 5, center=MatrixPoint(shape, np.array([0.0])))
+    minus = grid_spec(shape, 1.0, 5, center=MatrixPoint(shape, np.array([-0.0])))
+    assert plus == minus and hash(plus) == hash(minus)
+    assert make_grid(minus) is make_grid(plus)
+
+
 def test_grid_spec_validation():
     shape = MatrixShape(1, 1)
     with pytest.raises(ValueError):

@@ -82,17 +82,6 @@ def test_anti_monotone_in_L():
     assert np.all(lo.w_plus.values[m] >= hi.w_plus.values[m] - 1e-15)
 
 
-def test_window_restriction_checked():
-    src = abs_field()
-    pair = cone_convolutions(src, 4.0, window=0.5)
-    assert pair.window_checked > 0
-    full = cone_convolutions(src, 4.0)
-    m = pair.w_minus.mask
-    assert np.array_equal(pair.w_minus.values[m], full.w_minus.values[m])
-    with pytest.raises(ValueError, match="window"):
-        cone_convolutions(src, 0.25, window=0.2)
-
-
 def test_spike_keeps_exact_order():
     src = abs_field(points=9)
     values = src.values.copy()

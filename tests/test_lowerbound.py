@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from roconvex.core import MatrixShape, ball_samples
 from roconvex.corpus import (
+    FunctionHandle,
     abs_det,
     corpus,
     half_norm_sq,
@@ -16,10 +17,8 @@ from roconvex.lowerbound import (
     RadialMajorant,
     TangencyError,
     column_split,
-    coordinate_split,
     empirical_majorant,
     lemma_constant,
-    lemma_constant_separate,
     lower_bound_certify,
     majorant_from_theta,
     quadratic_majorant,
@@ -71,17 +70,35 @@ def test_lemma_constant_recurrence_unroll():
     assert lemma_constant(1) == 0
     assert lemma_constant(2) == 1
     assert lemma_constant(4) == 7
-    assert lemma_constant_separate(4) == 7
     with pytest.raises(ValueError):
         lemma_constant(0)
 
 
-def test_coordinate_split_flips_one_entry():
-    x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    partials, refl = coordinate_split(x)
-    assert np.array_equal(partials[-1], x)
-    for i in range(4):
-        assert np.linalg.norm(refl[i]) == pytest.approx(np.linalg.norm(partials[i]))
+@pytest.mark.parametrize("shape", [MatrixShape(1, 2), MatrixShape(2, 2), MatrixShape(2, 3)])
+def test_majorant_build_points_match_column_split_loop(shape):
+    # The vectorised augmentation must evaluate f on exactly the points, in the
+    # order, of an explicit column_split loop over the samples.
+    seen = []
+
+    def value(x):
+        seen.append(x.copy())
+        return np.sum(np.abs(x - 0.1), axis=(-2, -1))
+
+    f = FunctionHandle("abs_shifted", shape, value)
+    rng = np.random.default_rng(7)
+    x0 = rng.uniform(-0.2, 0.2, shape.dim)
+    samples = ball_samples(shape, x0, 1.0, 300, rng)
+    x0m = shape.coords_to_matrix(x0)
+    extra = []
+    for mat in shape.coords_to_matrix(samples) - x0m:
+        split = column_split(mat)
+        for i in range(shape.cols):
+            extra.append(shape.matrix_to_coords(split.reflections[i] + x0m))
+            extra.append(shape.matrix_to_coords(split.partials[i] + x0m))
+    build = np.concatenate([samples, np.asarray(extra)])
+    g = empirical_majorant(f, x0, samples)
+    assert np.array_equal(seen[-1], shape.coords_to_matrix(build))
+    assert g.radii[-1] == np.max(shape.frob_norm_coords(build - x0))
 
 
 def test_majorant_validation():

@@ -271,3 +271,20 @@ def test_make_grid_cached_per_spec():
     assert make_grid(spec, max_nodes=None) is grid and make_grid(spec, MAX_GRID_NODES) is grid
     assert not grid.coords.flags.writeable and not grid.mask.flags.writeable
     assert make_grid(grid_spec(S22, 1.0, 9, "cube")) is not grid
+
+
+def test_field_on_another_grid_is_rejected():
+    fld = sample(frob_norm(S12), grid_spec(S12, 2.0, 9, "ball"))
+    other = grid_spec(S12, 1.0, 9, "ball")
+    x0 = np.array([0.1, 0.2])
+    touch = theta_upper(fld, x0, fld.grid)
+    calls = (
+        lambda: theta_upper(fld, x0, other),
+        lambda: theta_upper_bruteforce(fld, x0, other),
+        lambda: touch_feasibility_gap(fld, touch, other),
+        lambda: replay_opening(fld, touch, other),
+        lambda: replay_lower_bound(fld, touch, other),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="field's own grid"):
+            call()
