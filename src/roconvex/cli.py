@@ -46,10 +46,6 @@ class ExperimentConfig:
     cone_slope: float | None = None
     min_epsilon: float | None = None
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
-
 
 def load_config(path: str | Path) -> dict:
     """Flat key-value JSON config; unknown keys are rejected."""
@@ -112,7 +108,7 @@ def _finish(
     hashes = {str(p.relative_to(cfg.out_dir)): fieldio.sha256_file(p) for p in artifacts}
     manifest = RunManifest(
         experiment=name,
-        config=cfg.to_dict(),
+        config=asdict(cfg),
         artifacts=hashes,
         checks=checks,
         versions=_versions(),
@@ -170,11 +166,11 @@ def run_verify(cfg: ExperimentConfig) -> RunManifest:
     report_json = fieldio.write_json(
         {
             "function": h.name,
-            "flags": h.flags.to_dict(),
-            "rank_one": replace(r1c, tolerance=cfg.tol).to_dict(),
-            "separate": replace(sep, tolerance=cfg.tol).to_dict(),
-            "node_operator": node_rep.to_dict(),
-            "mollified": replace(molrep, tolerance=field_tol).to_dict(),
+            "flags": asdict(h.flags),
+            "rank_one": asdict(replace(r1c, tolerance=cfg.tol)),
+            "separate": asdict(replace(sep, tolerance=cfg.tol)),
+            "node_operator": asdict(node_rep),
+            "mollified": asdict(replace(molrep, tolerance=field_tol)),
         },
         out / f"{h.name}_reports.json",
     )
@@ -256,7 +252,7 @@ def run_tail(cfg: ExperimentConfig) -> RunManifest:
         checks["fitted_epsilon_at_least_min"] = (
             rep.fitted_epsilon is not None and rep.fitted_epsilon >= cfg.min_epsilon
         )
-    summary = rep.to_dict() | {"function": h.name, "f_sup": f_sup}
+    summary = asdict(rep) | {"function": h.name, "f_sup": f_sup}
     return _finish(cfg, "tail", summary, checks, [csv])
 
 
@@ -330,11 +326,11 @@ def run_lemma(cfg: ExperimentConfig) -> RunManifest:
     out = Path(cfg.out_dir) / "lemma"
     csv = fieldio.write_csv(out / f"{h.name}.csv", ("radius", "majorant"), majorant.table())
     cert_json = fieldio.write_json(
-        cert.to_dict()
+        asdict(cert)
         | {"expected_pass": expected, "seed": cfg.seed, "g_table": majorant.table()},
         out / f"{h.name}_certificate.json",
     )
-    summary = cert.to_dict() | {"function": h.name, "expected_pass": expected}
+    summary = asdict(cert) | {"function": h.name, "expected_pass": expected}
     return _finish(cfg, "lemma", summary, checks, [csv, cert_json])
 
 
@@ -466,7 +462,7 @@ def run_all(cfg: ExperimentConfig) -> RunManifest:
         artifacts.update(m.artifacts)
     manifest = RunManifest(
         experiment="all",
-        config=cfg.to_dict(),
+        config=asdict(cfg),
         artifacts=artifacts,
         checks=checks,
         versions=_versions(),
@@ -513,7 +509,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
 def list_corpus(flag: str | None = None) -> list[str]:
     lines = []
     for h in corpus():
-        flags = h.flags.to_dict()
+        flags = asdict(h.flags)
         if flag is not None:
             if flag not in flags:
                 raise SystemExit(

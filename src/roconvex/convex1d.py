@@ -377,13 +377,6 @@ class FubiniTailSet:
     per_direction: tuple[LineTail, ...]
     aggregate: float  # sum_i mean_y |E_y| * cross-section volume
 
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "aggregate": self.aggregate,
-            "mean_line_measures": [float(np.mean(lt.measures)) for lt in self.per_direction],
-        }
-
 
 @dataclass(frozen=True)
 class InclusionProbe:
@@ -407,17 +400,6 @@ class FubiniTailReport:
     @property
     def measures(self) -> np.ndarray:
         return np.array([s.aggregate for s in self.sets])
-
-    def to_dict(self) -> dict:
-        return {
-            "t_grid": self.t_grid.tolist(),
-            "measures": self.measures.tolist(),
-            "oscillation": self.oscillation,
-            "threshold": self.threshold,
-            "fitted_slope": self.fitted_slope,
-            "inclusion_probes": len(self.inclusion),
-            "inclusion_ok": all(p.axis_bound_ok and p.hull_bound_ok for p in self.inclusion),
-        }
 
 
 def _line_values(f: FunctionHandle, offset: np.ndarray, direction: int, s_grid: np.ndarray) -> np.ndarray:

@@ -254,6 +254,14 @@ class GridSpec:
     def axis_values(self, k: int) -> np.ndarray:
         return self.center.coords[k] + np.linspace(-self.radius, self.radius, self.points_per_axis)
 
+    def contains(self, coords: np.ndarray) -> np.ndarray:
+        """True where coordinates (..., dim) lie in the clip region, up to relative _BALL_SLACK."""
+        rel = coords - self.center.coords
+        bound = self.radius * (1.0 + _BALL_SLACK)
+        if self.clip == "ball":
+            return self.shape.frob_norm_coords(rel) <= bound
+        return np.all(np.abs(rel) <= bound, axis=-1)
+
     def to_dict(self) -> dict:
         return {
             "rows": self.shape.rows,
@@ -323,11 +331,7 @@ def _make_grid(spec: GridSpec, budget: int) -> Grid:
     axes = [spec.axis_values(k) for k in range(dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     coords = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    if spec.clip == "ball":
-        dist = spec.shape.frob_norm_coords(coords - spec.center.coords)
-        mask = dist <= spec.radius * (1.0 + _BALL_SLACK)
-    else:
-        mask = np.ones(total, dtype=bool)
+    mask = spec.contains(coords) if spec.clip == "ball" else np.ones(total, dtype=bool)
     coords.flags.writeable = False
     mask.flags.writeable = False
     return Grid(spec, coords, mask)
@@ -467,13 +471,6 @@ def gradient_field(fld: SampledField) -> list[SampledField]:
         mask = np.isfinite(g).reshape(-1)
         out.append(SampledField(fld.grid, g.reshape(-1), mask))
     return out
-
-
-def gradient_stack(fields: list[SampledField]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack per-coordinate gradient fields into (N, dim) with a joint validity mask."""
-    vals = np.stack([f.values for f in fields], axis=-1)
-    mask = np.all(np.stack([f.mask for f in fields], axis=-1), axis=-1)
-    return vals, mask
 
 
 def ball_samples(

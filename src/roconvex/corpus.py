@@ -23,14 +23,6 @@ class ConvexityFlags:
     separately_convex: bool = False
     rank_one_affine: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "convex": self.convex,
-            "rank_one_convex": self.rank_one_convex,
-            "separately_convex": self.separately_convex,
-            "rank_one_affine": self.rank_one_affine,
-        }
-
 
 @dataclass(frozen=True)
 class FunctionHandle:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,27 +34,24 @@ class ConeEnvelopePair:
     source: SampledField
 
 
-def _pairwise_envelope(
-    out_coords: np.ndarray,
-    src_coords: np.ndarray,
-    src_vals: np.ndarray,
-    L: float,
-    sign: float,
-    frob_weights: np.ndarray,
-) -> np.ndarray:
-    """min_y src + L|x-y| (sign=+1) or max_y src - L|x-y| (sign=-1), chunked full scan."""
-    out = np.empty(out_coords.shape[0])
-    wy = src_coords * frob_weights
-    for lo in range(0, out_coords.shape[0], _CHUNK):
-        hi = min(lo + _CHUNK, out_coords.shape[0])
-        wx = out_coords[lo:hi] * frob_weights
-        dist = np.sqrt(np.maximum(np.sum((wx[:, None, :] - wy[None, :, :]) ** 2, axis=2), 0.0))
-        vals = src_vals[None, :] + sign * L * dist
-        if sign > 0:
-            out[lo:hi] = np.min(vals, axis=1)
-        else:
-            out[lo:hi] = np.max(vals, axis=1)
-    return out
+def _distance_chunks(
+    x: np.ndarray, y: np.ndarray, w: np.ndarray
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (lo, hi, dist): Frobenius distances from rows lo:hi of `x` to every row of `y`.
+
+    `w` holds the Frobenius weights of the storage coordinates. The weighted
+    squares are added one coordinate at a time, in coordinate order, which is
+    the order `np.sum` uses for so few terms; no (chunk, len(y), dim)
+    temporary is built.
+    """
+    wx = x * w
+    wy = y * w
+    for lo in range(0, x.shape[0], _CHUNK):
+        hi = min(lo + _CHUNK, x.shape[0])
+        sq = np.zeros((hi - lo, y.shape[0]))
+        for k in range(w.size):
+            sq += (wx[lo:hi, k, None] - wy[:, k]) ** 2
+        yield lo, hi, np.sqrt(sq)
 
 
 def cone_convolutions(
@@ -64,8 +61,9 @@ def cone_convolutions(
 ) -> ConeEnvelopePair:
     """Exact discrete cone envelopes of `source`, evaluated on the inner ball.
 
-    Every output node scans every valid source node. `output_radius` defaults
-    to two thirds of the grid radius (the 3/4 -> 1/2 domain shrink).
+    Every output node scans every valid source node, and each chunk of
+    distances serves both envelopes. `output_radius` defaults to two thirds
+    of the grid radius (the 3/4 -> 1/2 domain shrink).
     """
     if L <= 0.0:
         raise ValueError("cone slope L must be positive")
@@ -84,8 +82,12 @@ def cone_convolutions(
     src_vals = source.values[source.mask]
     out_coords = coords[out_mask]
 
-    lo_vals = _pairwise_envelope(out_coords, src_coords, src_vals, L, +1.0, w)
-    hi_vals = _pairwise_envelope(out_coords, src_coords, src_vals, L, -1.0, w)
+    lo_vals = np.empty(out_coords.shape[0])
+    hi_vals = np.empty(out_coords.shape[0])
+    for lo, hi, dist in _distance_chunks(out_coords, src_coords, w):
+        cone = L * dist
+        lo_vals[lo:hi] = np.min(src_vals + cone, axis=1)
+        hi_vals[lo:hi] = np.max(src_vals - cone, axis=1)
 
     def as_field(vals: np.ndarray) -> SampledField:
         full = np.full(coords.shape[0], np.nan)
@@ -102,13 +104,11 @@ def cone_convolutions(
 
 def envelope_lipschitz_violation(fld: SampledField, L: float) -> float:
     """max over valid node pairs of |w(x1) - w(x2)| - L |x1 - x2|; <= ~1e-12 for envelopes."""
-    coords = fld.valid_coords() * fld.shape.frob_weights()
+    coords = fld.valid_coords()
     vals = fld.valid_values()
     worst = -math.inf
-    for lo in range(0, coords.shape[0], _CHUNK):
-        hi = min(lo + _CHUNK, coords.shape[0])
-        dist = np.sqrt(np.sum((coords[lo:hi, None, :] - coords[None, :, :]) ** 2, axis=2))
-        gap = np.abs(vals[lo:hi, None] - vals[None, :]) - L * dist
+    for lo, hi, dist in _distance_chunks(coords, coords, fld.shape.frob_weights()):
+        gap = np.abs(vals[lo:hi, None] - vals) - L * dist
         worst = max(worst, float(np.max(gap)))
     return worst
 
@@ -116,11 +116,13 @@ def envelope_lipschitz_violation(fld: SampledField, L: float) -> float:
 def envelope_idempotence_gap(pair: ConeEnvelopePair) -> float:
     """max |envelope(envelope)| deviation when re-enveloping on the same node set."""
     worst = 0.0
-    for fld, sign in ((pair.w_minus, +1.0), (pair.w_plus, -1.0)):
+    for fld, lower in ((pair.w_minus, True), (pair.w_plus, False)):
         coords = fld.valid_coords()
         vals = fld.valid_values()
-        again = _pairwise_envelope(coords, coords, vals, pair.L, sign, fld.shape.frob_weights())
-        worst = max(worst, float(np.max(np.abs(again - vals))))
+        for lo, hi, dist in _distance_chunks(coords, coords, fld.shape.frob_weights()):
+            cone = pair.L * dist
+            again = np.min(vals + cone, axis=1) if lower else np.max(vals - cone, axis=1)
+            worst = max(worst, float(np.max(np.abs(again - vals[lo:hi]))))
     return worst
 
 
@@ -240,13 +242,6 @@ class SandwichReport:
     max_gap_on_touch_set: float
     points_skipped: int
 
-    def to_dict(self) -> dict:
-        return {
-            "global_order_violation": self.global_order_violation,
-            "max_gap_on_touch_set": self.max_gap_on_touch_set,
-            "points_skipped": self.points_skipped,
-        }
-
 
 def sandwich_check(pair: ConeEnvelopePair, tset: TouchSet | None = None) -> SandwichReport:
     """Ordering w- <= source <= w+ at nodes, and the envelope gap on touch points."""
@@ -272,7 +267,7 @@ class RemainderProfile:
     """Quadratic-model remainder sup |f(x0+z) - model(z)| / |z|^2 per radius."""
 
     x0: tuple[float, ...]
-    hessian: np.ndarray  # (dim_flat, dim_flat) symmetric
+    hessian: np.ndarray  # (dim, dim) symmetric
     asymmetry: float
     radii: np.ndarray
     ratios: np.ndarray
@@ -330,31 +325,26 @@ def second_order_remainder(
     if isinstance(f, SampledField):
         # sub-cell steps would difference the interpolation kinks at grid nodes
         h = max(h, f.grid.spacing)
-    nflat = shape.rows * shape.cols
 
     def grad_flat(c: np.ndarray) -> np.ndarray:
         if grad_ev is not None:
-            return grad_ev(c).reshape(c.shape[:-1] + (nflat,))
+            return grad_ev(c).reshape(c.shape[:-1] + (shape.dim,))
         # central differences of the evaluator, coordinate by coordinate
         out = np.zeros(c.shape[:-1] + (shape.dim,))
         for k in range(shape.dim):
             e = np.zeros(shape.dim)
             e[k] = h
             out[..., k] = (ev(c + e) - ev(c - e)) / (2.0 * h)
-        if shape.dim == nflat:
-            return out
-        raise ValueError("difference gradients on symmetric storage are not supported here")
+        return out
 
     g0 = grad_flat(x0[None, :])[0]
-    hess = np.zeros((nflat, nflat))
+    hess = np.zeros((shape.dim, shape.dim))
     for k in range(shape.dim):
         e = np.zeros(shape.dim)
         e[k] = h
         gp = grad_flat((x0 + e)[None, :])[0]
         gm = grad_flat((x0 - e)[None, :])[0]
-        col = (gp - gm) / (2.0 * h)
-        if shape.dim == nflat:
-            hess[:, k] = col
+        hess[:, k] = (gp - gm) / (2.0 * h)
     asymmetry = float(np.max(np.abs(hess - hess.T)))
     hess = 0.5 * (hess + hess.T)
 

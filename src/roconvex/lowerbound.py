@@ -192,17 +192,6 @@ class LowerBoundCertificate:
     tangency_margin: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "x0": list(self.x0),
-            "constant": self.constant,
-            "min_slack": self.min_slack,
-            "witness": list(self.witness),
-            "samples_used": self.samples_used,
-            "tangency_margin": self.tangency_margin,
-            "passed": self.passed,
-        }
-
 
 def lower_bound_certify(
     f: FunctionHandle,

@@ -50,19 +50,6 @@ class ParaboloidTouch:
     weights: np.ndarray  # (k,) their weights; the rest, 1 - sum, sits on the row t >= 0
     lower_bound: float  # sum of weights * c over the support
 
-    def to_dict(self) -> dict:
-        return {
-            "x0": list(self.x0),
-            "slope": self.slope.tolist(),
-            "opening": self.opening,
-            "value_at_x0": self.value_at_x0,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "support": self.support.tolist(),
-            "weights": self.weights.tolist(),
-            "lower_bound": self.lower_bound,
-        }
-
 
 @dataclass(frozen=True)
 class ThetaField:
@@ -95,17 +82,6 @@ class TailReport:
     def rows(self) -> list[tuple[float, float]]:
         return [(float(t), float(m)) for t, m in zip(self.t_grid, self.measure)]
 
-    def to_dict(self) -> dict:
-        return {
-            "t_grid": self.t_grid.tolist(),
-            "measure": self.measure.tolist(),
-            "scale": self.scale,
-            "region_volume": self.region_volume,
-            "fitted_epsilon": self.fitted_epsilon,
-            "fit_residual": self.fit_residual,
-            "nonzero_count": self.nonzero_count,
-        }
-
 
 def _cloud(
     f: FunctionHandle | SampledField, x0: np.ndarray, constraints: GridSpec
@@ -125,13 +101,6 @@ def _cloud(
     return coords, fy, d, np.sum(d * d, axis=1)
 
 
-def _value_at_x0(f: FunctionHandle | SampledField, x0: np.ndarray) -> float:
-    vals, ok = evaluate(f, x0[None, :])
-    if not ok[0]:
-        raise ValueError("x0 is not interpolable on the constraint grid")
-    return float(vals[0])
-
-
 class _TouchProblem:
     """Constraint data for one evaluation point: c_y and b_y with a(p) = max(0, max(c - B p))."""
 
@@ -139,15 +108,18 @@ class _TouchProblem:
         shape = constraints.shape
         x0 = np.asarray(x0, dtype=float).reshape(-1)
         coords, fy, d, q = _cloud(f, x0, constraints)
-        fx0 = _value_at_x0(f, x0)
+        vals, ok = evaluate(f, x0[None, :])
+        if not ok[0]:
+            raise ValueError("x0 is not interpolable on the constraint grid")
         keep = q > (1e-9 * constraints.spacing) ** 2
         d, q, fy = d[keep], q[keep], fy[keep]
         if d.shape[0] == 0:
             raise ValueError("constraint cloud is empty after removing x0")
         self.x0 = x0
-        self.fx0 = fx0
+        self.fx0 = float(vals[0])
         self.coords = coords[keep]
-        self.c = 2.0 * (fy - fx0) / q
+        self.q = q  # |y - x0|^2
+        self.c = 2.0 * (fy - self.fx0) / q
         self.B = 2.0 * d / q[:, None]
         # Columns map storage coordinates to flattened matrices; for symmetric
         # shapes the slope p = P s is then symmetric by construction.
@@ -302,24 +274,18 @@ def theta_upper_bruteforce(
 
     Independent of the LP solver; intended for small instances (p dimension <= 2).
     """
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    _, fy, d, q = _cloud(f, x0, constraints)
-    fx0 = _value_at_x0(f, x0)
-    keep = q > (1e-9 * constraints.spacing) ** 2
-    d, q, fy = d[keep], q[keep], fy[keep]
-    pdim = d.shape[1]
+    prob = _TouchProblem(f, x0, constraints)
+    pdim = prob.B.shape[1]
     if pdim > 2 and grid_points**pdim > 200_000:
         raise ValueError("brute-force oracle is restricted to small slope dimensions")
 
     def opening(p_flat: np.ndarray) -> float:
-        terms = 2.0 * (fy - fx0 - d @ p_flat) / q
-        return max(0.0, float(np.max(terms)))
+        return max(0.0, prob.objective(p_flat))
 
     # Center the first grid at a crude least-squares slope; width from the data scale.
-    rows = d / q[:, None] * np.sqrt(q)[:, None]
-    rhs = (fy - fx0) / q * np.sqrt(q)
-    center, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-    width = max(1.0, 2.0 * opening(center) * float(np.sqrt(np.max(q))))
+    root_q = np.sqrt(prob.q)
+    center, *_ = np.linalg.lstsq(prob.B * root_q[:, None], prob.c * root_q, rcond=None)
+    width = max(1.0, 2.0 * opening(center) * float(np.sqrt(np.max(prob.q))))
     best_p, best_a = center.copy(), opening(center)
     for _ in range(refinements + 1):
         axes = [np.linspace(c - width, c + width, grid_points) for c in center]

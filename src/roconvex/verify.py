@@ -51,14 +51,6 @@ class SegmentSample:
     direction_label: str
     t: float
 
-    def to_dict(self) -> dict:
-        return {
-            "base": list(self.base),
-            "direction": list(self.direction),
-            "direction_label": self.direction_label,
-            "t": self.t,
-        }
-
 
 @dataclass(frozen=True)
 class ConvexityReport:
@@ -72,17 +64,6 @@ class ConvexityReport:
 
     def passes(self, tol: float) -> bool:
         return self.worst_violation <= tol
-
-    def to_dict(self) -> dict:
-        return {
-            "operation": self.operation,
-            "worst_violation": self.worst_violation,
-            "witness": None if self.witness is None else self.witness.to_dict(),
-            "samples_checked": self.samples_checked,
-            "samples_skipped": self.samples_skipped,
-            "seed": self.seed,
-            "tolerance": self.tolerance,
-        }
 
 
 class _Evaluator:
@@ -98,14 +79,7 @@ class _Evaluator:
 
     def __call__(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         vals, ok = evaluate(self.f, coords)
-        return vals, ok & self.in_domain(coords)
-
-    def in_domain(self, coords: np.ndarray) -> np.ndarray:
-        spec = self.domain
-        rel = coords - spec.center.coords
-        if spec.clip == "ball":
-            return self.shape.frob_norm_coords(rel) <= spec.radius * (1.0 + 1e-12)
-        return np.all(np.abs(rel) <= spec.radius * (1.0 + 1e-12), axis=-1)
+        return vals, ok & self.domain.contains(coords)
 
     def draw_bases(self, count: int, rng: np.random.Generator) -> np.ndarray:
         spec = self.domain
@@ -229,15 +203,6 @@ class LipschitzReport:
     ok: bool
     pairs_used: int
 
-    def to_dict(self) -> dict:
-        return {
-            "lip_lhs": self.lip_lhs,
-            "osc_rhs": self.osc_rhs,
-            "ratio": self.ratio,
-            "ok": self.ok,
-            "pairs_used": self.pairs_used,
-        }
-
 
 def lipschitz_estimate_check(
     f: FunctionHandle,
@@ -279,13 +244,6 @@ class NodeMinReport:
     min_value: float
     witness: tuple[float, ...]
     nodes_checked: int
-
-    def to_dict(self) -> dict:
-        return {
-            "min_value": self.min_value,
-            "witness": list(self.witness),
-            "nodes_checked": self.nodes_checked,
-        }
 
 
 def viscosity_subharmonic_check(fld: SampledField) -> NodeMinReport:

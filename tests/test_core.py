@@ -72,6 +72,16 @@ def test_grid_1x2_ball_masks_corners():
     assert np.allclose(np.linalg.norm(outside, axis=1), np.sqrt(2.0))
 
 
+def test_grid_spec_contains_is_the_clip_region():
+    ball = grid_spec(MatrixShape(1, 2), 1.0, 3, "ball")
+    g = make_grid(ball)
+    assert np.array_equal(ball.contains(g.coords), g.mask)
+    cube = grid_spec(MatrixShape(1, 2), 1.0, 3, "cube")
+    assert cube.contains(make_grid(cube).coords).all()
+    assert not cube.contains(np.array([1.0 + 1e-9, 0.0]))
+    assert cube.contains(np.array([1.0 + 1e-13, -1.0]))
+
+
 def test_grid_symmetry_about_center():
     g = make_grid(grid_spec(MatrixShape(2, 2), 1.0, 5, "cube"))
     flipped = -g.coords

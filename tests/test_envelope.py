@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from roconvex.corpus import (
     linear,
     neg_det,
 )
+from roconvex import envelope
 from roconvex.envelope import (
     cone_convolutions,
     cone_touch_check,
@@ -24,6 +27,7 @@ from roconvex.paraboloid import theta_field
 
 S1 = MatrixShape(1, 1)
 S22 = MatrixShape(2, 2)
+S22_SYM = MatrixShape(2, 2, symmetric=True)
 
 
 def abs_field(points=13, radius=0.75):
@@ -71,6 +75,64 @@ def test_order_lipschitz_idempotence():
         assert envelope_lipschitz_violation(pair.w_minus, L) <= 1e-12
         assert envelope_lipschitz_violation(pair.w_plus, L) <= 1e-12
         assert envelope_idempotence_gap(pair) <= 1e-12
+
+
+def _ref_dist(x, y, w):
+    """Frobenius distances pair by pair, adding weighted squares in coordinate order."""
+    out = []
+    for a in x.tolist():
+        row = []
+        for b in y.tolist():
+            s = 0.0
+            for k in range(len(w)):
+                s += (a[k] * w[k] - b[k] * w[k]) ** 2
+            row.append(math.sqrt(s))
+        out.append(row)
+    return out
+
+
+def _ref_envelopes(vals, dist, L):
+    vals = vals.tolist()
+    lower = [min(v + L * d for v, d in zip(vals, row)) for row in dist]
+    upper = [max(v - L * d for v, d in zip(vals, row)) for row in dist]
+    return lower, upper
+
+
+@pytest.mark.parametrize(
+    "spec, output_radius",
+    [
+        # Radius 0.7 makes the coordinates inexact, so the summation order shows.
+        (grid_spec(S22, 0.7, 7, "ball"), None),
+        # Frobenius radius 1.4 covers the whole cube: 343 output nodes, two chunks.
+        (grid_spec(S22_SYM, 0.7, 7, "cube"), 1.4),
+    ],
+    ids=["2x2_ball", "2x2_sym_cube"],
+)
+def test_multidim_envelopes_match_pairwise_reference(spec, output_radius):
+    L = 0.9
+    src = gradient_field(sample(frob_norm(spec.shape), spec))[1]
+    w = spec.shape.frob_weights().tolist()
+    pair = cone_convolutions(src, L, output_radius=output_radius)
+    out = pair.w_minus.mask
+    assert np.array_equal(out, pair.w_plus.mask)
+    if output_radius is not None:
+        assert int(np.sum(out)) > envelope._CHUNK
+    dist = _ref_dist(src.node_coords()[out], src.valid_coords(), w)
+    lower, upper = _ref_envelopes(src.valid_values(), dist, L)
+    assert pair.w_minus.values[out].tolist() == lower
+    assert pair.w_plus.values[out].tolist() == upper
+
+    self_dist = _ref_dist(pair.w_minus.valid_coords(), pair.w_minus.valid_coords(), w)
+    idem = 0.0
+    for fld, which in ((pair.w_minus, 0), (pair.w_plus, 1)):
+        vals = fld.valid_values().tolist()
+        lip = max(
+            abs(v1 - v2) - L * d for v1, row in zip(vals, self_dist) for v2, d in zip(vals, row)
+        )
+        assert envelope_lipschitz_violation(fld, L) == lip
+        redone = _ref_envelopes(fld.valid_values(), self_dist, L)[which]
+        idem = max(idem, max(abs(r - v) for r, v in zip(redone, vals)))
+    assert envelope_idempotence_gap(pair) == idem
 
 
 def test_anti_monotone_in_L():
