@@ -362,23 +362,6 @@ def osc_on_cube(f: FunctionHandle, half_width: float, points_per_axis: int = 41)
 
 
 @dataclass(frozen=True)
-class LineTail:
-    """Per-line superlevel data for one direction at one threshold."""
-
-    direction: int
-    offsets: np.ndarray  # (L, n) line offsets in the unit cube slice
-    sets: tuple[IntervalUnion, ...]  # E_y = {M f_y'' > t} cap [-1,1] per line
-    measures: np.ndarray  # (L,) |E_y|
-
-
-@dataclass(frozen=True)
-class FubiniTailSet:
-    t: float
-    per_direction: tuple[LineTail, ...]
-    aggregate: float  # sum_i mean_y |E_y| * cross-section volume
-
-
-@dataclass(frozen=True)
 class InclusionProbe:
     t: float
     x0: tuple[float, ...]
@@ -391,15 +374,11 @@ class InclusionProbe:
 @dataclass(frozen=True)
 class FubiniTailReport:
     t_grid: np.ndarray
-    sets: tuple[FubiniTailSet, ...]
+    measures: np.ndarray  # per t: sum_i mean_y |E_y| * cross-section volume
     oscillation: float
     threshold: float
     fitted_slope: float | None
     inclusion: tuple[InclusionProbe, ...]
-
-    @property
-    def measures(self) -> np.ndarray:
-        return np.array([s.aggregate for s in self.sets])
 
 
 def _line_values(f: FunctionHandle, offset: np.ndarray, direction: int, s_grid: np.ndarray) -> np.ndarray:
@@ -464,29 +443,19 @@ def fubini_tail_experiment(
     rng = np.random.default_rng(seed)
     cross_volume = 2.0 ** (n - 1)
     line_measures: list[list[AtomicMeasure1D]] = []
-    line_offsets: list[np.ndarray] = []
     for i in range(n):
         offsets = rng.uniform(-1.0, 1.0, size=(lines_per_direction, n))
         offsets[:, i] = 0.0
-        line_offsets.append(offsets)
         line_measures.append(
             [_line_measure(f, offsets[k], i, s_grid, convexity_tol) for k in range(lines_per_direction)]
         )
 
-    sets = []
-    for t in t_arr:
-        per_dir = []
-        agg = 0.0
+    measures = np.zeros(t_arr.size)
+    for j, t in enumerate(t_arr):
         for i in range(n):
-            unions = tuple(
-                superlevel(mu, float(t)).intersect(-1.0, 1.0) for mu in line_measures[i]
-            )
-            meas = np.array([u.measure for u in unions])
-            per_dir.append(LineTail(i, line_offsets[i], unions, meas))
-            agg += float(np.mean(meas)) * cross_volume
-        sets.append(FubiniTailSet(float(t), tuple(per_dir), agg))
+            meas = [superlevel(mu, float(t)).intersect(-1.0, 1.0).measure for mu in line_measures[i]]
+            measures[j] += float(np.mean(meas)) * cross_volume
 
-    measures = np.array([s.aggregate for s in sets])
     good = measures > 0
     slope = None
     if int(np.sum(good)) >= 3:
@@ -496,7 +465,7 @@ def fubini_tail_experiment(
     inclusion = _inclusion_probes(f, t_arr, s_grid, resolution, probe_count, rng, convexity_tol)
     return FubiniTailReport(
         t_grid=t_arr,
-        sets=tuple(sets),
+        measures=measures,
         oscillation=osc,
         threshold=threshold,
         fitted_slope=slope,

@@ -372,9 +372,6 @@ class SampledField:
     def values_nd(self) -> np.ndarray:
         return self.values.reshape(self.nd_shape)
 
-    def mask_nd(self) -> np.ndarray:
-        return self.mask.reshape(self.nd_shape)
-
     def node_coords(self) -> np.ndarray:
         return make_grid(self.grid).coords
 

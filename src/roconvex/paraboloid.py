@@ -310,6 +310,8 @@ def theta_field(
     threads: int = 1,
 ) -> ThetaField:
     """Least openings at `count` random points of the half-radius ball."""
+    if count < 1:
+        raise ValueError(f"theta_field needs count >= 1 evaluation points, got {count}")
     shape = constraints.shape
     if region_radius is None:
         region_radius = constraints.radius / 2.0

@@ -41,6 +41,13 @@ class SegmentSampler:
     step_count: int = 12
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.direction_count < 0 or self.step_count < 0:
+            raise ValueError(
+                "direction_count and step_count must be >= 0, "
+                f"got {self.direction_count} and {self.step_count}"
+            )
+
 
 @dataclass(frozen=True)
 class SegmentSample:
@@ -66,30 +73,24 @@ class ConvexityReport:
         return self.worst_violation <= tol
 
 
-class _Evaluator:
-    """Uniform evaluation of a FunctionHandle or a SampledField over coordinates."""
-
-    def __init__(self, f: FunctionHandle | SampledField, domain: GridSpec | None):
-        self.f = f
-        if isinstance(f, SampledField):
-            self.domain = f.grid
-        else:
-            self.domain = domain if domain is not None else grid_spec(f.shape)
-        self.shape = self.domain.shape
-
-    def __call__(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        vals, ok = evaluate(self.f, coords)
-        return vals, ok & self.domain.contains(coords)
-
-    def draw_bases(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        spec = self.domain
-        if spec.clip == "ball":
-            return ball_samples(self.shape, spec.center.coords, spec.radius, count, rng)
-        return cube_samples(self.shape, spec.center.coords, spec.radius, count, rng)
+def _region(f: FunctionHandle | SampledField, domain: GridSpec | None) -> GridSpec:
+    """The checked region: a field's own grid, else `domain`, else the unit cube."""
+    if isinstance(f, SampledField):
+        if domain is not None and domain != f.grid:
+            raise ValueError("a sampled field is checked on its own grid, and `domain` differs from it")
+        return f.grid
+    return domain if domain is not None else grid_spec(f.shape)
 
 
-def _direction_coords(shape: MatrixShape, d: RankOneDirection) -> np.ndarray:
-    return shape.matrix_to_coords(d.matrix)
+def _midpoint_gaps(
+    f: FunctionHandle | SampledField, region: GridSpec, base: np.ndarray, d: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """f(x) - f(x + tD)/2 - f(x - tD)/2 per row, and where all three points lie in the region."""
+    step = t[:, None] * d
+    pts = np.concatenate([base, base + step, base - step])
+    vals, ok = evaluate(f, pts)
+    v0, vp, vm = vals.reshape(3, -1)
+    return v0 - 0.5 * vp - 0.5 * vm, (ok & region.contains(pts)).reshape(3, -1).all(axis=0)
 
 
 def _segment_check(
@@ -99,56 +100,41 @@ def _segment_check(
     directions: Sequence[RankOneDirection],
     operation: str,
 ) -> ConvexityReport:
-    ev = _Evaluator(f, domain)
-    shape = ev.shape
+    region = _region(f, domain)
+    shape = region.shape
+    radius = region.radius
+    draw = ball_samples if region.clip == "ball" else cube_samples
     rng = np.random.default_rng(sampler.seed)
-    radius = ev.domain.radius
 
-    bases: list[np.ndarray] = []
-    dirs: list[np.ndarray] = []
-    labels: list[str] = []
-    ts: list[float] = []
-    for d in directions:
-        dc = _direction_coords(shape, d)
-        dnorm = shape.frob_norm_coords(dc)
-        # Deterministic center probes at half and quarter radius catch unit-scale
-        # concavity regardless of the random stream.
-        for frac in (0.5, 0.25):
-            bases.append(ev.domain.center.coords.copy())
-            dirs.append(dc)
-            labels.append(d.label())
-            ts.append(frac * radius / dnorm)
-        base_draw = ev.draw_bases(sampler.step_count, rng)
-        t_draw = rng.uniform(0.0, radius / dnorm, size=sampler.step_count)
-        for k in range(sampler.step_count):
-            bases.append(base_draw[k])
-            dirs.append(dc)
-            labels.append(d.label())
-            ts.append(float(t_draw[k]))
+    # One block of rows per direction: two deterministic center probes at half and
+    # quarter radius, which catch unit-scale concavity regardless of the random
+    # stream, then `step_count` random bases and steps.
+    block = 2 + sampler.step_count
+    base = np.empty((len(directions) * block, shape.dim))
+    dirs = np.empty_like(base)
+    t = np.empty(len(base))
+    for k, d in enumerate(directions):
+        lo, hi = k * block, (k + 1) * block
+        dirs[lo:hi] = shape.matrix_to_coords(d.matrix)
+        dnorm = shape.frob_norm_coords(dirs[lo])
+        base[lo : lo + 2] = region.center.coords
+        t[lo : lo + 2] = np.array([0.5, 0.25]) * radius / dnorm
+        base[lo + 2 : hi] = draw(shape, region.center.coords, radius, sampler.step_count, rng)
+        t[lo + 2 : hi] = rng.uniform(0.0, radius / dnorm, size=sampler.step_count)
 
-    base_arr = np.asarray(bases)
-    dir_arr = np.asarray(dirs)
-    t_arr = np.asarray(ts)
-    plus = base_arr + t_arr[:, None] * dir_arr
-    minus = base_arr - t_arr[:, None] * dir_arr
-
-    v0, ok0 = ev(base_arr)
-    vp, okp = ev(plus)
-    vm, okm = ev(minus)
-    admissible = ok0 & okp & okm & (t_arr > 0.0)
-
-    violations = v0 - 0.5 * vp - 0.5 * vm
-    violations = np.where(admissible, violations, -np.inf)
+    gaps, ok = _midpoint_gaps(f, region, base, dirs, t)
+    admissible = ok & (t > 0.0)
+    violations = np.where(admissible, gaps, -np.inf)
     checked = int(np.sum(admissible))
     skipped = int(admissible.size - checked)
     if checked == 0:
         return ConvexityReport(operation, float("nan"), None, 0, skipped, sampler.seed)
     k = int(np.argmax(violations))
     witness = SegmentSample(
-        base=tuple(float(c) for c in base_arr[k]),
-        direction=tuple(float(c) for c in dir_arr[k]),
-        direction_label=labels[k],
-        t=float(t_arr[k]),
+        base=tuple(float(c) for c in base[k]),
+        direction=tuple(float(c) for c in dirs[k]),
+        direction_label=directions[k // block].label(),
+        t=float(t[k]),
     )
     return ConvexityReport(operation, float(violations[k]), witness, checked, skipped, sampler.seed)
 
@@ -185,14 +171,12 @@ def replay_violation(
     domain: GridSpec | None = None,
 ) -> float:
     """Recompute the witness violation; must reproduce the report exactly."""
-    ev = _Evaluator(f, domain)
-    base = np.asarray(witness.base)
-    d = np.asarray(witness.direction)
-    pts = np.stack([base, base + witness.t * d, base - witness.t * d])
-    vals, ok = ev(pts)
-    if not np.all(ok):
+    gap, ok = _midpoint_gaps(
+        f, _region(f, domain), np.array([witness.base]), np.array([witness.direction]), np.array([witness.t])
+    )
+    if not ok[0]:
         raise ValueError("witness segment is no longer admissible")
-    return float(vals[0] - 0.5 * vals[1] - 0.5 * vals[2])
+    return float(gap[0])
 
 
 @dataclass(frozen=True)

@@ -158,6 +158,12 @@ def test_theta_field_deterministic_and_threaded():
     assert not np.array_equal(a.theta, d.theta)
 
 
+def test_theta_field_rejects_empty_count():
+    spec = grid_spec(S22, 1.0, 7, "ball")
+    with pytest.raises(ValueError, match="count >= 1"):
+        theta_field(half_norm_sq(1.0), spec, count=0)
+
+
 def test_quadratic_theta_field_constant():
     spec = grid_spec(S22, 1.0, 9, "cube")
     tf = theta_field(half_norm_sq(1.0), spec, count=30, seed=4)

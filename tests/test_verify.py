@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from roconvex.core import MatrixShape, grid_spec, sample
+from roconvex.core import MatrixShape, coordinate_directions, grid_spec, random_directions, sample
 from roconvex.corpus import (
     FunctionHandle,
     constant,
     corpus,
+    get_handle,
     half_norm_sq,
     linear,
     neg_det,
@@ -83,6 +84,49 @@ def test_segments_leaving_domain_are_skipped():
         half_norm_sq(1.0), grid_spec(MatrixShape(2, 2), 1.0, 9, "ball"), SAMPLER
     )
     assert rep.samples_skipped > 0
+
+
+@pytest.mark.parametrize("counts", [{"direction_count": -1}, {"step_count": -1}])
+def test_sampler_rejects_negative_counts(counts):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        SegmentSampler(**counts)
+
+
+def test_field_is_checked_on_its_own_grid():
+    h = neg_half_norm_sq()
+    fld = sample(h, grid_spec(h.shape, 1.0, 7, "cube"))
+    rep = rank_one_convexity_check(fld, fld.grid, SAMPLER)
+    assert rep == rank_one_convexity_check(fld, sampler=SAMPLER)
+    other = grid_spec(h.shape, 0.5, 7, "cube")
+    for check in (rank_one_convexity_check, separate_convexity_check):
+        with pytest.raises(ValueError, match="own grid"):
+            check(fld, other, SAMPLER)
+    with pytest.raises(ValueError, match="own grid"):
+        replay_violation(fld, rep.witness, other)
+
+
+@pytest.mark.parametrize(
+    "f, domain",
+    [
+        (neg_half_norm_sq(), grid_spec(MatrixShape(2, 2), 1.0, 9, "cube")),
+        (neg_uv(), grid_spec(MatrixShape(1, 2), 0.8, 9, "ball")),
+        (get_handle("neg_det_2x2_sym"), None),
+        (mollify(sample(neg_half_norm_sq(), grid_spec(MatrixShape(2, 2), 1.0, 9, "cube")), 1), None),
+    ],
+    ids=["handle_cube", "handle_ball", "neg_det_2x2_sym", "mollified_field"],
+)
+def test_witness_replays_and_names_its_direction(f, domain):
+    rep = rank_one_convexity_check(f, domain, SAMPLER)
+    assert replay_violation(f, rep.witness, domain) == rep.worst_violation
+    directions = coordinate_directions(f.shape)
+    directions += random_directions(f.shape, SAMPLER.direction_count, np.random.default_rng(SAMPLER.seed + 1))
+    assert rep.samples_checked + rep.samples_skipped == len(directions) * (2 + SAMPLER.step_count)
+    labels = {
+        d.label()
+        for d in directions
+        if np.array_equal(f.shape.matrix_to_coords(d.matrix), np.array(rep.witness.direction))
+    }
+    assert labels == {rep.witness.direction_label}
 
 
 def test_lipschitz_linear_and_constant():
