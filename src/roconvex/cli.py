@@ -346,8 +346,8 @@ def run_appendix(cfg: ExperimentConfig) -> RunManifest:
     checks["weak11_unit_atom_exact"] = all(
         abs(r.measure * r.t - 2.0) <= 1e-12 for r in unit_rows
     )
-    absf0 = convex1d.PLConvex1D(np.array([0.0]), np.array([-1.0, 1.0]))
-    mu_abs = convex1d.second_derivative_measure(absf0)
+    absf = convex1d.PLConvex1D(np.array([0.0]), np.array([-1.0, 1.0]))
+    mu_abs = convex1d.second_derivative_measure(absf)
     artifacts.append(
         fieldio.write_csv(
             out / "abs_measure.csv",
@@ -380,12 +380,10 @@ def run_appendix(cfg: ExperimentConfig) -> RunManifest:
 
     # convex Taylor chain
     h_grid = np.linspace(0.05, 1.0, 20)
-    absf = convex1d.PLConvex1D(np.array([0.0]), np.array([-1.0, 1.0]))
     shifted = convex1d.PLConvex1D(np.array([0.5]), np.array([0.0, 1.0]))
-    taylor_ok = all(r.ok for r in convex1d.convex_taylor_check(absf, h_grid))
-    checks["taylor_abs_vacuous_flagged"] = all(
-        r.vacuous for r in convex1d.convex_taylor_check(absf, h_grid)
-    )
+    abs_rows = convex1d.convex_taylor_check(absf, h_grid)
+    taylor_ok = all(r.ok for r in abs_rows)
+    checks["taylor_abs_vacuous_flagged"] = all(r.vacuous for r in abs_rows)
     taylor_ok &= all(r.ok for r in convex1d.convex_taylor_check(shifted, h_grid))
     taylor_rows = []
     for k in range(50):
@@ -545,14 +543,14 @@ def main(argv: list[str] | None = None) -> int:
         for line in list_corpus(args.flag):
             print(line)
         return 0
-    values: dict = {}
-    if args.config:
-        values.update(load_config(args.config))
     overrides = {key: getattr(args, key) for _, key, _, _ in _FLAGS}
-    values.update({k: v for k, v in overrides.items() if v is not None})
-    values["experiment"] = args.experiment
-    cfg = ExperimentConfig(**values)
-    manifest = run(cfg)
+    try:
+        values = load_config(args.config) if args.config else {}
+        values.update({k: v for k, v in overrides.items() if v is not None})
+        manifest = run(ExperimentConfig(**values | {"experiment": args.experiment}))
+    except ValueError as exc:  # bad input: config file, counts, grid sizes
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     failed = [k for k, v in manifest.checks.items() if not v]
     for name, ok in sorted(manifest.checks.items()):
         print(f"{'PASS' if ok else 'FAIL'}  {name}")

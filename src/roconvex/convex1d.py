@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -126,23 +127,22 @@ class AtomicMeasure1D:
         sel = (self.locations >= a) & (self.locations <= b)
         return AtomicMeasure1D(self.locations[sel], self.masses[sel])
 
+    @cached_property
+    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All contiguous atom runs as (left_loc, right_loc, mass); O(k^2) of them."""
+        i, j = np.triu_indices(self.count)
+        prefix = np.concatenate([[0.0], np.cumsum(self.masses)])
+        runs = self.locations[i], self.locations[j], prefix[j + 1] - prefix[i]
+        for arr in runs:
+            arr.flags.writeable = False
+        return runs
+
 
 def second_derivative_measure(f: PLConvex1D) -> AtomicMeasure1D:
     """One atom per breakpoint, mass = slope jump; zero jumps are dropped."""
     jumps = np.diff(f.slopes)
     keep = jumps > 0
     return AtomicMeasure1D(f.breakpoints[keep], jumps[keep])
-
-
-def _runs(mu: AtomicMeasure1D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All contiguous atom runs as (left_loc, right_loc, mass); O(k^2) of them."""
-    k = mu.count
-    if k == 0:
-        return np.zeros(0), np.zeros(0), np.zeros(0)
-    i, j = np.triu_indices(k)
-    prefix = np.concatenate([[0.0], np.cumsum(mu.masses)])
-    mass = prefix[j + 1] - prefix[i]
-    return mu.locations[i], mu.locations[j], mass
 
 
 def maximal_function(mu: AtomicMeasure1D, x: float) -> float:
@@ -156,7 +156,7 @@ def maximal_function(mu: AtomicMeasure1D, x: float) -> float:
     at = np.abs(mu.locations - x) == 0.0
     if np.any(at & (mu.masses > 0)):
         return math.inf
-    left, right, mass = _runs(mu)
+    left, right, mass = mu.runs
     span = np.maximum(right, x) - np.minimum(left, x)
     good = span > 0
     if not np.any(good):
@@ -214,7 +214,7 @@ def superlevel(mu: AtomicMeasure1D, t: float) -> IntervalUnion:
     """{M mu > t} as an exact union of open intervals."""
     if t <= 0:
         raise ValueError("superlevel threshold must be positive")
-    left, right, mass = _runs(mu)
+    left, right, mass = mu.runs
     if mass.size == 0:
         return IntervalUnion(())
     ell = mass / t
@@ -240,6 +240,7 @@ def weak_one_one_check(mu: AtomicMeasure1D, t_grid: Sequence[float]) -> list[Wea
     """The maximal-function distribution bound with explicit constant 2, plus the
     localized variant through the [-2,2] truncation."""
     trunc = mu.restrict(-2.0, 2.0)
+    total, local_total = mu.total(), trunc.total()
     rows = []
     for t in t_grid:
         t = float(t)
@@ -249,11 +250,11 @@ def weak_one_one_check(mu: AtomicMeasure1D, t_grid: Sequence[float]) -> list[Wea
             WeakOneOneRow(
                 t=t,
                 measure=full.measure,
-                bound=2.0 * mu.total() / t,
-                ok=full.measure <= 2.0 * mu.total() / t + 1e-12,
+                bound=2.0 * total / t,
+                ok=full.measure <= 2.0 * total / t + 1e-12,
                 local_measure=local.measure,
-                local_bound=2.0 * trunc.total() / t,
-                local_ok=local.measure <= 2.0 * trunc.total() / t + 1e-12,
+                local_bound=2.0 * local_total / t,
+                local_ok=local.measure <= 2.0 * local_total / t + 1e-12,
                 window_measure=full.intersect(-1.0, 1.0).measure,
             )
         )
@@ -287,28 +288,26 @@ def convex_taylor_check(
         raise ValueError(
             f"0 is not a subgradient at 0: slopes ({f.left_slope(0.0):.3e}, {f.right_slope(0.0):.3e})"
         )
+    h = np.asarray(list(h_grid), dtype=float)
+    if np.any(h <= 0):
+        raise ValueError("h grid must be positive")
     mu = second_derivative_measure(f)
     m0 = maximal_function(mu, 0.0)
-    rows = []
-    for h in h_grid:
-        h = float(h)
-        if h <= 0:
-            raise ValueError("h grid must be positive")
-        fp = float(f(h))
-        fm = float(f(-h))
-        jp = mu.mass_closed(0.0, h) * h
-        jm = mu.mass_closed(-h, 0.0) * h
-        vac = math.isinf(m0)
-        top = math.inf if vac else m0 * h * h
-        ok = (
-            fp >= -tol
-            and fm >= -tol
-            and fp <= jp + tol
-            and fm <= jm + tol
-            and (vac or (jp <= top + tol and jm <= top + tol))
-        )
-        rows.append(TaylorChainRow(h, fp, jp, fm, jm, top, ok, vac))
-    return rows
+    vac = math.isinf(m0)
+    loc, mass = mu.locations, mu.masses
+    # The atoms in [0, h] and in [-h, 0] are contiguous runs; each distinct run
+    # is summed once by np.sum, as mass_closed sums it.
+    lo0, hi0 = np.searchsorted(loc, 0.0, "left"), np.searchsorted(loc, 0.0, "right")
+    plus = np.array([np.sum(mass[lo0:j]) for j in range(lo0, loc.size + 1)])
+    minus = np.array([np.sum(mass[i:hi0]) for i in range(hi0 + 1)])
+    jp = plus[np.searchsorted(loc, h, "right") - lo0] * h
+    jm = minus[np.searchsorted(loc, -h, "left")] * h
+    fp, fm = f(h), f(-h)
+    top = np.full(h.size, math.inf) if vac else m0 * h * h  # vacuous: inf bounds everything
+    ok = (fp >= -tol) & (fm >= -tol) & (fp <= jp + tol) & (fm <= jm + tol)
+    ok &= (jp <= top + tol) & (jm <= top + tol)
+    cols = (h, fp, jp, fm, jm, top, ok)
+    return [TaylorChainRow(*row, vac) for row in zip(*(c.tolist() for c in cols))]
 
 
 @dataclass(frozen=True)
@@ -486,8 +485,11 @@ def _inclusion_probes(
     """At probes off the tail set, check the axis chain and the hull paraboloid bound."""
     n = f.shape.cols
     h_values = np.arange(resolution, 1.0, resolution)
+    # Points stay stacked as (H, k, n), so `@` multiplies one (k, n) block per h.
+    axis_z = h_values[:, None, None] * np.concatenate([np.eye(n), -np.eye(n)])[None]
     probes = []
     for t in t_arr:
+        cap = (2.0 * t * h_values * h_values)[:, None]
         pts = rng.uniform(-1.0, 1.0, size=(probe_count, n))
         for x0 in pts:
             maxima = []
@@ -501,37 +503,26 @@ def _inclusion_probes(
                     vals = _line_values(f, offset, i, s_grid)
                     idx = int(np.searchsorted(s_grid, x0[i])) - 1
                     slopes[i] = (vals[idx + 1] - vals[idx]) / resolution
-            in_tail = any(m > t for m in maxima)
-            if in_tail:
+            if any(m > t for m in maxima):
                 probes.append(InclusionProbe(float(t), tuple(map(float, x0)), True, True, True, 0.0))
                 continue
-            if f.gradient is not None:
-                g = f.gradient_at_coords(x0).reshape(-1)
-            else:
-                g = slopes
+            g = f.gradient_at_coords(x0).reshape(-1) if f.gradient is not None else slopes
             f0 = float(f.value_at_coords(x0[None, :])[0])
-
-            def recentered(z: np.ndarray) -> np.ndarray:
-                return f.value_at_coords(x0 + z) - f0 - z @ g
-
-            worst = -math.inf
-            axis_ok = True
-            hull_ok = True
-            for h in h_values:
-                zs = np.concatenate([h * np.eye(n), -h * np.eye(n)], axis=0)
-                axis_vals = recentered(zs)
-                cap = 2.0 * t * h * h
-                worst = max(worst, float(np.max(axis_vals - cap)), float(np.max(-axis_vals)))
-                if np.any(axis_vals < -tol) or np.any(axis_vals > cap + tol):
-                    axis_ok = False
-                sphere = rng.standard_normal((16, n))
-                sphere /= np.linalg.norm(sphere, axis=1)[:, None]
-                zb = (h / math.sqrt(n)) * sphere
-                ball_vals = recentered(zb)
-                # opening 4 n t paraboloid dominates on |z| = h / sqrt(n)
-                if np.any(ball_vals > 2.0 * n * t * np.sum(zb * zb, axis=1) + tol):
-                    hull_ok = False
-                    worst = max(worst, float(np.max(ball_vals - cap)))
+            axis_vals = f.value_at_coords(x0 + axis_z) - f0 - axis_z @ g
+            axis_ok = not (np.any(axis_vals < -tol) or np.any(axis_vals > cap + tol))
+            # the same normals, in the same order, as one (16, n) draw per h
+            sphere = rng.standard_normal((h_values.size, 16, n))
+            sphere /= np.linalg.norm(sphere, axis=2)[..., None]
+            zb = (h_values / math.sqrt(n))[:, None, None] * sphere
+            ball_vals = f.value_at_coords(x0 + zb) - f0 - zb @ g
+            # opening 4 n t paraboloid dominates on |z| = h / sqrt(n)
+            fails = np.any(ball_vals > 2.0 * n * t * np.sum(zb * zb, axis=2) + tol, axis=1)
+            hull_ok = not np.any(fails)
+            worst = max(
+                float(np.max(axis_vals - cap, initial=-math.inf)),
+                float(np.max(-axis_vals, initial=-math.inf)),
+                float(np.max((ball_vals - cap)[fails], initial=-math.inf)),
+            )
             probes.append(
                 InclusionProbe(float(t), tuple(map(float, x0)), False, axis_ok, hull_ok, worst)
             )

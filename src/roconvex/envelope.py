@@ -114,15 +114,18 @@ def envelope_lipschitz_violation(fld: SampledField, L: float) -> float:
 
 
 def envelope_idempotence_gap(pair: ConeEnvelopePair) -> float:
-    """max |envelope(envelope)| deviation when re-enveloping on the same node set."""
+    """max |envelope(envelope)| deviation when re-enveloping on the same node set;
+    the two envelopes share their output nodes, so one scan serves both."""
+    lower, upper = pair.w_minus, pair.w_plus
+    if lower.grid != upper.grid or not np.array_equal(lower.mask, upper.mask):
+        raise ValueError("w_minus and w_plus must share one grid and output mask")
+    coords, lo_vals, hi_vals = lower.valid_coords(), lower.valid_values(), upper.valid_values()
     worst = 0.0
-    for fld, lower in ((pair.w_minus, True), (pair.w_plus, False)):
-        coords = fld.valid_coords()
-        vals = fld.valid_values()
-        for lo, hi, dist in _distance_chunks(coords, coords, fld.shape.frob_weights()):
-            cone = pair.L * dist
-            again = np.min(vals + cone, axis=1) if lower else np.max(vals - cone, axis=1)
-            worst = max(worst, float(np.max(np.abs(again - vals[lo:hi]))))
+    for lo, hi, dist in _distance_chunks(coords, coords, lower.shape.frob_weights()):
+        cone = pair.L * dist
+        lo_gap = np.abs(np.min(lo_vals + cone, axis=1) - lo_vals[lo:hi])
+        hi_gap = np.abs(np.max(hi_vals - cone, axis=1) - hi_vals[lo:hi])
+        worst = max(worst, float(np.max(lo_gap)), float(np.max(hi_gap)))
     return worst
 
 

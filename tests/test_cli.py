@@ -4,7 +4,7 @@ import pytest
 
 from roconvex.cli import ExperimentConfig, list_corpus, load_config, main, run
 from roconvex.fieldio import read_field, write_field
-from roconvex.core import CapacityError, MatrixShape, grid_spec, sample
+from roconvex.core import MatrixShape, grid_spec, sample
 from roconvex.corpus import neg_det
 
 
@@ -90,12 +90,18 @@ def test_verify_exit_codes(tmp_path):
     assert not manifest.passed
 
 
-def test_tail_rejects_grid_over_budget(tmp_path):
+def test_tail_rejects_grid_over_budget(tmp_path, capsys):
     # the requested grid size is the one used: past the axis budget it fails loudly
     argv = ["tail", "--function", "abs_x11", "--grid-points", "15", "--eval-count", "4"]
-    with pytest.raises(CapacityError, match="points_per_axis 15"):
-        main(argv + ["--out", str(tmp_path)])
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "points_per_axis 15" in capsys.readouterr().err
     assert not (tmp_path / "tail").exists()
+
+
+def test_theta_rejects_zero_eval_count(tmp_path, capsys):
+    assert main(["theta", "--eval-count", "0", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "count >= 1" in err and len(err.splitlines()) == 1
 
 
 def test_theta_summary_reports_solver_counters(tmp_path):

@@ -9,7 +9,12 @@ from roconvex.core import MatrixShape
 from roconvex.corpus import FunctionHandle, abs_entry, half_norm_sq, linear
 from roconvex.convex1d import (
     AtomicMeasure1D,
+    InclusionProbe,
     PLConvex1D,
+    TaylorChainRow,
+    _inclusion_probes,
+    _line_measure,
+    _line_values,
     convex_taylor_check,
     fubini_tail_experiment,
     in_coordinate_hull,
@@ -207,6 +212,43 @@ def test_taylor_chain_rejects_bad_normalization():
     tilted = PLConvex1D(np.array([0.5]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="subgradient"):
         convex_taylor_check(tilted, [0.5])
+    with pytest.raises(ValueError, match="positive"):
+        convex_taylor_check(ABS, [0.5, 0.0])
+
+
+def _taylor_reference(f, h_grid, tol=1e-10):
+    """The chain one h at a time, with mass_closed per window."""
+    mu = second_derivative_measure(f)
+    m0 = maximal_function(mu, 0.0)
+    rows = []
+    for h in h_grid:
+        h = float(h)
+        fp = float(f(h))
+        fm = float(f(-h))
+        jp = mu.mass_closed(0.0, h) * h
+        jm = mu.mass_closed(-h, 0.0) * h
+        vac = math.isinf(m0)
+        top = math.inf if vac else m0 * h * h
+        ok = (
+            fp >= -tol
+            and fm >= -tol
+            and fp <= jp + tol
+            and fm <= jm + tol
+            and (vac or (jp <= top + tol and jm <= top + tol))
+        )
+        rows.append(TaylorChainRow(h, fp, jp, fm, jm, top, ok, vac))
+    return rows
+
+
+def test_taylor_chain_matches_per_h_reference():
+    rng = np.random.default_rng(23)
+    h_grid = np.linspace(0.05, 1.0, 20)
+    fs = [ABS] + [random_pl_convex(rng, atom_at_zero=(k % 2 == 0)) for k in range(40)]
+    # windows of 8 and more atoms, where np.sum stops adding left to right
+    xs = np.linspace(-2.0, 2.0, 41)
+    fs += [PLConvex1D.from_samples(xs, np.abs(xs) ** p) for p in (2, 3, 4)]
+    for f in fs:
+        assert repr(convex_taylor_check(f, h_grid)) == repr(_taylor_reference(f, h_grid))
 
 
 def test_taylor_chain_random_pl():
@@ -265,6 +307,80 @@ def test_fubini_tail_quadratic_decays_with_discrete_mass():
         per_line_mass = 6.0  # slope range of s -> s^2/2 + const on [-3, 3]
         assert m <= 2 * (2.0 * per_line_mass / t) * 2.0
     assert all(p.axis_bound_ok and p.hull_bound_ok for p in rep.inclusion)
+
+
+def _probes_reference(f, t_arr, s_grid, resolution, probe_count, rng, convexity_tol, tol=1e-7):
+    """The inclusion probes one h at a time, one (16, n) sphere draw per h."""
+    n = f.shape.cols
+    h_values = np.arange(resolution, 1.0, resolution)
+    probes = []
+    for t in t_arr:
+        pts = rng.uniform(-1.0, 1.0, size=(probe_count, n))
+        for x0 in pts:
+            maxima = []
+            slopes = np.zeros(n)
+            for i in range(n):
+                offset = x0.copy()
+                offset[i] = 0.0
+                mu = _line_measure(f, offset, i, s_grid, convexity_tol)
+                maxima.append(maximal_function(mu, float(x0[i])))
+                if f.gradient is None:
+                    vals = _line_values(f, offset, i, s_grid)
+                    idx = int(np.searchsorted(s_grid, x0[i])) - 1
+                    slopes[i] = (vals[idx + 1] - vals[idx]) / resolution
+            if any(m > t for m in maxima):
+                probes.append(InclusionProbe(float(t), tuple(map(float, x0)), True, True, True, 0.0))
+                continue
+            g = f.gradient_at_coords(x0).reshape(-1) if f.gradient is not None else slopes
+            f0 = float(f.value_at_coords(x0[None, :])[0])
+
+            def recentered(z):
+                return f.value_at_coords(x0 + z) - f0 - z @ g
+
+            worst = -math.inf
+            axis_ok = True
+            hull_ok = True
+            for h in h_values:
+                zs = np.concatenate([h * np.eye(n), -h * np.eye(n)], axis=0)
+                axis_vals = recentered(zs)
+                cap = 2.0 * t * h * h
+                worst = max(worst, float(np.max(axis_vals - cap)), float(np.max(-axis_vals)))
+                if np.any(axis_vals < -tol) or np.any(axis_vals > cap + tol):
+                    axis_ok = False
+                sphere = rng.standard_normal((16, n))
+                sphere /= np.linalg.norm(sphere, axis=1)[:, None]
+                zb = (h / math.sqrt(n)) * sphere
+                ball_vals = recentered(zb)
+                if np.any(ball_vals > 2.0 * n * t * np.sum(zb * zb, axis=1) + tol):
+                    hull_ok = False
+                    worst = max(worst, float(np.max(ball_vals - cap)))
+            probes.append(InclusionProbe(float(t), tuple(map(float, x0)), False, axis_ok, hull_ok, worst))
+    return probes
+
+
+ABS_X11 = abs_entry(0, 0, S12)
+
+
+@pytest.mark.parametrize(
+    "f, t_values",
+    [
+        (ABS_X11, [7.0, 20.0, 80.0]),
+        # no gradient: the slopes come from the fitted lines
+        (FunctionHandle("abs_x11_nograd", S12, ABS_X11.value), [7.0, 20.0, 80.0]),
+        # affine along both axes, so never in the tail set, and the hull bound
+        # fails at small t
+        (FunctionHandle("uv", S12, lambda x: x[..., 0, 0] * x[..., 0, 1]), [0.02, 0.1, 0.5]),
+    ],
+    ids=["abs_x11", "abs_x11_nograd", "uv_nograd"],
+)
+def test_inclusion_probes_match_per_h_reference(f, t_values):
+    args = (f, np.array(t_values), np.linspace(-3.0, 3.0, 121), 0.05, 6)
+    probes = _inclusion_probes(*args, np.random.default_rng(7), 1e-9)
+    assert repr(probes) == repr(_probes_reference(*args, np.random.default_rng(7), 1e-9))
+    outside = [p for p in probes if not p.in_tail_set]
+    assert outside
+    if f.name == "uv":
+        assert not all(p.hull_bound_ok for p in outside)
 
 
 def test_fubini_threshold_refusal():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -75,6 +76,15 @@ def test_order_lipschitz_idempotence():
         assert envelope_lipschitz_violation(pair.w_minus, L) <= 1e-12
         assert envelope_lipschitz_violation(pair.w_plus, L) <= 1e-12
         assert envelope_idempotence_gap(pair) <= 1e-12
+
+
+def test_idempotence_rejects_mismatched_masks():
+    pair = cone_convolutions(abs_field(), 1.0)
+    mask = pair.w_plus.mask.copy()
+    mask[np.flatnonzero(mask)[0]] = False
+    plus = SampledField(pair.w_plus.grid, pair.w_plus.values, mask)
+    with pytest.raises(ValueError, match="output mask"):
+        envelope_idempotence_gap(dataclasses.replace(pair, w_plus=plus))
 
 
 def _ref_dist(x, y, w):
