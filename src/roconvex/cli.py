@@ -36,20 +36,19 @@ class ExperimentConfig:
     out_dir: str = "out"
     eval_count: int = 120
     sample_count: int = 10_000
-    direction_count: int = 12
-    step_count: int = 10
-    t_min: float = 2.0
-    t_max: float = 20.0
-    t_points: int = 8
     lines_per_direction: int = 32
     threads: int = 1
-    cone_slope: float | None = None
     min_epsilon: float | None = None
 
 
 def load_config(path: str | Path) -> dict:
     """Flat key-value JSON config; unknown keys are rejected."""
-    data = json.loads(Path(path).read_text())
+    try:
+        data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config file {path} is not JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError("config file must hold a flat JSON object")
     valid = set(ExperimentConfig.__dataclass_fields__)
@@ -92,7 +91,7 @@ def _handle(cfg: ExperimentConfig) -> FunctionHandle:
     try:
         return get_handle(cfg.function)
     except KeyError as exc:
-        raise SystemExit(f"error: {exc}") from exc
+        raise ValueError(exc.args[0]) from exc
 
 
 def _finish(
@@ -122,9 +121,7 @@ def _finish(
 
 def run_verify(cfg: ExperimentConfig) -> RunManifest:
     h = _handle(cfg)
-    sampler = verify.SegmentSampler(
-        direction_count=cfg.direction_count, step_count=cfg.step_count, seed=cfg.seed
-    )
+    sampler = verify.SegmentSampler(direction_count=12, step_count=10, seed=cfg.seed)
     domain = grid_spec(h.shape, cfg.radius, cfg.grid_points, "cube")
     rows = []
     checks: dict[str, bool] = {}
@@ -241,8 +238,7 @@ def run_tail(cfg: ExperimentConfig) -> RunManifest:
     )
     grid_vals = sample(h, constraints)
     f_sup = grid_vals.sup_abs()
-    t_grid = paraboloid.default_tail_t_grid(cfg.t_min, cfg.t_max, cfg.t_points)
-    rep = paraboloid.tail_experiment(tf, f_sup, t_grid)
+    rep = paraboloid.tail_experiment(tf, f_sup, paraboloid.default_tail_t_grid())
     out = Path(cfg.out_dir) / "tail"
     csv = fieldio.write_csv(out / f"{h.name}.csv", ("t", "measure"), rep.rows())
     checks = {
@@ -261,7 +257,7 @@ def run_envelope(cfg: ExperimentConfig) -> RunManifest:
     spec = grid_spec(h.shape, 0.75 * cfg.radius, cfg.grid_points, "cube")
     fld = sample(h, spec)
     f_sup = fld.sup_abs()
-    L = cfg.cone_slope if cfg.cone_slope is not None else 2.0 * 2.0 * max(1.0, f_sup)
+    L = 4.0 * max(1.0, f_sup)
     components = gradient_field(fld)
     out = Path(cfg.out_dir) / "envelope"
     rows = []
@@ -315,7 +311,7 @@ def run_envelope(cfg: ExperimentConfig) -> RunManifest:
 def run_lemma(cfg: ExperimentConfig) -> RunManifest:
     h = _handle(cfg)
     if h.shape.symmetric:
-        raise SystemExit("error: the lower-bound pipeline runs on general shapes")
+        raise ValueError("the lower-bound pipeline runs on general shapes")
     rng = np.random.default_rng(cfg.seed)
     x0 = np.zeros(h.shape.dim)
     samples = ball_samples(h.shape, x0, cfg.radius, cfg.sample_count, rng)
@@ -498,9 +494,7 @@ _FLAGS = (
 
 def run(cfg: ExperimentConfig) -> RunManifest:
     if cfg.experiment not in _PIPELINES:
-        raise SystemExit(
-            f"error: unknown experiment {cfg.experiment!r}; valid: {', '.join(EXPERIMENTS)}"
-        )
+        raise ValueError(f"unknown experiment {cfg.experiment!r}; valid: {', '.join(EXPERIMENTS)}")
     return _PIPELINES[cfg.experiment](cfg)
 
 
@@ -510,9 +504,7 @@ def list_corpus(flag: str | None = None) -> list[str]:
         flags = asdict(h.flags)
         if flag is not None:
             if flag not in flags:
-                raise SystemExit(
-                    f"error: unknown flag {flag!r}; valid: {', '.join(flags)}"
-                )
+                raise ValueError(f"unknown flag {flag!r}; valid: {', '.join(flags)}")
             if not flags[flag]:
                 continue
         tags = ",".join(k for k, v in flags.items() if v) or "-"
@@ -539,16 +531,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.experiment == "list-corpus":
-        for line in list_corpus(args.flag):
-            print(line)
-        return 0
-    overrides = {key: getattr(args, key) for _, key, _, _ in _FLAGS}
     try:
+        if args.experiment == "list-corpus":
+            for line in list_corpus(args.flag):
+                print(line)
+            return 0
+        overrides = {key: getattr(args, key) for _, key, _, _ in _FLAGS}
         values = load_config(args.config) if args.config else {}
         values.update({k: v for k, v in overrides.items() if v is not None})
         manifest = run(ExperimentConfig(**values | {"experiment": args.experiment}))
-    except ValueError as exc:  # bad input: config file, counts, grid sizes
+    except ValueError as exc:  # bad input: names, config file, counts, grid sizes
         print(f"error: {exc}", file=sys.stderr)
         return 2
     failed = [k for k, v in manifest.checks.items() if not v]

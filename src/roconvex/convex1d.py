@@ -19,6 +19,9 @@ import numpy as np
 
 from .corpus import FunctionHandle
 
+LINE_RESOLUTION = 0.05  # step of the per-line fit grid on [-3, 3] in the tail experiment
+LINE_CONVEXITY_TOL = 1e-9  # largest secant-slope dip a fitted line may show
+
 
 @dataclass(frozen=True)
 class PLConvex1D:
@@ -45,7 +48,7 @@ class PLConvex1D:
         object.__setattr__(self, "slopes", sl)
 
     @classmethod
-    def from_samples(cls, xs: np.ndarray, vs: np.ndarray, tol: float = 1e-9) -> "PLConvex1D":
+    def from_samples(cls, xs: np.ndarray, vs: np.ndarray) -> "PLConvex1D":
         """Interpolate samples of a convex function; secant slopes must be non-decreasing."""
         xs = np.asarray(xs, dtype=float)
         vs = np.asarray(vs, dtype=float)
@@ -53,7 +56,7 @@ class PLConvex1D:
             raise ValueError("need at least two strictly increasing sample points")
         slopes = np.diff(vs) / np.diff(xs)
         dips = np.diff(slopes)
-        if dips.size and float(np.min(dips)) < -tol:
+        if dips.size and float(np.min(dips)) < -1e-9:
             raise ValueError(f"samples are not convex: slope dip {float(np.min(dips)):.3e}")
         return cls(
             breakpoints=xs[1:-1],
@@ -151,17 +154,13 @@ def maximal_function(mu: AtomicMeasure1D, x: float) -> float:
     The supremum over intervals pinching a contiguous atom run [a_i, a_j] and x
     equals run mass / span(run, x); it is +inf exactly at atoms.
     """
-    if mu.count == 0:
-        return 0.0
     at = np.abs(mu.locations - x) == 0.0
     if np.any(at & (mu.masses > 0)):
         return math.inf
     left, right, mass = mu.runs
     span = np.maximum(right, x) - np.minimum(left, x)
-    good = span > 0
-    if not np.any(good):
-        return math.inf
-    return float(np.max(mass[good] / span[good]))
+    good = span > 0  # a zero span is a zero-mass atom at x, which adds nothing
+    return float(np.max(mass[good] / span[good], initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -273,15 +272,14 @@ class TaylorChainRow:
     vacuous: bool
 
 
-def convex_taylor_check(
-    f: PLConvex1D, h_grid: Sequence[float], tol: float = 1e-10
-) -> list[TaylorChainRow]:
+def convex_taylor_check(f: PLConvex1D, h_grid: Sequence[float]) -> list[TaylorChainRow]:
     """The chain 0 <= f(h) <= f''[0,h] h <= M f''(0) h^2 and its mirror, per h.
 
     Requires the normalization f(0) = 0 with 0 in the subdifferential at 0.
     The interval masses use closed endpoints; an atom exactly at 0 makes the
     maximal bound infinite and the final inequality vacuous (flagged).
     """
+    tol = 1e-10  # roundoff slack
     if abs(f(0.0)) > tol:
         raise ValueError(f"normalization f(0) = 0 violated: f(0) = {f(0.0):.3e}")
     if f.left_slope(0.0) > tol or f.right_slope(0.0) < -tol:
@@ -350,10 +348,10 @@ def in_coordinate_hull(x: np.ndarray, h: float) -> np.ndarray:
     return np.sum(np.abs(np.atleast_2d(x)), axis=1) <= h
 
 
-def osc_on_cube(f: FunctionHandle, half_width: float, points_per_axis: int = 41) -> float:
-    """max - min of f over a dense lattice of the coordinate cube."""
+def osc_on_cube(f: FunctionHandle, half_width: float) -> float:
+    """max - min of f over a 41-point-per-axis lattice of the coordinate cube."""
     n = f.shape.dim
-    axes = [np.linspace(-half_width, half_width, points_per_axis)] * n
+    axes = [np.linspace(-half_width, half_width, 41)] * n
     mesh = np.meshgrid(*axes, indexing="ij")
     coords = np.stack([m.reshape(-1) for m in mesh], axis=-1)
     vals = f.value_at_coords(coords)
@@ -407,16 +405,14 @@ def fubini_tail_experiment(
     f: FunctionHandle,
     t_grid: Sequence[float],
     lines_per_direction: int = 48,
-    resolution: float = 0.05,
     seed: int = 0,
     probe_count: int = 12,
-    convexity_tol: float = 1e-9,
 ) -> FubiniTailReport:
     """Per-line superlevel tail of axis restrictions over the unit cube.
 
     For each axis direction and sampled offsets in the perpendicular slice of
     the unit cube, the restriction is fitted piecewise-linearly on [-3, 3] at
-    `resolution`, its second-derivative measure extracted, and the superlevel
+    step LINE_RESOLUTION, its second-derivative measure extracted, and the superlevel
     set {M f_y'' > t} cap [-1, 1] computed exactly. Aggregates estimate the
     tail-set measure; probes outside the tail set verify the axis Taylor bound
     0 <= f~(h e_i) <= 2 t h^2 and the paraboloid bound of opening 4 n t on the
@@ -426,10 +422,7 @@ def fubini_tail_experiment(
     if shape.rows != 1 or shape.symmetric:
         raise ValueError("the tail experiment runs on row-vector shapes (1 x n)")
     n = shape.cols
-    steps = round(3.0 / resolution)
-    if abs(steps * resolution - 3.0) > 1e-9:
-        raise ValueError("resolution must divide 3")
-    s_grid = np.linspace(-3.0, 3.0, 2 * steps + 1)
+    s_grid = np.linspace(-3.0, 3.0, 2 * round(3.0 / LINE_RESOLUTION) + 1)
 
     osc = osc_on_cube(f, 3.0)
     threshold = 2.0 * osc
@@ -446,7 +439,7 @@ def fubini_tail_experiment(
         offsets = rng.uniform(-1.0, 1.0, size=(lines_per_direction, n))
         offsets[:, i] = 0.0
         line_measures.append(
-            [_line_measure(f, offsets[k], i, s_grid, convexity_tol) for k in range(lines_per_direction)]
+            [_line_measure(f, offsets[k], i, s_grid, LINE_CONVEXITY_TOL) for k in range(lines_per_direction)]
         )
 
     measures = np.zeros(t_arr.size)
@@ -461,7 +454,9 @@ def fubini_tail_experiment(
         fit = np.polyfit(np.log(t_arr[good]), np.log(measures[good]), 1)
         slope = float(fit[0])
 
-    inclusion = _inclusion_probes(f, t_arr, s_grid, resolution, probe_count, rng, convexity_tol)
+    inclusion = _inclusion_probes(
+        f, t_arr, s_grid, LINE_RESOLUTION, probe_count, rng, LINE_CONVEXITY_TOL
+    )
     return FubiniTailReport(
         t_grid=t_arr,
         measures=measures,
@@ -480,9 +475,9 @@ def _inclusion_probes(
     probe_count: int,
     rng: np.random.Generator,
     convexity_tol: float,
-    tol: float = 1e-7,
 ) -> list[InclusionProbe]:
     """At probes off the tail set, check the axis chain and the hull paraboloid bound."""
+    tol = 1e-7  # slack of the axis and hull bounds
     n = f.shape.cols
     h_values = np.arange(resolution, 1.0, resolution)
     # Points stay stacked as (H, k, n), so `@` multiplies one (k, n) block per h.
@@ -529,15 +524,11 @@ def _inclusion_probes(
     return probes
 
 
-def random_pl_convex(
-    rng: np.random.Generator,
-    max_breakpoints: int = 6,
-    span: float = 2.0,
-    atom_at_zero: bool = False,
-) -> PLConvex1D:
-    """Random convex PL function normalized to f(0) = 0 with 0 in the subdifferential."""
-    k = int(rng.integers(1, max_breakpoints + 1))
-    bp = np.sort(rng.uniform(-span, span, size=k))
+def random_pl_convex(rng: np.random.Generator, atom_at_zero: bool = False) -> PLConvex1D:
+    """Random convex PL function normalized to f(0) = 0 with 0 in the subdifferential:
+    1 to 6 breakpoints in [-2, 2]."""
+    k = int(rng.integers(1, 7))
+    bp = np.sort(rng.uniform(-2.0, 2.0, size=k))
     bp = bp[np.abs(bp) > 1e-3]
     if bp.size > 1:
         bp = bp[np.concatenate([[True], np.diff(bp) > 1e-6])]

@@ -122,13 +122,6 @@ class MatrixPoint:
     def zero(cls, shape: MatrixShape) -> "MatrixPoint":
         return cls(shape, np.zeros(shape.dim))
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.shape.coords_to_matrix(self.coords)
-
-    @property
-    def norm(self) -> float:
-        return float(self.shape.frob_norm_coords(self.coords))
 
 
 @dataclass(frozen=True)
@@ -429,9 +422,9 @@ def evaluate(f: FunctionHandle | SampledField, coords: np.ndarray) -> tuple[np.n
     return vals, np.ones(vals.shape, dtype=bool)
 
 
-def sample(f: FunctionHandle, spec: GridSpec, max_nodes: int | None = None) -> SampledField:
+def sample(f: FunctionHandle, spec: GridSpec) -> SampledField:
     """Evaluate `f` at all valid grid nodes of `spec`."""
-    grid = make_grid(spec, max_nodes=max_nodes)
+    grid = make_grid(spec)
     values = np.full(grid.node_count, np.nan)
     mats = grid.matrices()[grid.mask]
     vals = np.asarray(f.value(mats), dtype=float)

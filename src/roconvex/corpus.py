@@ -80,12 +80,10 @@ _CONVEX = ConvexityFlags(convex=True, rank_one_convex=True, separately_convex=Tr
 _SQUARE2 = MatrixShape(2, 2)
 
 
-def half_norm_sq(a0: float = 1.0, shape: MatrixShape = _SQUARE2, name: str | None = None) -> FunctionHandle:
+def half_norm_sq(a0: float = 1.0, shape: MatrixShape = _SQUARE2) -> FunctionHandle:
     """f(x) = (a0/2) |x|^2."""
-    if name is None:
-        name = f"half_norm_sq_{a0:g}".replace(".", "p")
     return FunctionHandle(
-        name=name,
+        name=f"half_norm_sq_{a0:g}".replace(".", "p"),
         shape=shape,
         value=lambda x: 0.5 * a0 * _frob_sq(x),
         gradient=lambda x: a0 * x,
@@ -93,11 +91,11 @@ def half_norm_sq(a0: float = 1.0, shape: MatrixShape = _SQUARE2, name: str | Non
     )
 
 
-def neg_half_norm_sq(shape: MatrixShape = _SQUARE2) -> FunctionHandle:
-    """f(x) = -|x|^2 / 2; the negative control with no convexity flags."""
+def neg_half_norm_sq() -> FunctionHandle:
+    """f(x) = -|x|^2 / 2 on 2x2; the negative control with no convexity flags."""
     return FunctionHandle(
         name="neg_half_norm_sq",
-        shape=shape,
+        shape=_SQUARE2,
         value=lambda x: -0.5 * _frob_sq(x),
         gradient=lambda x: -x,
         flags=ConvexityFlags(),

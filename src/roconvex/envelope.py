@@ -137,7 +137,6 @@ class TouchSet:
     coords: np.ndarray  # (K, dim) accepted points
     theta: np.ndarray  # (K,) their openings
     excluded_coords: np.ndarray  # points with small opening rejected by the kink detector
-    kink_threshold: float
 
     @property
     def count(self) -> int:
@@ -166,19 +165,14 @@ def _kink_indicator(
     return out
 
 
-def touch_set(
-    theta: ThetaField,
-    A: float,
-    kink_threshold: float | None = None,
-) -> TouchSet:
-    """Filter the theta field to {opening <= A}, excluding detected gradient kinks."""
+def touch_set(theta: ThetaField, A: float) -> TouchSet:
+    """Filter the theta field to {opening <= A}, excluding gradient kinks: points
+    whose one-sided difference quotients at the grid step h differ by more than 10 h."""
     h = theta.constraints.spacing
-    if kink_threshold is None:
-        kink_threshold = 10.0 * h
     ok_level = theta.theta <= A
     pts = theta.eval_coords[ok_level]
     kinky = (
-        _kink_indicator(theta.source, pts, h, kink_threshold)
+        _kink_indicator(theta.source, pts, h, 10.0 * h)
         if pts.shape[0]
         else np.zeros(0, dtype=bool)
     )
@@ -187,7 +181,6 @@ def touch_set(
         coords=pts[~kinky],
         theta=theta.theta[ok_level][~kinky],
         excluded_coords=pts[kinky],
-        kink_threshold=float(kink_threshold),
     )
 
 
@@ -207,16 +200,16 @@ def cone_touch_check(
     C_probe: float,
     sample_count: int = 64,
     seed: int = 0,
-    max_radius: float = 0.25,
 ) -> SlopeBoundReport:
-    """Check the gradient slope bound C_probe * A around every touch-set point."""
+    """Check the gradient slope bound C_probe * A around every touch-set point,
+    at radii in [1/80, 1/4]."""
     rng = np.random.default_rng(seed)
     shape = f.shape
     skipped = 0
     ratios = np.zeros(tset.count)
     for k in range(tset.count):
         x0 = tset.coords[k]
-        radii = rng.uniform(0.05 * max_radius, max_radius, size=sample_count)
+        radii = rng.uniform(0.0125, 0.25, size=sample_count)
         dirs = rng.standard_normal((sample_count, shape.dim))
         dirs /= shape.frob_norm_coords(dirs)[:, None]
         pts = x0 + radii[:, None] * dirs
@@ -274,13 +267,13 @@ class RemainderProfile:
     asymmetry: float
     radii: np.ndarray
     ratios: np.ndarray
-    decision_threshold: float
 
     @property
     def second_order_differentiable(self) -> bool:
+        """The ratios do not grow (up to 10%) and the smallest radius's is <= 0.05."""
         r = self.ratios
         decreasing = bool(np.all(np.diff(r) <= 1e-12 + 0.1 * np.abs(r[:-1])))
-        return decreasing and bool(r[-1] <= self.decision_threshold)
+        return decreasing and bool(r[-1] <= 0.05)
 
     def loglog_slope(self) -> float | None:
         good = self.ratios > 0
@@ -294,12 +287,11 @@ def second_order_remainder(
     f: FunctionHandle | SampledField,
     x0: np.ndarray,
     radii: Sequence[float],
-    direction_count: int = 32,
     seed: int = 0,
     hessian_step: float | None = None,
-    decision_threshold: float = 0.05,
 ) -> RemainderProfile:
-    """Assemble a symmetrized difference Hessian at x0 and profile the Taylor remainder.
+    """Assemble a symmetrized difference Hessian at x0 and profile the Taylor remainder
+    along the +-axis directions and 32 random unit directions.
 
     For sampled fields the radii must stay above the grid resolution; analytic
     handles may be probed at any radius.
@@ -352,7 +344,7 @@ def second_order_remainder(
     hess = 0.5 * (hess + hess.T)
 
     rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((direction_count, shape.dim))
+    dirs = rng.standard_normal((32, shape.dim))
     dirs /= shape.frob_norm_coords(dirs)[:, None]
     eye = np.eye(shape.dim)
     dirs = np.concatenate([eye, -eye, dirs], axis=0)
@@ -373,5 +365,4 @@ def second_order_remainder(
         asymmetry=asymmetry,
         radii=radii_arr,
         ratios=ratios,
-        decision_threshold=float(decision_threshold),
     )

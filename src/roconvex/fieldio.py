@@ -23,19 +23,11 @@ def fmt(x: float) -> str:
 
 
 def write_field(field: SampledField, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    names = field.grid.shape.coord_names()
-    coords = field.node_coords()
-    lines = ["# " + json.dumps(field.grid.to_dict(), sort_keys=True)]
-    lines.append(",".join(names + ("value", "mask")))
-    for k in range(coords.shape[0]):
-        row = [fmt(c) for c in coords[k]]
-        row.append(fmt(field.values[k]) if field.mask[k] else "nan")
-        row.append("1" if field.mask[k] else "0")
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    grid_line = "# " + json.dumps(field.grid.to_dict(), sort_keys=True)
+    header = field.grid.shape.coord_names() + ("value", "mask")
+    # Values are NaN off the mask, so the value column already reads 'nan' there.
+    columns = field.node_coords().T.tolist() + [field.values.tolist(), field.mask.astype(int).tolist()]
+    return _write_lines(path, [grid_line] + _csv_lines(header, zip(*columns)))
 
 
 def read_field(path: str | Path) -> SampledField:
@@ -57,10 +49,8 @@ def read_field(path: str | Path) -> SampledField:
     return SampledField(spec, values, mask)
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> Path:
-    """Plain CSV with deterministic float formatting."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _csv_lines(header: Sequence[str], rows: Iterable[Sequence[object]]) -> list[str]:
+    """The header line, then one line per row: floats by `fmt`, anything else by `str`."""
     lines = [",".join(header)]
     for row in rows:
         cells = []
@@ -70,8 +60,19 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[o
             else:
                 cells.append(str(cell))
         lines.append(",".join(cells))
+    return lines
+
+
+def _write_lines(path: str | Path, lines: list[str]) -> Path:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> Path:
+    """Plain CSV with deterministic float formatting."""
+    return _write_lines(path, _csv_lines(header, rows))
 
 
 def _jsonable(obj: object) -> object:

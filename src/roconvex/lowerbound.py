@@ -116,8 +116,9 @@ class RadialMajorant:
         return [(float(r), float(v)) for r, v in zip(self.radii, self.values)]
 
 
-def quadratic_majorant(x0: np.ndarray, A: float, radius: float, bins: int = 32) -> RadialMajorant:
-    radii = np.linspace(radius / bins, radius, bins)
+def quadratic_majorant(x0: np.ndarray, A: float, radius: float) -> RadialMajorant:
+    """g(t) = (A/2) t^2, tabulated at 32 radii for serialization."""
+    radii = np.linspace(radius / 32, radius, 32)
     return RadialMajorant(
         x0=np.asarray(x0, dtype=float),
         radii=radii,
@@ -148,9 +149,8 @@ def empirical_majorant(
     f: FunctionHandle,
     x0: np.ndarray,
     samples: np.ndarray,
-    bins: int = 50,
 ) -> RadialMajorant:
-    """Monotone running-max majorant of the recentered function over radius bins.
+    """Monotone running-max majorant of the recentered function over 50 radius bins.
 
     The build set is augmented with the column-split reflections of every
     sample; reflections stay on the same sphere, which keeps the certificate
@@ -173,6 +173,7 @@ def empirical_majorant(
     vals, _, _ = recentered_values(f, x0, pts)
     dist = shape.frob_norm_coords(pts - x0)
     rmax = float(np.max(dist))
+    bins = 50
     edges = np.linspace(rmax / bins, rmax, bins)
     idx = np.minimum(np.searchsorted(edges, dist * (1.0 - 1e-12), side="left"), bins - 1)
     binmax = np.full(bins, -math.inf)
@@ -200,7 +201,6 @@ def lower_bound_certify(
     samples: np.ndarray,
     C: float | None = None,
     tol: float = 1e-6,
-    tangency_tol: float = 1e-9,
 ) -> LowerBoundCertificate:
     """Certify f~ >= -C G over the samples, after verifying tangency f~ <= G.
 
@@ -216,7 +216,7 @@ def lower_bound_certify(
     g_vals = majorant.evaluate(shape, pts)
     tangency = vals - g_vals
     k_bad = int(np.argmax(tangency))
-    if tangency[k_bad] > tangency_tol:
+    if tangency[k_bad] > 1e-9:
         raise TangencyError(
             f"majorant fails to dominate at sample {pts[k_bad].tolist()} "
             f"(excess {tangency[k_bad]:.3e})"
@@ -239,14 +239,13 @@ def majorant_from_theta(
     x0: np.ndarray,
     A: float,
     certified_opening: float | None,
-    radius: float = 1.0,
 ) -> RadialMajorant:
-    """Quadratic majorant g(t) = (A/2) t^2, gated on an opening certificate <= A."""
+    """Quadratic majorant g(t) = (A/2) t^2 on the unit ball, gated on an opening certificate <= A."""
     if certified_opening is None:
         raise ValueError("a certified opening at x0 is required")
     if certified_opening > A * (1.0 + 1e-9):
         raise ValueError(f"certified opening {certified_opening} exceeds A = {A}")
-    return quadratic_majorant(np.asarray(x0, dtype=float), A, radius)
+    return quadratic_majorant(np.asarray(x0, dtype=float), A, 1.0)
 
 
 def sup_growth_check(

@@ -306,15 +306,13 @@ def theta_field(
     constraints: GridSpec,
     count: int = 500,
     seed: int = 0,
-    region_radius: float | None = None,
     threads: int = 1,
 ) -> ThetaField:
     """Least openings at `count` random points of the half-radius ball."""
     if count < 1:
         raise ValueError(f"theta_field needs count >= 1 evaluation points, got {count}")
     shape = constraints.shape
-    if region_radius is None:
-        region_radius = constraints.radius / 2.0
+    region_radius = constraints.radius / 2.0
     rng = np.random.default_rng(seed)
     pts = ball_samples(shape, constraints.center.coords, region_radius, count, rng)
 
@@ -376,5 +374,6 @@ def tail_experiment(
     )
 
 
-def default_tail_t_grid(t_min: float = 2.0, t_max: float = 20.0, points: int = 8) -> np.ndarray:
-    return np.exp(np.linspace(math.log(t_min), math.log(t_max), points))
+def default_tail_t_grid() -> np.ndarray:
+    """Eight log-spaced levels t over one decade, from 2 to 20."""
+    return np.exp(np.linspace(math.log(2.0), math.log(20.0), 8))

@@ -29,9 +29,6 @@ from .core import (
 )
 from .corpus import FunctionHandle
 
-IDENTITY_TOL = 1e-12
-ANALYTIC_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class SegmentSampler:
@@ -194,14 +191,13 @@ def lipschitz_estimate_check(
     r: float,
     pair_count: int = 10_000,
     seed: int = 0,
-    domain_radius: float = 1.0,
-    tol: float = 1e-9,
 ) -> LipschitzReport:
-    """Sampled difference quotients on B_r(x) against n * osc(f, B_2r(x)) / r."""
+    """Sampled difference quotients on B_r(x) against n * osc(f, B_2r(x)) / r,
+    with B_2r(x) inside the unit ball."""
     x = np.asarray(x, dtype=float).reshape(-1)
     shape = f.shape
-    if float(shape.frob_norm_coords(x)) + 2.0 * r > domain_radius * (1.0 + 1e-12):
-        raise ValueError(f"B_2r(x) leaves the domain ball of radius {domain_radius}")
+    if float(shape.frob_norm_coords(x)) + 2.0 * r > 1.0 + 1e-12:
+        raise ValueError("B_2r(x) leaves the domain ball of radius 1.0")
     rng = np.random.default_rng(seed)
     p1 = ball_samples(shape, x, r, pair_count, rng)
     p2 = ball_samples(shape, x, r, pair_count, rng)
@@ -220,7 +216,7 @@ def lipschitz_estimate_check(
         ratio = 0.0 if lip_lhs == 0.0 else math.inf
     else:
         ratio = lip_lhs / osc_rhs
-    return LipschitzReport(lip_lhs, osc_rhs, ratio, lip_lhs <= osc_rhs + tol, int(np.sum(use)))
+    return LipschitzReport(lip_lhs, osc_rhs, ratio, lip_lhs <= osc_rhs + 1e-9, int(np.sum(use)))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@ import json
 import pytest
 
 from roconvex.cli import ExperimentConfig, list_corpus, load_config, main, run
-from roconvex.fieldio import read_field, write_field
+from roconvex.fieldio import fmt, read_field, write_field
 from roconvex.core import MatrixShape, grid_spec, sample
-from roconvex.corpus import neg_det
+from roconvex.corpus import neg_det, neg_det_sym
 
 
 def test_list_corpus_contents():
@@ -15,17 +15,17 @@ def test_list_corpus_contents():
     sep = list_corpus("separately_convex")
     assert any(line.startswith("neg_uv") for line in sep)
     assert not any(line.startswith("neg_half_norm_sq") for line in sep)
-    with pytest.raises(SystemExit, match="unknown flag"):
+    with pytest.raises(ValueError, match="unknown flag"):
         list_corpus("bogus")
 
 
 def test_unknown_function_lists_names():
-    with pytest.raises(SystemExit, match="neg_det_2x2"):
+    with pytest.raises(ValueError, match="neg_det_2x2"):
         run(ExperimentConfig(experiment="verify", function="nope"))
 
 
 def test_unknown_experiment_rejected():
-    with pytest.raises(SystemExit, match="valid"):
+    with pytest.raises(ValueError, match="valid"):
         run(ExperimentConfig(experiment="bogus"))
 
 
@@ -38,6 +38,31 @@ def test_config_file_roundtrip(tmp_path):
     bad.write_text(json.dumps({"seeed": 5}))
     with pytest.raises(ValueError, match="unknown config keys"):
         load_config(bad)
+
+
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (["verify", "--function", "nope"], "unknown corpus function 'nope'"),
+        (["verify", "--config", "{missing}"], "cannot read config file {missing}"),
+        (["verify", "--config", "{malformed}"], "config file {malformed} is not JSON"),
+        (["lemma", "--function", "neg_det_2x2_sym"], "the lower-bound pipeline runs on general shapes"),
+        (["list-corpus", "--flag", "bogus"], "unknown flag 'bogus'"),
+        # t_min was a config key; a retired key is as unknown as a misspelt one
+        (["tail", "--config", "{retired}"], "unknown config keys: ['t_min']"),
+    ],
+    ids=["unknown_function", "missing_config", "malformed_config", "symmetric_lemma", "unknown_flag", "retired_key"],
+)
+def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, cause):
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("missing", "malformed", "retired")}
+    (tmp_path / "malformed.json").write_text("{seed: 5}")
+    (tmp_path / "retired.json").write_text(json.dumps({"t_min": 2.0}))
+    argv = [a.format(**paths) for a in argv]
+    out = [] if argv[0] == "list-corpus" else ["--out", str(tmp_path / "out")]
+    assert main(argv + out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + cause.format(**paths)) and len(err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_flags_override_config(tmp_path):
@@ -127,6 +152,31 @@ def test_field_csv_roundtrip(tmp_path):
     # writing the re-read field reproduces the bytes
     path2 = write_field(back, tmp_path / "g.csv")
     assert path.read_bytes() == path2.read_bytes()
+
+
+def _write_field_per_node(field, path):
+    """The field writer as one Python loop over nodes: the reference for write_field."""
+    names = field.grid.shape.coord_names()
+    coords = field.node_coords()
+    lines = ["# " + json.dumps(field.grid.to_dict(), sort_keys=True)]
+    lines.append(",".join(names + ("value", "mask")))
+    for k in range(coords.shape[0]):
+        row = [fmt(c) for c in coords[k]]
+        row.append(fmt(field.values[k]) if field.mask[k] else "nan")
+        row.append("1" if field.mask[k] else "0")
+        lines.append(",".join(row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "f, shape, clip",
+    [(neg_det(), MatrixShape(2, 2), "ball"), (neg_det_sym(), MatrixShape(2, 2, symmetric=True), "cube")],
+    ids=["ball_mask", "symmetric"],
+)
+def test_write_field_matches_per_node_reference(tmp_path, f, shape, clip):
+    fld = sample(f, grid_spec(shape, 0.7, 7, clip))
+    _write_field_per_node(fld, tmp_path / "ref.csv")
+    assert write_field(fld, tmp_path / "f.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_theta_manifest_hashes_stable(tmp_path):

@@ -93,6 +93,9 @@ def test_maximal_function_examples():
     assert maximal_function(two, 0.0) == 1.0
     empty = AtomicMeasure1D(np.zeros(0), np.zeros(0))
     assert maximal_function(empty, 1.0) == 0.0
+    # a zero-mass atom at x: every interval around x has mass 0
+    zero = AtomicMeasure1D(np.array([0.0]), np.array([0.0]))
+    assert maximal_function(zero, 0.0) == 0.0
 
 
 def test_maximal_function_against_dense_interval_oracle():
@@ -100,14 +103,20 @@ def test_maximal_function_against_dense_interval_oracle():
     # (an independent mass summation), densified with random intervals that can
     # only approach the supremum from below
     rng = np.random.default_rng(42)
-    for _ in range(5):
-        k = int(rng.integers(1, 6))
-        locs = np.sort(rng.uniform(-2.0, 2.0, size=k))
-        locs = locs[np.concatenate([[True], np.diff(locs) > 1e-6])]
-        mu = AtomicMeasure1D(locs, rng.uniform(0.1, 2.0, size=locs.size))
-        queries = rng.uniform(-2.5, 2.5, size=100)
+
+    def cases():
+        for _ in range(5):
+            k = int(rng.integers(1, 6))
+            locs = np.sort(rng.uniform(-2.0, 2.0, size=k))
+            locs = locs[np.concatenate([[True], np.diff(locs) > 1e-6])]
+            yield AtomicMeasure1D(locs, rng.uniform(0.1, 2.0, size=locs.size)), rng.uniform(-2.5, 2.5, size=100)
+        # zero-mass atoms, queried on them too: the value there stays finite
+        yield AtomicMeasure1D(np.array([0.0]), np.array([0.0])), np.array([0.0, 0.5])
+        yield AtomicMeasure1D(np.array([-1.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0])), np.array([0.0, 0.3])
+
+    for mu, queries in cases():
         for x in queries:
-            if np.any(np.abs(mu.locations - x) < 1e-9):
+            if np.any((np.abs(mu.locations - x) < 1e-9) & (mu.masses > 0.0)):
                 continue
             exact = maximal_function(mu, float(x))
             best = 0.0
