@@ -7,6 +7,8 @@ The discrete envelopes are exact minima/maxima over valid source nodes:
 
 so ordering w- <= src <= w+ holds exactly at nodes (y = x is admissible), both
 envelopes are L-Lipschitz, and re-enveloping with the same L changes nothing.
+Since y = x bounds w-(x) by max src (and w+(x) by min src), no y with
+L |x - y| > osc src can decide either envelope: only offsets within osc/L count.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import SampledField, evaluate
+from .core import GridSpec, SampledField, evaluate, make_grid
 from .corpus import FunctionHandle
 from .paraboloid import ThetaField
 
@@ -34,24 +36,69 @@ class ConeEnvelopePair:
     source: SampledField
 
 
-def _distance_chunks(
-    x: np.ndarray, y: np.ndarray, w: np.ndarray
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (lo, hi, dist): Frobenius distances from rows lo:hi of `x` to every row of `y`.
+def _check_slope(L: float) -> None:
+    if not (L > 0.0 and math.isfinite(L)):
+        raise ValueError("cone slope L must be positive and finite")
 
-    `w` holds the Frobenius weights of the storage coordinates. The weighted
-    squares are added one coordinate at a time, in coordinate order, which is
-    the order `np.sum` uses for so few terms; no (chunk, len(y), dim)
-    temporary is built.
+
+def _osc(vals: np.ndarray) -> float:
+    return float(np.ptp(vals)) if vals.size else 0.0
+
+
+def _lattice_offsets(spec: GridSpec, radius: float) -> np.ndarray:
+    """Integer node offsets d with h |d|_F <= radius, in lexicographic order.
+
+    The relative and absolute margins keep float rounding from dropping a pair
+    that could tie or win; the zero offset is always kept.
     """
-    wx = x * w
-    wy = y * w
-    for lo in range(0, x.shape[0], _CHUNK):
-        hi = min(lo + _CHUNK, x.shape[0])
-        sq = np.zeros((hi - lo, y.shape[0]))
-        for k in range(w.size):
-            sq += (wx[lo:hi, k, None] - wy[:, k]) ** 2
-        yield lo, hi, np.sqrt(sq)
+    h = spec.spacing
+    w = spec.shape.frob_weights()
+    reach = radius * (1.0 + 1e-6) + 1e-12 * h
+    bound = np.minimum(np.floor(reach / (h * w)), spec.points_per_axis - 1).astype(int)
+    axes = [np.arange(-b, b + 1) for b in bound]
+    d = np.stack([m.reshape(-1) for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    return d[h * np.sqrt(np.sum((d * w) ** 2, axis=1)) <= reach]
+
+
+def _stencil_chunks(
+    spec: GridSpec, rows: np.ndarray, col_mask: np.ndarray, radius: float, half: bool = False
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (lo, hi, cols, ok, dist) for the nodes rows[lo:hi] (flat indices).
+
+    Slot j of a row holds the node at lattice offset j of the stencil of
+    `radius`; `half` keeps only the offsets that are lexicographically >= 0.
+    cols indexes the nodes of `col_mask` in node order (-1 off them), ok
+    marks the slots that hold one, and dist holds Frobenius distances. The
+    weighted squares are added one coordinate at a time, in coordinate order,
+    as a full pairwise scan adds them, so every distance is bit-identical to it.
+    """
+    n, dim = spec.points_per_axis, spec.shape.dim
+    offsets = _lattice_offsets(spec, radius)
+    if half:
+        # The stencil is symmetric and sorted, so its zero offset sits in the middle.
+        offsets = offsets[offsets.shape[0] // 2 :]
+    # Column ranks on the grid padded by the stencil reach; -1 off the columns.
+    pad = np.max(np.abs(offsets), axis=0)
+    ranks = np.full(tuple(n + 2 * pad), -1, dtype=np.intp)
+    ranks[tuple(slice(p, p + n) for p in pad)] = np.where(
+        col_mask, np.cumsum(col_mask) - 1, -1
+    ).reshape((n,) * dim)
+    strides = np.array(ranks.strides) // ranks.itemsize
+    row_at = (np.stack(np.unravel_index(rows, (n,) * dim), axis=-1) + pad) @ strides
+    off_at = offsets @ strides
+    ranks = ranks.reshape(-1)
+    wc = make_grid(spec).coords * spec.shape.frob_weights()
+    row_wc = wc[rows].T.copy()
+    col_wc = wc[col_mask].T.copy()
+    # A chunk never holds more pairs than _CHUNK rows of a full scan would.
+    step = max(1, min(_CHUNK, _CHUNK * col_wc.shape[1] // offsets.shape[0]))
+    for lo in range(0, rows.size, step):
+        hi = min(lo + step, rows.size)
+        cols = ranks[row_at[lo:hi, None] + off_at]
+        sq = np.zeros(cols.shape)
+        for k in range(dim):
+            sq += (row_wc[k, lo:hi, None] - col_wc[k, cols]) ** 2
+        yield lo, hi, cols, cols >= 0, np.sqrt(sq)
 
 
 def cone_convolutions(
@@ -61,33 +108,31 @@ def cone_convolutions(
 ) -> ConeEnvelopePair:
     """Exact discrete cone envelopes of `source`, evaluated on the inner ball.
 
-    Every output node scans every valid source node, and each chunk of
-    distances serves both envelopes. `output_radius` defaults to two thirds
-    of the grid radius (the 3/4 -> 1/2 domain shrink).
+    Every output node pairs with the valid source nodes within osc(source)/L
+    of it, and each chunk of pairs serves both envelopes. `output_radius`
+    defaults to two thirds of the grid radius (the 3/4 -> 1/2 domain shrink).
     """
-    if L <= 0.0:
-        raise ValueError("cone slope L must be positive")
+    _check_slope(L)
     spec = source.grid
     if not np.any(source.mask):
         raise ValueError("source field has no valid nodes")
     if output_radius is None:
         output_radius = spec.radius * (2.0 / 3.0)
     coords = source.node_coords()
-    w = spec.shape.frob_weights()
     dist_center = spec.shape.frob_norm_coords(coords - spec.center.coords)
     out_mask = source.mask & (dist_center <= output_radius * (1.0 + 1e-12))
     if not np.any(out_mask):
         raise ValueError("output region contains no valid nodes")
-    src_coords = coords[source.mask]
     src_vals = source.values[source.mask]
-    out_coords = coords[out_mask]
+    out_rows = np.flatnonzero(out_mask)
 
-    lo_vals = np.empty(out_coords.shape[0])
-    hi_vals = np.empty(out_coords.shape[0])
-    for lo, hi, dist in _distance_chunks(out_coords, src_coords, w):
+    lo_vals = np.empty(out_rows.size)
+    hi_vals = np.empty(out_rows.size)
+    for lo, hi, cols, ok, dist in _stencil_chunks(spec, out_rows, source.mask, _osc(src_vals) / L):
+        vals = src_vals[cols]
         cone = L * dist
-        lo_vals[lo:hi] = np.min(src_vals + cone, axis=1)
-        hi_vals[lo:hi] = np.max(src_vals - cone, axis=1)
+        lo_vals[lo:hi] = np.min(vals + cone, axis=1, initial=np.inf, where=ok)
+        hi_vals[lo:hi] = np.max(vals - cone, axis=1, initial=-np.inf, where=ok)
 
     def as_field(vals: np.ndarray) -> SampledField:
         full = np.full(coords.shape[0], np.nan)
@@ -103,28 +148,39 @@ def cone_convolutions(
 
 
 def envelope_lipschitz_violation(fld: SampledField, L: float) -> float:
-    """max over valid node pairs of |w(x1) - w(x2)| - L |x1 - x2|; <= ~1e-12 for envelopes."""
-    coords = fld.valid_coords()
+    """max over valid node pairs of |w(x1) - w(x2)| - L |x1 - x2|; <= ~1e-12 for envelopes.
+
+    Pairs farther apart than osc(w)/L have a negative gap and x1 = x2 gives 0,
+    so only the stencil pairs count; the gap is symmetric, so half of them do.
+    """
+    _check_slope(L)
     vals = fld.valid_values()
     worst = -math.inf
-    for lo, hi, dist in _distance_chunks(coords, coords, fld.shape.frob_weights()):
-        gap = np.abs(vals[lo:hi, None] - vals) - L * dist
-        worst = max(worst, float(np.max(gap)))
+    rows = np.flatnonzero(fld.mask)
+    radius = _osc(vals) / L
+    for lo, hi, cols, ok, dist in _stencil_chunks(fld.grid, rows, fld.mask, radius, half=True):
+        gap = np.abs(vals[lo:hi, None] - vals[cols]) - L * dist
+        worst = max(worst, float(np.max(gap, initial=-np.inf, where=ok)))
     return worst
 
 
 def envelope_idempotence_gap(pair: ConeEnvelopePair) -> float:
     """max |envelope(envelope)| deviation when re-enveloping on the same node set;
-    the two envelopes share their output nodes, so one scan serves both."""
+    the two envelopes share their output nodes, so one stencil serves both."""
     lower, upper = pair.w_minus, pair.w_plus
     if lower.grid != upper.grid or not np.array_equal(lower.mask, upper.mask):
         raise ValueError("w_minus and w_plus must share one grid and output mask")
-    coords, lo_vals, hi_vals = lower.valid_coords(), lower.valid_values(), upper.valid_values()
+    _check_slope(pair.L)
+    lo_vals, hi_vals = lower.valid_values(), upper.valid_values()
+    radius = max(_osc(lo_vals), _osc(hi_vals)) / pair.L
     worst = 0.0
-    for lo, hi, dist in _distance_chunks(coords, coords, lower.shape.frob_weights()):
+    rows = np.flatnonzero(lower.mask)
+    for lo, hi, cols, ok, dist in _stencil_chunks(lower.grid, rows, lower.mask, radius):
         cone = pair.L * dist
-        lo_gap = np.abs(np.min(lo_vals + cone, axis=1) - lo_vals[lo:hi])
-        hi_gap = np.abs(np.max(hi_vals - cone, axis=1) - hi_vals[lo:hi])
+        redone_lo = np.min(lo_vals[cols] + cone, axis=1, initial=np.inf, where=ok)
+        redone_hi = np.max(hi_vals[cols] - cone, axis=1, initial=-np.inf, where=ok)
+        lo_gap = np.abs(redone_lo - lo_vals[lo:hi])
+        hi_gap = np.abs(redone_hi - hi_vals[lo:hi])
         worst = max(worst, float(np.max(lo_gap)), float(np.max(hi_gap)))
     return worst
 

@@ -4,7 +4,7 @@ import pytest
 
 from roconvex.cli import ExperimentConfig, list_corpus, load_config, main, run
 from roconvex.fieldio import fmt, read_field, write_field
-from roconvex.core import MatrixShape, grid_spec, sample
+from roconvex.core import MAX_POINTS_PER_AXIS, MatrixShape, grid_spec, sample
 from roconvex.corpus import neg_det, neg_det_sym
 
 
@@ -121,6 +121,14 @@ def test_tail_rejects_grid_over_budget(tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert "points_per_axis 15" in capsys.readouterr().err
     assert not (tmp_path / "tail").exists()
+
+
+def test_envelope_at_axis_capacity(tmp_path):
+    # 13 points per axis is the largest grid the budget admits: 28,561 nodes in 4-D
+    argv = ["envelope", "--function", "frob_norm", "--grid-points", str(MAX_POINTS_PER_AXIS)]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "envelope/manifest.json").read_text())
+    assert manifest["checks"] == {"order_exact": True, "lipschitz_within_tol": True, "idempotent": True}
 
 
 def test_theta_rejects_zero_eval_count(tmp_path, capsys):

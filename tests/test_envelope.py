@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from roconvex.core import MatrixShape, SampledField, grid_spec, gradient_field, sample
+from roconvex.core import MatrixShape, SampledField, grid_spec, gradient_field, make_grid, sample
 from roconvex.corpus import (
     FunctionHandle,
     abs_entry,
@@ -108,29 +108,78 @@ def _ref_envelopes(vals, dist, L):
     return lower, upper
 
 
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _frob_gradient(spec):
+    return gradient_field(sample(frob_norm(spec.shape), spec))[1]
+
+
+def _random(spec):
+    mask = make_grid(spec).mask
+    values = np.random.default_rng(7).uniform(-1.0, 1.0, mask.size)
+    return SampledField(spec, values, mask)
+
+
+def _constant(spec):
+    return sample(constant(0.3, spec.shape), spec)
+
+
+def _dip(spec):
+    # 1 except 0 at the center node: the minimiser of w- sits at the center, up
+    # to osc/L = 1/L away, so a stencil one lattice step short misses it.
+    mask = make_grid(spec).mask
+    values = np.ones(mask.size)
+    values[mask.size // 2] = 0.0
+    return SampledField(spec, values, mask)
+
+
+SYM_CUBE = grid_spec(S22_SYM, 0.7, 7, "cube")
+WHOLE_GRID = grid_spec(S22, 0.75, 5, "cube")
+
+
 @pytest.mark.parametrize(
-    "spec, output_radius",
+    "make, spec, L, output_radius",
     [
         # Radius 0.7 makes the coordinates inexact, so the summation order shows.
-        (grid_spec(S22, 0.7, 7, "ball"), None),
+        (_frob_gradient, grid_spec(S22, 0.7, 7, "ball"), 0.9, None),
         # Frobenius radius 1.4 covers the whole cube: 343 output nodes, two chunks.
-        (grid_spec(S22_SYM, 0.7, 7, "cube"), 1.4),
+        (_frob_gradient, SYM_CUBE, 0.9, 1.4),
+        # osc/L is about two lattice steps, so most source nodes fall outside the stencil.
+        (_random, grid_spec(S22, 0.7, 7, "cube"), 4.0, None),
+        (_random, grid_spec(S22, 0.7, 7, "ball"), 4.0, None),
+        (_random, grid_spec(S1, 0.75, 9, "cube"), 4.0, 0.75),
+        # osc = 0: the stencil is the zero offset alone.
+        (_constant, grid_spec(S22, 0.7, 5, "cube"), 0.9, None),
+        # osc/L = 40 reaches past every node of the grid.
+        (_random, WHOLE_GRID, 0.05, 1.5),
+        # osc/L = 1 = 2.67 h: output nodes 2 h to 2.65 h from the dip take it as their minimiser.
+        (_dip, grid_spec(S22, 0.75, 5, "cube"), 1.0, 1.0),
     ],
-    ids=["2x2_ball", "2x2_sym_cube"],
+    ids=[
+        "2x2_ball",
+        "2x2_sym_cube",
+        "2x2_cube_random",
+        "2x2_ball_random",
+        "1x1_random",
+        "constant",
+        "whole_grid_radius",
+        "one_node_dip",
+    ],
 )
-def test_multidim_envelopes_match_pairwise_reference(spec, output_radius):
-    L = 0.9
-    src = gradient_field(sample(frob_norm(spec.shape), spec))[1]
+def test_multidim_envelopes_match_pairwise_reference(make, spec, L, output_radius):
+    """Envelopes, Lipschitz violations and the idempotence gap equal a full
+    pairwise scan bit for bit."""
+    src = make(spec)
     w = spec.shape.frob_weights().tolist()
     pair = cone_convolutions(src, L, output_radius=output_radius)
     out = pair.w_minus.mask
     assert np.array_equal(out, pair.w_plus.mask)
-    if output_radius is not None:
-        assert int(np.sum(out)) > envelope._CHUNK
     dist = _ref_dist(src.node_coords()[out], src.valid_coords(), w)
     lower, upper = _ref_envelopes(src.valid_values(), dist, L)
-    assert pair.w_minus.values[out].tolist() == lower
-    assert pair.w_plus.values[out].tolist() == upper
+    assert _bits(pair.w_minus.values[out]) == _bits(lower)
+    assert _bits(pair.w_plus.values[out]) == _bits(upper)
 
     self_dist = _ref_dist(pair.w_minus.valid_coords(), pair.w_minus.valid_coords(), w)
     idem = 0.0
@@ -139,10 +188,28 @@ def test_multidim_envelopes_match_pairwise_reference(spec, output_radius):
         lip = max(
             abs(v1 - v2) - L * d for v1, row in zip(vals, self_dist) for v2, d in zip(vals, row)
         )
-        assert envelope_lipschitz_violation(fld, L) == lip
+        assert _bits(envelope_lipschitz_violation(fld, L)) == _bits(lip)
         redone = _ref_envelopes(fld.valid_values(), self_dist, L)[which]
         idem = max(idem, max(abs(r - v) for r, v in zip(redone, vals)))
-    assert envelope_idempotence_gap(pair) == idem
+    assert _bits(envelope_idempotence_gap(pair)) == _bits(idem)
+
+
+def test_reference_cases_reach_the_stencil_edges():
+    out = cone_convolutions(_frob_gradient(SYM_CUBE), 0.9, 1.4).w_minus.mask
+    assert int(np.sum(out)) > envelope._CHUNK
+    n, dim = WHOLE_GRID.points_per_axis, WHOLE_GRID.shape.dim
+    radius = np.ptp(_random(WHOLE_GRID).valid_values()) / 0.05
+    assert envelope._lattice_offsets(WHOLE_GRID, radius).shape == ((2 * n - 1) ** dim, dim)
+    assert envelope._lattice_offsets(WHOLE_GRID, 0.0).tolist() == [[0] * dim]
+
+
+@pytest.mark.parametrize("L", [math.nan, math.inf, 0.0, -1.0])
+def test_bad_cone_slope_rejected(L):
+    src = abs_field(points=9)
+    with pytest.raises(ValueError, match="cone slope L must be positive and finite"):
+        cone_convolutions(src, L)
+    with pytest.raises(ValueError, match="cone slope L must be positive and finite"):
+        envelope_lipschitz_violation(src, L)
 
 
 def test_anti_monotone_in_L():
