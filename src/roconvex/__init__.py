@@ -41,10 +41,8 @@ from .envelope import (
     touch_set,
 )
 from .lowerbound import (
-    ColumnSplit,
     RadialMajorant,
     TangencyError,
-    column_split,
     empirical_majorant,
     lemma_constant,
     lower_bound_certify,
@@ -58,13 +56,10 @@ from .paraboloid import (
     tail_experiment,
     theta_field,
     theta_upper,
-    theta_upper_bruteforce,
 )
 from .verify import (
     ConvexityReport,
     SegmentSampler,
-    SymmetricOperator,
-    assemble_symmetric_operator,
     lipschitz_estimate_check,
     mollify,
     rank_one_convexity_check,

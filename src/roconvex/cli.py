@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import convex1d, envelope, fieldio, lowerbound, paraboloid, verify
 from .core import MatrixShape, ball_samples, grid_spec, gradient_field, sample
-from .corpus import FunctionHandle, corpus, get_handle
+from .corpus import FunctionHandle, abs_entry, corpus, get_handle
 
 ANALYTIC_TOL = 1e-9
 FIELD_TOL_SCALE = 1.0  # field checks pass at K h^2 with K = 1; measured margins
@@ -336,6 +337,26 @@ def run_appendix(cfg: ExperimentConfig) -> RunManifest:
     artifacts = []
     checks: dict[str, bool] = {}
 
+    # per-line tail on |x_1| over the plane, first: it validates lines_per_direction
+    h12 = abs_entry(0, 0, MatrixShape(1, 2))
+    t_tail = np.exp(np.linspace(np.log(7.0), np.log(80.0), 8))
+    tail = convex1d.fubini_tail_experiment(
+        h12, t_tail, lines_per_direction=cfg.lines_per_direction, seed=cfg.seed, probe_count=6
+    )
+    checks["tail_slope_is_minus_one"] = (
+        tail.fitted_slope is not None and abs(tail.fitted_slope + 1.0) <= 0.1
+    )
+    checks["tail_inclusion_bounds"] = all(
+        p.axis_bound_ok and p.hull_bound_ok for p in tail.inclusion
+    )
+    artifacts.append(
+        fieldio.write_csv(
+            out / "tail_lines.csv",
+            ("t", "measure", "oscillation_bound"),
+            [(t, m, tail.oscillation / t) for t, m in zip(tail.t_grid, tail.measures)],
+        )
+    )
+
     # weak (1,1): the unit atom plus random small measures
     unit = convex1d.AtomicMeasure1D(np.array([0.0]), np.array([1.0]))
     unit_rows = convex1d.weak_one_one_check(unit, [1.0, 2.0, 4.0, 8.0])
@@ -399,27 +420,6 @@ def run_appendix(cfg: ExperimentConfig) -> RunManifest:
     checks["l1_ratio_bounded"] = l1.ok
     checks["l1_witness_attains_bound"] = abs(l1.witness_ratio - 2.0) <= 1e-12
 
-    # per-line tail on |x_1| over the plane
-    from .corpus import abs_entry
-
-    h12 = abs_entry(0, 0, MatrixShape(1, 2))
-    t_tail = np.exp(np.linspace(np.log(7.0), np.log(80.0), 8))
-    tail = convex1d.fubini_tail_experiment(
-        h12, t_tail, lines_per_direction=cfg.lines_per_direction, seed=cfg.seed, probe_count=6
-    )
-    checks["tail_slope_is_minus_one"] = (
-        tail.fitted_slope is not None and abs(tail.fitted_slope + 1.0) <= 0.1
-    )
-    checks["tail_inclusion_bounds"] = all(
-        p.axis_bound_ok and p.hull_bound_ok for p in tail.inclusion
-    )
-    artifacts.append(
-        fieldio.write_csv(
-            out / "tail_lines.csv",
-            ("t", "measure", "oscillation_bound"),
-            [(t, m, tail.oscillation / t) for t, m in zip(tail.t_grid, tail.measures)],
-        )
-    )
     summary = {
         "weak11_unit": [(r.t, r.measure) for r in unit_rows],
         "l1_max_ratio": l1.max_ratio,
@@ -495,6 +495,8 @@ _FLAGS = (
 def run(cfg: ExperimentConfig) -> RunManifest:
     if cfg.experiment not in _PIPELINES:
         raise ValueError(f"unknown experiment {cfg.experiment!r}; valid: {', '.join(EXPERIMENTS)}")
+    if not (math.isfinite(cfg.tol) and cfg.tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {cfg.tol}")
     return _PIPELINES[cfg.experiment](cfg)
 
 

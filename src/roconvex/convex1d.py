@@ -343,11 +343,6 @@ def l1_ball_containment(n: int, sample_count: int = 100_000, seed: int = 0) -> L
     )
 
 
-def in_coordinate_hull(x: np.ndarray, h: float) -> np.ndarray:
-    """Membership in conv{+-h e_j}: the ell^1 ball of radius h."""
-    return np.sum(np.abs(np.atleast_2d(x)), axis=1) <= h
-
-
 def osc_on_cube(f: FunctionHandle, half_width: float) -> float:
     """max - min of f over a 41-point-per-axis lattice of the coordinate cube."""
     n = f.shape.dim
@@ -421,6 +416,8 @@ def fubini_tail_experiment(
     shape = f.shape
     if shape.rows != 1 or shape.symmetric:
         raise ValueError("the tail experiment runs on row-vector shapes (1 x n)")
+    if lines_per_direction < 1:
+        raise ValueError(f"fubini_tail_experiment needs lines_per_direction >= 1, got {lines_per_direction}")
     n = shape.cols
     s_grid = np.linspace(-3.0, 3.0, 2 * round(3.0 / LINE_RESOLUTION) + 1)
 

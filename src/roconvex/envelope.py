@@ -344,7 +344,6 @@ def second_order_remainder(
     x0: np.ndarray,
     radii: Sequence[float],
     seed: int = 0,
-    hessian_step: float | None = None,
 ) -> RemainderProfile:
     """Assemble a symmetrized difference Hessian at x0 and profile the Taylor remainder
     along the +-axis directions and 32 random unit directions.
@@ -372,7 +371,7 @@ def second_order_remainder(
         return vals
 
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    h = hessian_step if hessian_step is not None else max(1e-4, 0.05 * float(np.min(radii_arr)))
+    h = max(1e-4, 0.05 * float(np.min(radii_arr)))
     if isinstance(f, SampledField):
         # sub-cell steps would difference the interpolation kinks at grid nodes
         h = max(h, f.grid.spacing)

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import GridSpec, SampledField
+from .core import GridSpec, SampledField, make_grid
 
 
 def fmt(x: float) -> str:
@@ -31,22 +31,38 @@ def write_field(field: SampledField, path: str | Path) -> Path:
 
 
 def read_field(path: str | Path) -> SampledField:
-    text = Path(path).read_text().splitlines()
-    if not text or not text[0].startswith("# "):
-        raise ValueError(f"{path}: missing grid header line")
-    spec = GridSpec.from_dict(json.loads(text[0][2:]))
+    """Parse a file written by `write_field`; a malformed file raises ValueError naming its line."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or not lines[0].startswith("# "):
+        raise ValueError(f"{path}:1: missing grid header line")
+    spec = GridSpec.from_dict(json.loads(lines[0][2:]))
     dim = spec.shape.dim
+    header = spec.shape.coord_names() + ("value", "mask")
+    if lines[1:2] != [",".join(header)]:
+        raise ValueError(f"{path}:2: column header must be {','.join(header)}")
+    rows = lines[2:]
     n = spec.points_per_axis**dim
-    values = np.full(n, np.nan)
-    mask = np.zeros(n, dtype=bool)
-    rows = text[2:]
     if len(rows) != n:
         raise ValueError(f"{path}: expected {n} node rows, found {len(rows)}")
-    for k, row in enumerate(rows):
-        parts = row.split(",")
-        values[k] = float(parts[dim])
-        mask[k] = parts[dim + 1] == "1"
-    return SampledField(spec, values, mask)
+    widths = np.array([row.count(",") + 1 for row in rows])
+    _reject_rows(path, widths != dim + 2, f"a node row needs {dim + 2} cells")
+    # All rows have dim + 2 cells, so column k is every (dim + 2)-th cell from k.
+    cells = ",".join(rows).split(",")
+    try:
+        numbers = np.array([cells[k :: dim + 2] for k in range(dim + 1)], dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    coords_differ = np.any(numbers[:dim].T != make_grid(spec).coords, axis=1)
+    _reject_rows(path, coords_differ, "node coordinates differ from the grid's")
+    mask = np.array(cells[dim + 1 :: dim + 2])
+    _reject_rows(path, (mask != "0") & (mask != "1"), "a mask cell must be 0 or 1")
+    return SampledField(spec, numbers[dim], mask == "1")
+
+
+def _reject_rows(path: str | Path, bad: np.ndarray, what: str) -> None:
+    """Raise ValueError at the file line of the first flagged node row (rows start at line 3)."""
+    if np.any(bad):
+        raise ValueError(f"{path}:{int(np.argmax(bad)) + 3}: {what}")
 
 
 def _csv_lines(header: Sequence[str], rows: Iterable[Sequence[object]]) -> list[str]:

@@ -22,45 +22,6 @@ class TangencyError(ValueError):
     """The candidate majorant fails to dominate the recentered function."""
 
 
-@dataclass(frozen=True)
-class ColumnSplit:
-    """Partial-column truncations x_i, rank-one columns d_i, and reflections y_i."""
-
-    x: np.ndarray  # (m, n)
-    partials: np.ndarray  # (n, m, n): partials[i] keeps columns 0..i
-    columns: np.ndarray  # (n, m, n): columns[i] = x_col_i (x) e_i
-    reflections: np.ndarray  # (n, m, n): reflections[i] = partials[i] - 2 columns[i]
-
-    def midpoint_residual(self) -> float:
-        """max_i | x_i - (x_{i+1} + y_{i+1}) / 2 |; zero by construction."""
-        worst = 0.0
-        n = self.x.shape[1]
-        for i in range(n - 1):
-            mid = 0.5 * self.partials[i + 1] + 0.5 * self.reflections[i + 1]
-            worst = max(worst, float(np.max(np.abs(self.partials[i] - mid))))
-        return worst
-
-
-def column_split(x: np.ndarray) -> ColumnSplit:
-    """Split x into its column filtration; verifies the midpoint identity."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("column_split expects a single matrix")
-    m, n = x.shape
-    partials = np.zeros((n, m, n))
-    cols = np.zeros((n, m, n))
-    refl = np.zeros((n, m, n))
-    for i in range(n):
-        partials[i, :, : i + 1] = x[:, : i + 1]
-        cols[i, :, i] = x[:, i]
-        refl[i] = partials[i] - 2.0 * cols[i]
-    split = ColumnSplit(x, partials, cols, refl)
-    res = split.midpoint_residual()
-    if res > 1e-12 * max(1.0, float(np.max(np.abs(x)))):
-        raise AssertionError(f"midpoint identity violated by {res}")
-    return split
-
-
 def lemma_constant(n: int) -> int:
     """The unrolled recurrence constant: C(n) = 2^(n-1) - 1 over n columns."""
     if n < 1:
@@ -152,16 +113,18 @@ def empirical_majorant(
 ) -> RadialMajorant:
     """Monotone running-max majorant of the recentered function over 50 radius bins.
 
-    The build set is augmented with the column-split reflections of every
-    sample; reflections stay on the same sphere, which keeps the certificate
-    sharp for functions that are convex along rank-one segments. The split of
-    each sample is the one `column_split` builds, taken for all samples at once
-    by column masks, and its points follow the samples in the order
-    (reflection, partial) per sample and column.
+    The build set is augmented with the column split of every sample x - x0:
+    per column i, the partial x_i keeping columns 0..i and its reflection
+    x_i - 2 x_col_i (x) e_i, which stays on the same sphere and keeps the
+    certificate sharp for functions convex along rank-one segments. All samples
+    are split at once by column masks; the points follow the samples in the
+    order (reflection, partial) per sample and column.
     """
     shape = f.shape
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     pts = np.asarray(samples, dtype=float)
+    if pts.shape[0] == 0:
+        raise ValueError("empirical_majorant needs at least one sample, got 0")
     x0m = shape.coords_to_matrix(x0)
     mats = (shape.coords_to_matrix(pts) - x0m)[:, None]  # (K, 1, m, n)
     n = shape.cols
@@ -199,10 +162,9 @@ def lower_bound_certify(
     x0: np.ndarray,
     majorant: RadialMajorant,
     samples: np.ndarray,
-    C: float | None = None,
     tol: float = 1e-6,
 ) -> LowerBoundCertificate:
-    """Certify f~ >= -C G over the samples, after verifying tangency f~ <= G.
+    """Certify f~ >= -C G over the samples, C = lemma_constant(cols), after checking f~ <= G.
 
     The recentering f~ = f - f(x0) - Df(x0)(x - x0) is applied internally;
     a tangency violation raises TangencyError naming the violating sample.
@@ -210,8 +172,9 @@ def lower_bound_certify(
     shape = f.shape
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     pts = np.asarray(samples, dtype=float)
-    if C is None:
-        C = float(lemma_constant(shape.cols))
+    if pts.shape[0] == 0:
+        raise ValueError("lower_bound_certify needs at least one sample, got 0")
+    C = float(lemma_constant(shape.cols))
     vals, _, _ = recentered_values(f, x0, pts)
     g_vals = majorant.evaluate(shape, pts)
     tangency = vals - g_vals

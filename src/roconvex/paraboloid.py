@@ -14,7 +14,6 @@ where lam_0 weighs the row t >= 0 (c = 0, B = 0) that is the clamp max(0, .).
 The optimal basis gives the slope (its simplex multipliers) and a certificate:
 support points with weights lam whose value sum lam c bounds every opening over
 the cloud from below. `replay_lower_bound` checks that certificate from f alone.
-A brute-force slope-grid oracle is provided for small instances.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ class ThetaField:
 class TailReport:
     t_grid: np.ndarray
     measure: np.ndarray
-    scale: float  # the level is scale * t, scale = C * sup|f|
+    scale: float  # the level is scale * t, scale = sup|f|
     region_volume: float
     fitted_epsilon: float | None
     fit_residual: float | None
@@ -118,7 +117,6 @@ class _TouchProblem:
         self.x0 = x0
         self.fx0 = float(vals[0])
         self.coords = coords[keep]
-        self.q = q  # |y - x0|^2
         self.c = 2.0 * (fy - self.fx0) / q
         self.B = 2.0 * d / q[:, None]
         # Columns map storage coordinates to flattened matrices; for symmetric
@@ -263,44 +261,6 @@ def touch_feasibility_gap(
     return float(np.max(fy - pvals))
 
 
-def theta_upper_bruteforce(
-    f: FunctionHandle | SampledField,
-    x0: np.ndarray,
-    constraints: GridSpec,
-    grid_points: int = 21,
-    refinements: int = 3,
-) -> tuple[np.ndarray, float]:
-    """Dense slope-grid oracle: evaluate the opening on a refined product grid in p.
-
-    Independent of the LP solver; intended for small instances (p dimension <= 2).
-    """
-    prob = _TouchProblem(f, x0, constraints)
-    pdim = prob.B.shape[1]
-    if pdim > 2 and grid_points**pdim > 200_000:
-        raise ValueError("brute-force oracle is restricted to small slope dimensions")
-
-    def opening(p_flat: np.ndarray) -> float:
-        return max(0.0, prob.objective(p_flat))
-
-    # Center the first grid at a crude least-squares slope; width from the data scale.
-    root_q = np.sqrt(prob.q)
-    center, *_ = np.linalg.lstsq(prob.B * root_q[:, None], prob.c * root_q, rcond=None)
-    width = max(1.0, 2.0 * opening(center) * float(np.sqrt(np.max(prob.q))))
-    best_p, best_a = center.copy(), opening(center)
-    for _ in range(refinements + 1):
-        axes = [np.linspace(c - width, c + width, grid_points) for c in center]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        cloud = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-        vals = np.array([opening(p) for p in cloud])
-        k = int(np.argmin(vals))
-        if vals[k] < best_a:
-            best_a = float(vals[k])
-            best_p = cloud[k].copy()
-        center = cloud[k]
-        width *= 3.0 / (grid_points - 1)
-    return best_p, best_a
-
-
 def theta_field(
     f: FunctionHandle | SampledField,
     constraints: GridSpec,
@@ -311,6 +271,8 @@ def theta_field(
     """Least openings at `count` random points of the half-radius ball."""
     if count < 1:
         raise ValueError(f"theta_field needs count >= 1 evaluation points, got {count}")
+    if threads < 1:
+        raise ValueError(f"theta_field needs threads >= 1, got {threads}")
     shape = constraints.shape
     region_radius = constraints.radius / 2.0
     rng = np.random.default_rng(seed)
@@ -342,17 +304,15 @@ def tail_experiment(
     theta: ThetaField,
     f_sup: float,
     t_grid: Sequence[float],
-    C: float = 1.0,
 ) -> TailReport:
-    """Estimated measure of {opening > C * f_sup * t} inside the evaluation ball, per t."""
+    """Estimated measure of {opening > f_sup * t} inside the evaluation ball, per t."""
     t_arr = np.asarray(list(t_grid), dtype=float)
     if t_arr.size < 2 or np.any(np.diff(t_arr) <= 0):
         raise ValueError("t_grid must be increasing with at least two entries")
     if t_arr[-1] < 10.0 * t_arr[0] * (1.0 - 1e-9):
         raise ValueError("t_grid must cover at least one decade")
-    scale = C * f_sup
     vol = ball_volume(theta.eval_coords.shape[1], theta.region_radius)
-    fractions = np.array([float(np.mean(theta.theta > scale * t)) for t in t_arr])
+    fractions = np.array([float(np.mean(theta.theta > f_sup * t)) for t in t_arr])
     measure = fractions * vol
     nonzero = measure > 0.0
     eps: float | None = None
@@ -366,7 +326,7 @@ def tail_experiment(
     return TailReport(
         t_grid=t_arr,
         measure=measure,
-        scale=float(scale),
+        scale=float(f_sup),
         region_volume=float(vol),
         fitted_epsilon=eps,
         fit_residual=residual,

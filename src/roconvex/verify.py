@@ -16,7 +16,6 @@ import numpy as np
 
 from .core import (
     GridSpec,
-    MatrixShape,
     RankOneDirection,
     SampledField,
     ball_samples,
@@ -251,49 +250,6 @@ def viscosity_subharmonic_check(fld: SampledField) -> NodeMinReport:
     return NodeMinReport(float(flat[k]), witness, int(np.sum(finite)))
 
 
-@dataclass(frozen=True)
-class SymmetricOperator:
-    """Coefficient tensor a = sum_ij r_ij (x) r_ij over symmetric n-by-n space."""
-
-    n: int
-    tensor: np.ndarray  # (n, n, n, n)
-
-    def min_eigenvalue(self) -> float:
-        m = self.tensor.reshape(self.n * self.n, self.n * self.n)
-        return float(np.min(np.linalg.eigvalsh(0.5 * (m + m.T))))
-
-
-def assemble_symmetric_operator(n: int) -> SymmetricOperator:
-    shape = MatrixShape(n, n, symmetric=True)
-    tensor = np.zeros((n, n, n, n))
-    for i in range(n):
-        for j in range(n):
-            r = RankOneDirection(shape, pair=(i, j)).matrix
-            tensor += np.einsum("kl,mn->klmn", r, r)
-    return SymmetricOperator(n, tensor)
-
-
-def symmetric_basis_identity_residual(n: int) -> float:
-    """Max entrywise error of 2 sym(e_i (x) e_j) = r_ij - r_ii - r_jj (i != j),
-    together with the diagonal representation e_ii = r_ii."""
-    shape = MatrixShape(n, n, symmetric=True)
-    r = {(i, j): RankOneDirection(shape, pair=(i, j)).matrix for i in range(n) for j in range(n)}
-    worst = 0.0
-    for i in range(n):
-        lhs = np.zeros((n, n))
-        lhs[i, i] = 1.0
-        worst = max(worst, float(np.max(np.abs(lhs - r[i, i]))))
-        for j in range(n):
-            if i == j:
-                continue
-            lhs = np.zeros((n, n))
-            lhs[i, j] += 1.0
-            lhs[j, i] += 1.0
-            rhs = r[i, j] - r[i, i] - r[j, j]
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
-
-
 def symmetric_operator_check(fld: SampledField) -> NodeMinReport:
     """Minimum of the r_ij second-difference operator over interior nodes."""
     if not fld.shape.symmetric:
@@ -333,16 +289,6 @@ def symmetric_operator_check(fld: SampledField) -> NodeMinReport:
     idx = np.unravel_index(k, total.shape)
     witness = tuple(float(fld.grid.axis_values(a)[idx[a]]) for a in range(dim))
     return NodeMinReport(float(flat[k]), witness, int(np.sum(finite)))
-
-
-def apply_symmetric_operator_quadratic(n: int) -> float:
-    """Closed form of the operator on |x|^2/2: sum of squared direction norms."""
-    shape = MatrixShape(n, n, symmetric=True)
-    acc = 0.0
-    for i in range(n):
-        for j in range(n):
-            acc += float(np.sum(RankOneDirection(shape, pair=(i, j)).matrix ** 2))
-    return acc
 
 
 def mollify(fld: SampledField, kernel_radius: int) -> SampledField:

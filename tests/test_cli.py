@@ -50,13 +50,29 @@ def test_config_file_roundtrip(tmp_path):
         (["list-corpus", "--flag", "bogus"], "unknown flag 'bogus'"),
         # t_min was a config key; a retired key is as unknown as a misspelt one
         (["tail", "--config", "{retired}"], "unknown config keys: ['t_min']"),
+        (["theta", "--threads", "0"], "theta_field needs threads >= 1, got 0"),
+        (["lemma", "--samples", "0"], "empirical_majorant needs at least one sample, got 0"),
+        (["appendix", "--config", "{no_lines}"], "fubini_tail_experiment needs lines_per_direction >= 1, got 0"),
+        (["verify", "--tol", "nan"], "tol must be finite and >= 0, got nan"),
     ],
-    ids=["unknown_function", "missing_config", "malformed_config", "symmetric_lemma", "unknown_flag", "retired_key"],
+    ids=[
+        "unknown_function",
+        "missing_config",
+        "malformed_config",
+        "symmetric_lemma",
+        "unknown_flag",
+        "retired_key",
+        "zero_threads",
+        "zero_samples",
+        "zero_lines",
+        "nan_tol",
+    ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, cause):
-    paths = {name: str(tmp_path / f"{name}.json") for name in ("missing", "malformed", "retired")}
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("missing", "malformed", "retired", "no_lines")}
     (tmp_path / "malformed.json").write_text("{seed: 5}")
     (tmp_path / "retired.json").write_text(json.dumps({"t_min": 2.0}))
+    (tmp_path / "no_lines.json").write_text(json.dumps({"lines_per_direction": 0}))
     argv = [a.format(**paths) for a in argv]
     out = [] if argv[0] == "list-corpus" else ["--out", str(tmp_path / "out")]
     assert main(argv + out) == 2
@@ -160,6 +176,27 @@ def test_field_csv_roundtrip(tmp_path):
     # writing the re-read field reproduces the bytes
     path2 = write_field(back, tmp_path / "g.csv")
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "line, edit, cause",
+    [
+        (1, lambda row: row.replace("x_11", "x_00"), ":2: column header must be x_11,x_12,x_21,x_22,value,mask"),
+        (7, lambda row: row.rsplit(",", 1)[0], ":8: a node row needs 6 cells"),
+        (7, lambda row: "0.25," + row.split(",", 1)[1], ":8: node coordinates differ from the grid's"),
+        (7, lambda row: row[:-1] + "2", ":8: a mask cell must be 0 or 1"),
+        (7, lambda row: row.replace("nan", "abc"), ": could not convert string to float"),
+    ],
+    ids=["header", "short_row", "coordinates", "mask_cell", "not_a_number"],
+)
+def test_read_field_rejects_malformed_files(tmp_path, line, edit, cause):
+    path = write_field(sample(neg_det(), grid_spec(MatrixShape(2, 2), 1.0, 5, "ball")), tmp_path / "f.csv")
+    lines = path.read_text().splitlines()
+    lines[line] = edit(lines[line])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_field(path)
+    assert str(err.value).startswith(f"{path}{cause}")
 
 
 def _write_field_per_node(field, path):

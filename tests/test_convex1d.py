@@ -17,7 +17,6 @@ from roconvex.convex1d import (
     _line_values,
     convex_taylor_check,
     fubini_tail_experiment,
-    in_coordinate_hull,
     l1_ball_containment,
     maximal_function,
     osc_on_cube,
@@ -278,11 +277,6 @@ def test_l1_ball_dimensions():
     assert rep.witness_ratio == pytest.approx(2.0)
     rep2 = l1_ball_containment(2, 100_000, seed=2)
     assert math.sqrt(2.0) - 1e-3 <= rep2.max_ratio <= math.sqrt(2.0) + 1e-12
-
-
-def test_hull_membership():
-    assert in_coordinate_hull(np.array([[0.5, 0.25]]), 1.0)[0]
-    assert not in_coordinate_hull(np.array([[0.8, 0.8]]), 1.0)[0]
 
 
 def test_fubini_tail_abs_first_coordinate():

@@ -357,7 +357,7 @@ def test_remainder_cubic_linear_decay():
 
 def test_remainder_smooth_point_of_nonsmooth_function():
     x0 = np.array([0.5, 0.3, -0.2, 0.4])
-    prof = second_order_remainder(frob_norm(), x0, [0.2, 0.1, 0.05, 0.025], hessian_step=1e-5)
+    prof = second_order_remainder(frob_norm(), x0, [0.2, 0.1, 0.05, 0.025])
     slope = prof.loglog_slope()
     assert slope == pytest.approx(1.0, abs=0.2)
     assert prof.second_order_differentiable

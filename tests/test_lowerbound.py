@@ -16,7 +16,6 @@ from roconvex.corpus import (
 from roconvex.lowerbound import (
     RadialMajorant,
     TangencyError,
-    column_split,
     empirical_majorant,
     lemma_constant,
     lower_bound_certify,
@@ -29,35 +28,51 @@ from roconvex.lowerbound import (
 S22 = MatrixShape(2, 2)
 
 
+def column_split(x):
+    """Partials (columns 0..i kept), rank-one columns x_col_i (x) e_i, and reflections
+    partials[i] - 2 columns[i] of one matrix: the reference loop for the split that
+    empirical_majorant builds by column masks."""
+    m, n = x.shape
+    partials = np.zeros((n, m, n))
+    columns = np.zeros((n, m, n))
+    for i in range(n):
+        partials[i, :, : i + 1] = x[:, : i + 1]
+        columns[i, :, i] = x[:, i]
+    return partials, columns, partials - 2.0 * columns
+
+
 def test_column_split_worked_example():
     x = np.array([[1.0, 2.0], [3.0, 4.0]])
-    s = column_split(x)
-    assert np.array_equal(s.partials[0], [[1.0, 0.0], [3.0, 0.0]])
-    assert np.array_equal(s.columns[1], [[0.0, 2.0], [0.0, 4.0]])
-    assert np.array_equal(s.reflections[1], [[1.0, -2.0], [3.0, -4.0]])
-    assert np.array_equal(0.5 * s.partials[1] + 0.5 * s.reflections[1], s.partials[0])
-    assert s.midpoint_residual() == 0.0
+    partials, columns, reflections = column_split(x)
+    assert np.array_equal(partials[0], [[1.0, 0.0], [3.0, 0.0]])
+    assert np.array_equal(columns[1], [[0.0, 2.0], [0.0, 4.0]])
+    assert np.array_equal(reflections[1], [[1.0, -2.0], [3.0, -4.0]])
+    assert np.array_equal(0.5 * partials[1] + 0.5 * reflections[1], partials[0])
 
 
 def test_column_split_single_column_and_zero():
     x = np.array([[2.0], [1.0]])
-    s = column_split(x)
-    assert np.array_equal(s.partials[0], x)
-    z = column_split(np.zeros((2, 2)))
-    assert np.all(z.partials == 0.0) and np.all(z.reflections == 0.0)
+    partials, _, _ = column_split(x)
+    assert np.array_equal(partials[0], x)
+    partials, _, reflections = column_split(np.zeros((2, 2)))
+    assert np.all(partials == 0.0) and np.all(reflections == 0.0)
 
 
 @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=6, max_size=6))
 @settings(max_examples=200, deadline=None)
 def test_column_split_invariants_random(vals):
     x = np.asarray(vals).reshape(2, 3)
-    s = column_split(x)
-    assert np.array_equal(s.partials[-1], x)
-    norms = [np.linalg.norm(s.partials[i]) for i in range(3)]
+    partials, columns, reflections = column_split(x)
+    assert np.array_equal(partials[-1], x)
+    norms = [np.linalg.norm(partials[i]) for i in range(3)]
     for i in range(3):
-        assert np.linalg.norm(s.reflections[i]) == pytest.approx(norms[i], abs=1e-12)
-        assert np.linalg.matrix_rank(s.columns[i]) <= 1
+        assert np.linalg.norm(reflections[i]) == pytest.approx(norms[i], abs=1e-12)
+        assert np.linalg.matrix_rank(columns[i]) <= 1
     assert norms == sorted(norms)
+    # midpoint identity x_i = (x_{i+1} + y_{i+1}) / 2, up to subnormal rounding
+    for i in range(2):
+        residual = np.max(np.abs(partials[i] - (0.5 * partials[i + 1] + 0.5 * reflections[i + 1])))
+        assert residual <= 1e-12 * max(1.0, float(np.max(np.abs(x))))
 
 
 def test_lemma_constant_recurrence_unroll():
@@ -91,10 +106,10 @@ def test_majorant_build_points_match_column_split_loop(shape):
     x0m = shape.coords_to_matrix(x0)
     extra = []
     for mat in shape.coords_to_matrix(samples) - x0m:
-        split = column_split(mat)
+        partials, _, reflections = column_split(mat)
         for i in range(shape.cols):
-            extra.append(shape.matrix_to_coords(split.reflections[i] + x0m))
-            extra.append(shape.matrix_to_coords(split.partials[i] + x0m))
+            extra.append(shape.matrix_to_coords(reflections[i] + x0m))
+            extra.append(shape.matrix_to_coords(partials[i] + x0m))
     build = np.concatenate([samples, np.asarray(extra)])
     g = empirical_majorant(f, x0, samples)
     assert np.array_equal(seen[-1], shape.coords_to_matrix(build))
@@ -147,7 +162,8 @@ def test_certificate_explicit_negative_control_with_quadratic_majorant():
     h = neg_half_norm_sq()
     samples = ball_samples(S22, np.zeros(4), 1.0, 2000, rng)
     G = quadratic_majorant(np.zeros(4), 0.5, 1.0)
-    cert = lower_bound_certify(h, np.zeros(4), G, samples, C=1.0)
+    cert = lower_bound_certify(h, np.zeros(4), G, samples)
+    assert cert.constant == 1.0  # C(2)
     assert not cert.passed
 
 
@@ -220,3 +236,12 @@ def test_empirical_majorant_is_monotone_table():
     G = empirical_majorant(abs_det(), np.zeros(4), samples)
     assert np.all(np.diff(G.values) >= 0.0)
     assert np.all(G.values >= 0.0)
+
+
+def test_empty_sample_set_is_rejected():
+    empty = np.zeros((0, 4))
+    with pytest.raises(ValueError, match="at least one sample"):
+        empirical_majorant(neg_det(), np.zeros(4), empty)
+    G = quadratic_majorant(np.zeros(4), 1.0, 1.0)
+    with pytest.raises(ValueError, match="at least one sample"):
+        lower_bound_certify(neg_det(), np.zeros(4), G, empty)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from roconvex.core import MatrixShape, coordinate_directions, grid_spec, random_directions, sample
+from roconvex.core import MatrixShape, RankOneDirection, coordinate_directions, grid_spec, random_directions, sample
 from roconvex.corpus import (
     FunctionHandle,
     constant,
@@ -16,14 +16,11 @@ from roconvex.corpus import (
 )
 from roconvex.verify import (
     SegmentSampler,
-    apply_symmetric_operator_quadratic,
-    assemble_symmetric_operator,
     lipschitz_estimate_check,
     mollify,
     rank_one_convexity_check,
     replay_violation,
     separate_convexity_check,
-    symmetric_basis_identity_residual,
     symmetric_operator_check,
     viscosity_subharmonic_check,
 )
@@ -177,14 +174,25 @@ def test_laplacian_rejects_symmetric():
         viscosity_subharmonic_check(fld)
 
 
+def _r(n, i, j):
+    return RankOneDirection(MatrixShape(n, n, symmetric=True), pair=(i, j)).matrix
+
+
 def test_symmetric_basis_identity():
+    # e_ii = r_ii, and 2 sym(e_i (x) e_j) = r_ij - r_ii - r_jj for i != j
     for n in (2, 3):
-        assert symmetric_basis_identity_residual(n) == 0.0
+        eye = np.eye(n)
+        for i in range(n):
+            assert np.array_equal(_r(n, i, i), np.outer(eye[i], eye[i]))
+            for j in range(n):
+                if i != j:
+                    sym = np.outer(eye[i], eye[j]) + np.outer(eye[j], eye[i])
+                    assert np.array_equal(_r(n, i, j) - _r(n, i, i) - _r(n, j, j), sym)
 
 
 def test_symmetric_operator_assembly():
-    op = assemble_symmetric_operator(2)
-    # direct contraction oracle
+    # a = sum_ij r_ij (x) r_ij, against a direct contraction of e e^T
+    tensor = sum(np.einsum("kl,mn->klmn", _r(2, i, j), _r(2, i, j)) for i in range(2) for j in range(2))
     expected = np.zeros((2, 2, 2, 2))
     for i in range(2):
         for j in range(2):
@@ -195,15 +203,17 @@ def test_symmetric_operator_assembly():
                 e[i], e[j] = 1.0, 1.0
             r = np.outer(e, e)
             expected += np.einsum("kl,mn->klmn", r, r)
-    assert np.array_equal(op.tensor, expected)
-    assert op.min_eigenvalue() >= -1e-12
+    assert np.array_equal(tensor, expected)
+    assert np.min(np.linalg.eigvalsh(tensor.reshape(4, 4))) >= -1e-12
 
 
 def test_symmetric_operator_quadratic_value():
+    # on |x|^2/2 the operator is sum_ij |r_ij|_F^2 = 1 + 1 + 4 + 4
     sym = MatrixShape(2, 2, symmetric=True)
     fld = sample(half_norm_sq(1.0, sym), grid_spec(sym, 1.0, 5, "cube"))
     rep = symmetric_operator_check(fld)
-    oracle = apply_symmetric_operator_quadratic(2)
+    oracle = sum(float(np.sum(_r(2, i, j) ** 2)) for i in range(2) for j in range(2))
+    assert oracle == 10.0
     assert rep.min_value == pytest.approx(oracle, abs=1e-10)
 
 
