@@ -431,6 +431,9 @@ def run_appendix(cfg: ExperimentConfig) -> RunManifest:
 
 def run_all(cfg: ExperimentConfig) -> RunManifest:
     """Smoke-scale sweep over every pipeline with deterministic sub-budgets."""
+    # The theta stage would reject it too, but only after verify has written its outputs.
+    if cfg.threads < 1:
+        raise ValueError(f"theta_field needs threads >= 1, got {cfg.threads}")
     sub_manifests: list[RunManifest] = []
     for h in corpus():
         sub_manifests.append(run_verify(replace(cfg, function=h.name)))

@@ -300,6 +300,18 @@ class Grid:
     def matrices(self) -> np.ndarray:
         return self.spec.shape.coords_to_matrix(self.coords)
 
+    @functools.cached_property
+    def cloud(self) -> tuple[np.ndarray, np.ndarray]:
+        """The masked nodes (K, dim) and their flattened matrices (K, rows*cols), read-only.
+
+        Built on first use; for general shapes the matrices are a view of the nodes.
+        """
+        coords = self.coords[self.mask]
+        coords.flags.writeable = False
+        mats = self.spec.shape.coords_to_matrix(coords).reshape(coords.shape[0], -1)
+        mats.flags.writeable = False
+        return coords, mats
+
 
 def make_grid(spec: GridSpec, max_nodes: int | None = None) -> Grid:
     """Build the tensor grid for `spec`, masking nodes outside the clip region.
@@ -392,14 +404,18 @@ class SampledField:
         inside = np.all((rel >= -1e-9) & (rel <= spec.points_per_axis - 1 + 1e-9), axis=1)
         cell = np.clip(np.floor(rel).astype(int), 0, spec.points_per_axis - 2)
         frac = np.clip(rel - cell, 0.0, 1.0)
-        vals_nd = self.values_nd()
+        # Per axis, the weight factor of the lower (bit 0) and upper (bit 1) node.
+        factors = [(1.0 - frac[:, k], frac[:, k]) for k in range(dim)]
+        strides = [spec.points_per_axis ** (dim - 1 - k) for k in range(dim)]  # C order
+        base = cell @ np.array(strides)  # flat index of each cell's lowest corner
         out = np.zeros(coords.shape[0])
         ok = inside.copy()
         for corner in range(2**dim):
-            bits = np.array([(corner >> k) & 1 for k in range(dim)])
-            idx = cell + bits
-            weight = np.prod(np.where(bits == 1, frac, 1.0 - frac), axis=1)
-            corner_vals = vals_nd[tuple(idx.T)]
+            bits = [(corner >> k) & 1 for k in range(dim)]
+            weight = factors[0][bits[0]]
+            for k in range(1, dim):
+                weight = weight * factors[k][bits[k]]
+            corner_vals = self.values[base + sum(b * s for b, s in zip(bits, strides))]
             contrib = weight * corner_vals
             # A NaN corner with zero weight must not poison the cell.
             bad = ~np.isfinite(corner_vals)
@@ -476,7 +492,11 @@ def ball_samples(
     have = 0
     while have < count:
         draw = rng.uniform(-radius, radius, size=(max(count, 64), shape.dim))
-        keep = shape.frob_norm_coords(draw) <= radius
+        with np.errstate(over="ignore"):
+            norms = shape.frob_norm_coords(draw)
+        if not np.any(np.isfinite(norms)):  # every norm overflows: no draw would ever land
+            raise ValueError(f"ball_samples cannot sample radius {radius}: every norm overflows")
+        keep = norms <= radius
         take = min(count - have, int(np.sum(keep)))
         out[have : have + take] = draw[keep][:take]
         have += take

@@ -87,16 +87,16 @@ def _cloud(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The masked constraint nodes y, f(y), the flattened matrices y - x0, and |y - x0|^2.
 
-    A field supplies its own node values, so it must be sampled on `constraints`.
+    The nodes and their matrices come from the grid's shared cloud; only the
+    offsets from x0 are computed per call. A field supplies its own node
+    values, so it must be sampled on `constraints`.
     """
     if isinstance(f, SampledField) and f.grid != constraints:
         raise ValueError("field constraints must use the field's own grid")
-    shape = constraints.shape
-    grid = make_grid(constraints)
-    coords = grid.coords[grid.mask]
+    coords, mats = make_grid(constraints).cloud
     fy = f.valid_values() if isinstance(f, SampledField) else f.value_at_coords(coords)
     # Flattened matrices, not storage coordinates, so |d|^2 is the Frobenius norm.
-    d = (shape.coords_to_matrix(coords) - shape.coords_to_matrix(x0)).reshape(coords.shape[0], -1)
+    d = mats - constraints.shape.coords_to_matrix(x0).reshape(-1)
     return coords, fy, d, np.sum(d * d, axis=1)
 
 
@@ -111,12 +111,13 @@ class _TouchProblem:
         if not ok[0]:
             raise ValueError("x0 is not interpolable on the constraint grid")
         keep = q > (1e-9 * constraints.spacing) ** 2
-        d, q, fy = d[keep], q[keep], fy[keep]
+        if not np.all(keep):  # x0 sits on a node; drop it
+            coords, fy, d, q = coords[keep], fy[keep], d[keep], q[keep]
         if d.shape[0] == 0:
             raise ValueError("constraint cloud is empty after removing x0")
         self.x0 = x0
         self.fx0 = float(vals[0])
-        self.coords = coords[keep]
+        self.coords = coords
         self.c = 2.0 * (fy - self.fx0) / q
         self.B = 2.0 * d / q[:, None]
         # Columns map storage coordinates to flattened matrices; for symmetric
@@ -141,27 +142,35 @@ def _solve_dual(prob: _TouchProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray
     A = np.vstack([np.zeros(prob.P.shape[1]), prob.B @ prob.P])
     c = np.concatenate([[0.0], prob.c])
     k = A.shape[1]
+    cols = np.hstack([A, np.ones((A.shape[0], 1))])  # column j of the LP is cols[j]
     tol = OPT_RTOL * float(np.max(np.abs(c)))
     eye = np.eye(k + 1)
-    rhs = eye[k]
     # Start from the unit basis: slack columns for the k slope rows, column 0
     # (weight 1) for the last row. Crash each slack out with a degenerate pivot
     # on the cloud column of largest pivot element.
     basis = np.zeros(k + 1, dtype=int)
     M = eye.copy()
+    span_tol = 1e-9 * float(np.max(np.abs(A)))
     for row in range(k):
         w = np.linalg.solve(M.T, eye[row])
         r = np.abs(A @ w[:k] + w[k])
         j = int(np.argmax(r))
-        if not r[j] > 1e-9 * float(np.max(np.abs(A))):
+        if not r[j] > span_tol:
             raise ValueError("constraint cloud does not span the slope space")
         basis[row] = j
-        M[:, row] = np.append(A[j], 1.0)
+        M[:, row] = cols[j]
     pivots = k
     degenerate = 0
+    # lam solves M lam = e_k and pi solves M^T pi = c_B, as one stack of
+    # single right-hand sides: a 2-column right-hand side can change bits.
+    systems = np.empty((2, k + 1, k + 1))
+    rhs = np.zeros((2, k + 1, 1))
+    rhs[0, k, 0] = 1.0
     while True:
-        lam = np.linalg.solve(M, rhs)
-        pi = np.linalg.solve(M.T, c[basis])
+        systems[0] = M
+        systems[1] = M.T
+        rhs[1, :, 0] = c[basis]
+        lam, pi = np.linalg.solve(systems, rhs)[:, :, 0]
         d = c - A @ pi[:k] - pi[k]
         d[basis] = 0.0
         bland = degenerate >= BLAND_AFTER
@@ -170,7 +179,7 @@ def _solve_dual(prob: _TouchProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray
             break
         if pivots >= MAX_PIVOTS:
             raise RuntimeError(f"opening LP at x0 = {prob.x0.tolist()} exceeded {MAX_PIVOTS} pivots")
-        u = np.linalg.solve(M, np.append(A[j], 1.0))
+        u = np.linalg.solve(M, cols[j])
         # The last row of every column is 1, so sum(u) = 1 and some u_i > 0.
         ok = u > 1e-11 * float(np.max(np.abs(u)))
         ratios = np.full(k + 1, np.inf)
@@ -179,7 +188,7 @@ def _solve_dual(prob: _TouchProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray
         leave = ties[np.argmin(basis[ties])] if bland else ties[np.argmax(u[ties])]
         degenerate = degenerate + 1 if ratios[leave] == 0.0 else 0
         basis[leave] = j
-        M[:, leave] = np.append(A[j], 1.0)
+        M[:, leave] = cols[j]
         pivots += 1
     cloud = (basis > 0) & (lam > 0.0)
     return prob.P @ pi[:k], basis[cloud] - 1, lam[cloud], pivots
@@ -198,13 +207,16 @@ def theta_upper(
     prob = _TouchProblem(f, x0, constraints)
     p, rows, weights, pivots = _solve_dual(prob)
     lower_bound = float(weights @ prob.c[rows])
+    # Store the opening exactly as the certificate replay recomputes it.
+    opening = None
     if isinstance(f, FunctionHandle) and f.gradient is not None:
         # Keep the exact gradient when the certificate proves it optimal too.
         p_grad = f.gradient_at_coords(prob.x0).reshape(-1)
-        if _certified(max(0.0, prob.objective(p_grad)), lower_bound):
-            p = p_grad
-    # Store the opening exactly as the certificate replay recomputes it.
-    opening = max(0.0, prob.objective(p))
+        grad_opening = max(0.0, prob.objective(p_grad))
+        if _certified(grad_opening, lower_bound):
+            p, opening = p_grad, grad_opening
+    if opening is None:
+        opening = max(0.0, prob.objective(p))
     return ParaboloidTouch(
         x0=tuple(float(v) for v in prob.x0),
         slope=p.reshape(constraints.shape.rows, constraints.shape.cols),

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import roconvex
 from roconvex.cli import ExperimentConfig, list_corpus, load_config, main, run
 from roconvex.fieldio import fmt, read_field, write_field
 from roconvex.core import MAX_POINTS_PER_AXIS, MatrixShape, grid_spec, sample
@@ -54,6 +59,9 @@ def test_config_file_roundtrip(tmp_path):
         (["lemma", "--samples", "0"], "empirical_majorant needs at least one sample, got 0"),
         (["appendix", "--config", "{no_lines}"], "fubini_tail_experiment needs lines_per_direction >= 1, got 0"),
         (["verify", "--tol", "nan"], "tol must be finite and >= 0, got nan"),
+        (["all", "--threads", "0"], "theta_field needs threads >= 1, got 0"),
+        # every norm of a cube draw overflows, so rejection sampling would never accept one
+        (["lemma", "--radius", "1e300"], "ball_samples cannot sample radius 1e+300"),
     ],
     ids=[
         "unknown_function",
@@ -66,17 +74,27 @@ def test_config_file_roundtrip(tmp_path):
         "zero_samples",
         "zero_lines",
         "nan_tol",
+        "all_zero_threads",
+        "huge_radius",
     ],
 )
-def test_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, cause):
+def test_bad_input_exits_2_with_one_line(tmp_path, argv, cause):
     paths = {name: str(tmp_path / f"{name}.json") for name in ("missing", "malformed", "retired", "no_lines")}
     (tmp_path / "malformed.json").write_text("{seed: 5}")
     (tmp_path / "retired.json").write_text(json.dumps({"t_min": 2.0}))
     (tmp_path / "no_lines.json").write_text(json.dumps({"lines_per_direction": 0}))
     argv = [a.format(**paths) for a in argv]
     out = [] if argv[0] == "list-corpus" else ["--out", str(tmp_path / "out")]
-    assert main(argv + out) == 2
-    err = capsys.readouterr().err
+    # A subprocess with a timeout, so an input that hangs the CLI fails the test.
+    done = subprocess.run(
+        [sys.executable, "-m", "roconvex.cli", *argv, *out],
+        env=os.environ | {"PYTHONPATH": str(Path(roconvex.__file__).parents[1])},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    err = done.stderr
     assert err.startswith("error: " + cause.format(**paths)) and len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
 

@@ -261,12 +261,57 @@ def test_interpolation_flags_outside_and_masked():
     assert np.isnan(vals[~ok]).all()
 
 
+def _interpolate_per_corner(fld, coords):
+    """Multilinear interpolation corner by corner on the n-d value array: the reference."""
+    spec = fld.grid
+    dim = spec.shape.dim
+    rel = (coords - (spec.center.coords - spec.radius)) / spec.spacing
+    inside = np.all((rel >= -1e-9) & (rel <= spec.points_per_axis - 1 + 1e-9), axis=1)
+    cell = np.clip(np.floor(rel).astype(int), 0, spec.points_per_axis - 2)
+    frac = np.clip(rel - cell, 0.0, 1.0)
+    vals_nd = fld.values_nd()
+    out = np.zeros(coords.shape[0])
+    ok = inside.copy()
+    for corner in range(2**dim):
+        bits = np.array([(corner >> k) & 1 for k in range(dim)])
+        weight = np.prod(np.where(bits == 1, frac, 1.0 - frac), axis=1)
+        corner_vals = vals_nd[tuple((cell + bits).T)]
+        bad = ~np.isfinite(corner_vals)
+        ok &= ~(bad & (weight > 0.0))
+        out += np.where(bad, 0.0, weight * corner_vals)
+    out[~ok] = np.nan
+    return out, ok
+
+
+@pytest.mark.parametrize("points, clip", [(13, "ball"), (7, "ball"), (9, "cube")])
+def test_interpolation_matches_per_corner_reference_bitwise(points, clip):
+    rng = np.random.default_rng(points)
+    masked_cells = 0
+    for h in corpus():
+        fld = sample(h, grid_spec(h.shape, 1.0, points, clip))
+        for count in (1, 7, 500):
+            # Queries reach past the cube, and on balls into cells with masked corners.
+            q = rng.uniform(-1.1, 1.1, size=(count, h.shape.dim))
+            vals, ok = fld.interpolate(q)
+            ref_vals, ref_ok = _interpolate_per_corner(fld, q)
+            assert vals.tobytes() == ref_vals.tobytes(), (h.name, count)
+            assert ok.tobytes() == ref_ok.tobytes(), (h.name, count)
+            masked_cells += int(np.sum(~ok & np.all(np.abs(q) <= 1.0, axis=1)))
+    assert (masked_cells > 0) == (clip == "ball")
+
+
 def test_ball_samples_inside():
     shape = MatrixShape(2, 2)
     rng = np.random.default_rng(3)
     pts = ball_samples(shape, np.zeros(4), 0.5, 200, rng)
     assert pts.shape == (200, 4)
     assert np.all(np.linalg.norm(pts, axis=1) <= 0.5 + 1e-12)
+
+
+def test_ball_samples_rejects_radius_where_every_norm_overflows():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="radius 1e\\+160"):
+        ball_samples(MatrixShape(2, 2), np.zeros(4), 1e160, 10, rng)
 
 
 def test_ball_volume_closed_forms():

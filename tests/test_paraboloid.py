@@ -9,6 +9,7 @@ from roconvex.core import (
     GridSpec,
     MatrixPoint,
     MatrixShape,
+    SampledField,
     ball_samples,
     grid_spec,
     make_grid,
@@ -293,3 +294,99 @@ def test_field_on_another_grid_is_rejected():
     for call in calls:
         with pytest.raises(ValueError, match="field's own grid"):
             call()
+
+
+def _per_call_cloud(f, x0, constraints):
+    """The constraint cloud rebuilt from the grid on every call: the reference for `_cloud`."""
+    if isinstance(f, SampledField) and f.grid != constraints:
+        raise ValueError("field constraints must use the field's own grid")
+    shape = constraints.shape
+    grid = make_grid(constraints)
+    coords = grid.coords[grid.mask]
+    fy = f.valid_values() if isinstance(f, SampledField) else f.value_at_coords(coords)
+    d = (shape.coords_to_matrix(coords) - shape.coords_to_matrix(x0)).reshape(coords.shape[0], -1)
+    return coords, fy, d, np.sum(d * d, axis=1)
+
+
+def _per_pivot_solve_dual(prob):
+    """`_solve_dual` with its columns appended per pivot and one solve per system: the reference."""
+    A = np.vstack([np.zeros(prob.P.shape[1]), prob.B @ prob.P])
+    c = np.concatenate([[0.0], prob.c])
+    k = A.shape[1]
+    tol = paraboloid.OPT_RTOL * float(np.max(np.abs(c)))
+    eye = np.eye(k + 1)
+    basis = np.zeros(k + 1, dtype=int)
+    M = eye.copy()
+    for row in range(k):
+        w = np.linalg.solve(M.T, eye[row])
+        r = np.abs(A @ w[:k] + w[k])
+        j = int(np.argmax(r))
+        assert r[j] > 1e-9 * float(np.max(np.abs(A)))
+        basis[row] = j
+        M[:, row] = np.append(A[j], 1.0)
+    pivots = k
+    degenerate = 0
+    while True:
+        lam = np.linalg.solve(M, eye[k])
+        pi = np.linalg.solve(M.T, c[basis])
+        d = c - A @ pi[:k] - pi[k]
+        d[basis] = 0.0
+        bland = degenerate >= paraboloid.BLAND_AFTER
+        j = int(np.argmax(d > tol)) if bland else int(np.argmax(d))
+        if not d[j] > tol:
+            break
+        u = np.linalg.solve(M, np.append(A[j], 1.0))
+        ok = u > 1e-11 * float(np.max(np.abs(u)))
+        ratios = np.full(k + 1, np.inf)
+        ratios[ok] = np.where(lam[ok] > 1e-13, lam[ok], 0.0) / u[ok]
+        ties = np.flatnonzero(ratios == np.min(ratios))
+        leave = ties[np.argmin(basis[ties])] if bland else ties[np.argmax(u[ties])]
+        degenerate = degenerate + 1 if ratios[leave] == 0.0 else 0
+        basis[leave] = j
+        M[:, leave] = np.append(A[j], 1.0)
+        pivots += 1
+    cloud = (basis > 0) & (lam > 0.0)
+    return prob.P @ pi[:k], basis[cloud] - 1, lam[cloud], pivots
+
+
+def _bits(touch, f, spec):
+    """Every output of a touch and of its three replays, as exact bytes."""
+    floats = [touch.opening, touch.value_at_x0, touch.lower_bound]
+    floats += [replay_opening(f, touch, spec), replay_lower_bound(f, touch, spec)]
+    floats.append(touch_feasibility_gap(f, touch, spec))
+    arrays = (touch.slope, touch.support, touch.weights, np.array(touch.x0), np.array(floats))
+    return [a.tobytes() for a in arrays] + [touch.iterations, touch.converged]
+
+
+@pytest.mark.parametrize(
+    "name, points, clip, field",
+    [
+        ("max_linear_1x2", 13, "cube", False),
+        ("neg_det_2x2", 13, "ball", False),
+        ("neg_det_2x2_sym", 13, "ball", False),  # matrices are a copy, not a view
+        ("frob_norm", 13, "ball", True),
+    ],
+)
+def test_shared_cloud_matches_per_call_cloud_bitwise(monkeypatch, name, points, clip, field):
+    if name == "max_linear_1x2":
+        h = max_linear((np.array([[1.0, 0.0]]), np.array([[-0.5, 0.75]])), S12)
+    else:
+        h = get_handle(name)
+    spec = grid_spec(h.shape, 1.0, points, clip)
+    f = sample(h, spec) if field else h
+    grid = make_grid(spec)
+    nodes = grid.coords[grid.mask]
+    # Random points of the half-radius ball, the center node and an off-center node.
+    pts = list(ball_samples(h.shape, spec.center.coords, 0.5, 4, np.random.default_rng(5)))
+    pts += [np.zeros(h.shape.dim), nodes[np.argmin(np.abs(np.linalg.norm(nodes, axis=1) - 0.3))]]
+    shared = [_bits(theta_upper(f, x0, spec), f, spec) for x0 in pts]
+    with monkeypatch.context() as m:
+        m.setattr(paraboloid, "_cloud", _per_call_cloud)
+        m.setattr(paraboloid, "_solve_dual", _per_pivot_solve_dual)
+        per_call = [_bits(theta_upper(f, x0, spec), f, spec) for x0 in pts]
+    assert shared == per_call
+    coords, mats = grid.cloud
+    assert grid.cloud is make_grid(spec).cloud
+    assert not coords.flags.writeable and not mats.flags.writeable
+    assert mats.shape == (nodes.shape[0], h.shape.rows * h.shape.cols)
+    assert np.shares_memory(mats, coords) == (not h.shape.symmetric)
