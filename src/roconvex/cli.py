@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import typing
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -43,7 +44,7 @@ class ExperimentConfig:
 
 
 def load_config(path: str | Path) -> dict:
-    """Flat key-value JSON config; unknown keys are rejected."""
+    """Flat key-value JSON config; unknown keys and wrongly typed values are rejected."""
     try:
         data = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -56,6 +57,15 @@ def load_config(path: str | Path) -> dict:
     unknown = set(data) - valid
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}; valid: {sorted(valid)}")
+    hints = typing.get_type_hints(ExperimentConfig)
+    for key, value in data.items():
+        kinds = typing.get_args(hints[key]) or (hints[key],)
+        if float in kinds:  # a JSON number without a fraction parses as int
+            kinds += (int,)
+        # bool is a subclass of int, but JSON true/false is neither a count nor a number
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            expected = ExperimentConfig.__dataclass_fields__[key].type
+            raise ValueError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
     return data
 
 

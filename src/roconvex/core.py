@@ -487,6 +487,8 @@ def ball_samples(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Uniform samples (count, dim) from the Frobenius ball, by rejection from the cube."""
+    if not (radius > 0.0 and math.isfinite(radius)):
+        raise ValueError(f"ball radius must be positive and finite, got {radius}")
     center = np.asarray(center, dtype=float).reshape(-1)
     out = np.empty((count, shape.dim))
     have = 0

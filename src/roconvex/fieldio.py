@@ -3,11 +3,18 @@
 A field file is one JSON header line (the grid spec, prefixed by '# ') followed
 by a CSV table with one row per node: coordinate columns, value, mask. Floats
 are written with repr so re-reading and re-writing is byte-stable.
+
+The field writer works column by column. Node rows run in the grid's C order,
+so the coordinate cells of the rows are the product of the grid axes: each axis
+value is formatted once, and a row's coordinate prefix is a join over that
+product. The value and mask columns are formatted as whole lists, so the cost
+follows the number of distinct coordinates plus one `repr` per value.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -17,17 +24,17 @@ import numpy as np
 from .core import GridSpec, SampledField, make_grid
 
 
-def fmt(x: float) -> str:
-    """Shortest round-trip decimal form; NaN spelled 'nan'."""
-    return repr(float(x))
-
-
 def write_field(field: SampledField, path: str | Path) -> Path:
-    grid_line = "# " + json.dumps(field.grid.to_dict(), sort_keys=True)
-    header = field.grid.shape.coord_names() + ("value", "mask")
+    """Write `field` as a field file, column by column (see the module docstring)."""
+    spec = field.grid
+    grid_line = "# " + json.dumps(spec.to_dict(), sort_keys=True)
+    header = ",".join(spec.shape.coord_names() + ("value", "mask"))
+    axes = [list(map(repr, spec.axis_values(k).tolist())) for k in range(spec.shape.dim)]
+    coords = map(",".join, itertools.product(*axes))
     # Values are NaN off the mask, so the value column already reads 'nan' there.
-    columns = field.node_coords().T.tolist() + [field.values.tolist(), field.mask.astype(int).tolist()]
-    return _write_lines(path, [grid_line] + _csv_lines(header, zip(*columns)))
+    values = map(repr, field.values.tolist())
+    mask = np.where(field.mask, "1", "0").tolist()
+    return _write_lines(path, [grid_line, header, *map(",".join, zip(coords, values, mask))])
 
 
 def read_field(path: str | Path) -> SampledField:
@@ -65,20 +72,6 @@ def _reject_rows(path: str | Path, bad: np.ndarray, what: str) -> None:
         raise ValueError(f"{path}:{int(np.argmax(bad)) + 3}: {what}")
 
 
-def _csv_lines(header: Sequence[str], rows: Iterable[Sequence[object]]) -> list[str]:
-    """The header line, then one line per row: floats by `fmt`, anything else by `str`."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float) or isinstance(cell, np.floating):
-                cells.append(fmt(float(cell)))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
-    return lines
-
-
 def _write_lines(path: str | Path, lines: list[str]) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -87,8 +80,12 @@ def _write_lines(path: str | Path, lines: list[str]) -> Path:
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> Path:
-    """Plain CSV with deterministic float formatting."""
-    return _write_lines(path, _csv_lines(header, rows))
+    """Plain CSV with deterministic float formatting: floats by `repr`, anything else by `str`."""
+    lines = [",".join(header)]
+    for row in rows:
+        cells = (repr(float(c)) if isinstance(c, (float, np.floating)) else str(c) for c in row)
+        lines.append(",".join(cells))
+    return _write_lines(path, lines)
 
 
 def _jsonable(obj: object) -> object:

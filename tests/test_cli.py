@@ -4,12 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import roconvex
 from roconvex.cli import ExperimentConfig, list_corpus, load_config, main, run
-from roconvex.fieldio import fmt, read_field, write_field
-from roconvex.core import MAX_POINTS_PER_AXIS, MatrixShape, grid_spec, sample
+from roconvex.fieldio import read_field, write_field
+from roconvex.core import MAX_POINTS_PER_AXIS, MatrixPoint, MatrixShape, SampledField, grid_spec, make_grid, sample
 from roconvex.corpus import neg_det, neg_det_sym
 
 
@@ -62,6 +63,10 @@ def test_config_file_roundtrip(tmp_path):
         (["all", "--threads", "0"], "theta_field needs threads >= 1, got 0"),
         # every norm of a cube draw overflows, so rejection sampling would never accept one
         (["lemma", "--radius", "1e300"], "ball_samples cannot sample radius 1e+300"),
+        (["verify", "--config", "{str_tol}"], "config key 'tol' must be float, got \"x\""),
+        (["verify", "--config", "{float_points}"], "config key 'grid_points' must be int, got 7.5"),
+        (["lemma", "--radius", "inf"], "ball radius must be positive and finite, got inf"),
+        (["lemma", "--radius", "nan"], "ball radius must be positive and finite, got nan"),
     ],
     ids=[
         "unknown_function",
@@ -76,13 +81,23 @@ def test_config_file_roundtrip(tmp_path):
         "nan_tol",
         "all_zero_threads",
         "huge_radius",
+        "str_tol",
+        "float_grid_points",
+        "radius_inf",
+        "radius_nan",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, argv, cause):
-    paths = {name: str(tmp_path / f"{name}.json") for name in ("missing", "malformed", "retired", "no_lines")}
-    (tmp_path / "malformed.json").write_text("{seed: 5}")
-    (tmp_path / "retired.json").write_text(json.dumps({"t_min": 2.0}))
-    (tmp_path / "no_lines.json").write_text(json.dumps({"lines_per_direction": 0}))
+    configs = {
+        "malformed": "{seed: 5}",
+        "retired": json.dumps({"t_min": 2.0}),
+        "no_lines": json.dumps({"lines_per_direction": 0}),
+        "str_tol": json.dumps({"tol": "x"}),
+        "float_points": json.dumps({"grid_points": 7.5}),
+    }
+    for name, text in configs.items():
+        (tmp_path / f"{name}.json").write_text(text)
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("missing", *configs)}
     argv = [a.format(**paths) for a in argv]
     out = [] if argv[0] == "list-corpus" else ["--out", str(tmp_path / "out")]
     # A subprocess with a timeout, so an input that hangs the CLI fails the test.
@@ -224,22 +239,44 @@ def _write_field_per_node(field, path):
     lines = ["# " + json.dumps(field.grid.to_dict(), sort_keys=True)]
     lines.append(",".join(names + ("value", "mask")))
     for k in range(coords.shape[0]):
-        row = [fmt(c) for c in coords[k]]
-        row.append(fmt(field.values[k]) if field.mask[k] else "nan")
+        row = [repr(float(c)) for c in coords[k]]
+        row.append(repr(float(field.values[k])) if field.mask[k] else "nan")
         row.append("1" if field.mask[k] else "0")
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n")
 
 
+def _random_field(spec):
+    """Seeded normal values on the valid nodes: long reprs of both signs."""
+    grid = make_grid(spec)
+    return SampledField(spec, np.random.default_rng(11).standard_normal(grid.node_count), grid.mask)
+
+
+S22 = MatrixShape(2, 2)
+SYM = MatrixShape(2, 2, symmetric=True)
+
+
 @pytest.mark.parametrize(
-    "f, shape, clip",
-    [(neg_det(), MatrixShape(2, 2), "ball"), (neg_det_sym(), MatrixShape(2, 2, symmetric=True), "cube")],
-    ids=["ball_mask", "symmetric"],
+    "build",
+    [
+        lambda: sample(neg_det(), grid_spec(S22, 0.7, 7, "ball")),
+        lambda: sample(neg_det_sym(), grid_spec(SYM, 0.7, 7, "cube")),
+        lambda: _random_field(grid_spec(MatrixShape(1, 3), 0.5, 5, "ball")),
+        lambda: _random_field(grid_spec(SYM, 0.7, 7, "ball")),
+        # a non-dyadic radius about a center of mixed signs: long axis reprs, some signed
+        lambda: _random_field(grid_spec(S22, 0.37, 7, "cube", MatrixPoint(S22, [-0.3, -1.25, 0.1, -2.0]))),
+        lambda: sample(neg_det(), grid_spec(S22, 1.0, MAX_POINTS_PER_AXIS, "ball")),
+    ],
+    ids=["ball_mask", "symmetric", "one_by_three", "symmetric_ball", "negative_center", "axis_capacity_ball"],
 )
-def test_write_field_matches_per_node_reference(tmp_path, f, shape, clip):
-    fld = sample(f, grid_spec(shape, 0.7, 7, clip))
+def test_write_field_matches_per_node_reference(tmp_path, build):
+    fld = build()
     _write_field_per_node(fld, tmp_path / "ref.csv")
-    assert write_field(fld, tmp_path / "f.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    path = write_field(fld, tmp_path / "f.csv")
+    assert path.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    back = read_field(path)
+    assert back.grid == fld.grid
+    assert np.array_equal(back.values, fld.values, equal_nan=True) and np.array_equal(back.mask, fld.mask)
 
 
 def test_theta_manifest_hashes_stable(tmp_path):

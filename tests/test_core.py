@@ -314,6 +314,13 @@ def test_ball_samples_rejects_radius_where_every_norm_overflows():
         ball_samples(MatrixShape(2, 2), np.zeros(4), 1e160, 10, rng)
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, np.inf, np.nan])
+def test_ball_samples_rejects_radius_not_positive_and_finite(radius):
+    # the radius rule of GridSpec
+    with pytest.raises(ValueError, match="ball radius must be positive and finite"):
+        ball_samples(MatrixShape(2, 2), np.zeros(4), radius, 10, np.random.default_rng(0))
+
+
 def test_ball_volume_closed_forms():
     assert ball_volume(1, 1.0) == pytest.approx(2.0)
     assert ball_volume(2, 1.0) == pytest.approx(np.pi)
