@@ -1,9 +1,10 @@
 """Configuration-driven experiment runner.
 
 Subcommands: verify | theta | tail | envelope | lemma | appendix | all |
-list-corpus. Every run echoes its configuration, writes CSV tables plus a
-JSON summary, and emits a manifest with sha256 hashes of all artifacts; the
-same configuration and seed reproduce byte-identical outputs.
+list-corpus. Each pipeline writes its data files and returns one
+`StageRecord` per stage it ran; `run` then writes one summary per record and
+one manifest per run, which echoes the configuration and hashes every
+artifact. The same configuration and seed reproduce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def load_config(path: str | Path) -> dict:
         raise ValueError(f"config file {path} is not JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError("config file must hold a flat JSON object")
-    valid = set(ExperimentConfig.__dataclass_fields__)
+    valid = set(ExperimentConfig.__dataclass_fields__) - {"experiment"}  # the subcommand sets it
     unknown = set(data) - valid
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}; valid: {sorted(valid)}")
@@ -69,10 +70,27 @@ def load_config(path: str | Path) -> dict:
     return data
 
 
+@dataclass(frozen=True)
+class StageRecord:
+    """One stage's outcome: its summary, checks and data files; `function` is None for appendix."""
+
+    experiment: str
+    function: str | None
+    config: ExperimentConfig
+    summary: dict
+    checks: dict
+    artifacts: list[Path]
+
+    @property
+    def label(self) -> str:
+        return self.experiment if self.function is None else f"{self.experiment}[{self.function}]"
+
+
 @dataclass
 class RunManifest:
     experiment: str
     config: dict
+    stages: dict
     artifacts: dict
     checks: dict
     versions: dict
@@ -82,14 +100,7 @@ class RunManifest:
         return all(self.checks.values())
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "config": self.config,
-            "artifacts": self.artifacts,
-            "checks": self.checks,
-            "versions": self.versions,
-            "passed": self.passed,
-        }
+        return asdict(self) | {"passed": self.passed}
 
 
 def _versions() -> dict:
@@ -105,32 +116,29 @@ def _handle(cfg: ExperimentConfig) -> FunctionHandle:
         raise ValueError(exc.args[0]) from exc
 
 
-def _finish(
-    cfg: ExperimentConfig,
-    name: str,
-    summary: dict,
-    checks: dict,
-    artifacts: list[Path],
-) -> RunManifest:
-    out = Path(cfg.out_dir) / name
-    summary_path = fieldio.write_json({"summary": summary, "checks": checks}, out / "summary.json")
-    artifacts = artifacts + [summary_path]
-    hashes = {str(p.relative_to(cfg.out_dir)): fieldio.sha256_file(p) for p in artifacts}
-    manifest = RunManifest(
-        experiment=name,
-        config=asdict(cfg),
-        artifacts=hashes,
-        checks=checks,
-        versions=_versions(),
-    )
-    fieldio.write_json(manifest.to_dict(), out / "manifest.json")
+def _write(cfg: ExperimentConfig, records: list[StageRecord]) -> RunManifest:
+    """Write each record's summary, then the run's one manifest over every artifact."""
+    root = Path(cfg.out_dir)
+    config = asdict(cfg)
+    stages, artifacts, checks = {}, {}, {}
+    for rec in records:
+        name = "summary.json" if rec.function is None else f"{rec.function}_summary.json"
+        summary = fieldio.write_json(
+            {"summary": rec.summary, "checks": rec.checks}, root / rec.experiment / name
+        )
+        for path in rec.artifacts + [summary]:
+            artifacts[str(path.relative_to(root))] = fieldio.sha256_file(path)
+        checks.update({f"{rec.label}.{k}": v for k, v in rec.checks.items()})
+        stages[rec.label] = {k: v for k, v in asdict(rec.config).items() if v != config[k]}
+    manifest = RunManifest(cfg.experiment, config, stages, artifacts, checks, _versions())
+    fieldio.write_json(manifest.to_dict(), root / cfg.experiment / "manifest.json")
     return manifest
 
 
 # --- pipelines -------------------------------------------------------------
 
 
-def run_verify(cfg: ExperimentConfig) -> RunManifest:
+def run_verify(cfg: ExperimentConfig) -> StageRecord:
     h = _handle(cfg)
     sampler = verify.SegmentSampler(direction_count=12, step_count=10, seed=cfg.seed)
     domain = grid_spec(h.shape, cfg.radius, cfg.grid_points, "cube")
@@ -183,10 +191,10 @@ def run_verify(cfg: ExperimentConfig) -> RunManifest:
         out / f"{h.name}_reports.json",
     )
     summary = {"function": h.name, "rows": [list(r) for r in rows]}
-    return _finish(cfg, "verify", summary, checks, [csv, report_json])
+    return StageRecord("verify", h.name, cfg, summary, checks, [csv, report_json])
 
 
-def run_theta(cfg: ExperimentConfig) -> RunManifest:
+def run_theta(cfg: ExperimentConfig) -> StageRecord:
     h = _handle(cfg)
     constraints = grid_spec(h.shape, cfg.radius, cfg.grid_points, "ball")
     tf = paraboloid.theta_field(
@@ -238,10 +246,10 @@ def run_theta(cfg: ExperimentConfig) -> RunManifest:
         "pivots_mean": float(np.mean(pivots)),
         "witness": [float(v) for v in tf.eval_coords[witness]],
     }
-    return _finish(cfg, "theta", summary, checks, [csv])
+    return StageRecord("theta", h.name, cfg, summary, checks, [csv])
 
 
-def run_tail(cfg: ExperimentConfig) -> RunManifest:
+def run_tail(cfg: ExperimentConfig) -> StageRecord:
     h = _handle(cfg)
     constraints = grid_spec(h.shape, cfg.radius, cfg.grid_points, "ball")
     tf = paraboloid.theta_field(
@@ -260,10 +268,10 @@ def run_tail(cfg: ExperimentConfig) -> RunManifest:
             rep.fitted_epsilon is not None and rep.fitted_epsilon >= cfg.min_epsilon
         )
     summary = asdict(rep) | {"function": h.name, "f_sup": f_sup}
-    return _finish(cfg, "tail", summary, checks, [csv])
+    return StageRecord("tail", h.name, cfg, summary, checks, [csv])
 
 
-def run_envelope(cfg: ExperimentConfig) -> RunManifest:
+def run_envelope(cfg: ExperimentConfig) -> StageRecord:
     h = _handle(cfg)
     spec = grid_spec(h.shape, 0.75 * cfg.radius, cfg.grid_points, "cube")
     fld = sample(h, spec)
@@ -316,10 +324,10 @@ def run_envelope(cfg: ExperimentConfig) -> RunManifest:
         "remainder_ratios": prof.ratios.tolist(),
         "second_order_differentiable_at_0": prof.second_order_differentiable,
     }
-    return _finish(cfg, "envelope", summary, checks, artifacts)
+    return StageRecord("envelope", h.name, cfg, summary, checks, artifacts)
 
 
-def run_lemma(cfg: ExperimentConfig) -> RunManifest:
+def run_lemma(cfg: ExperimentConfig) -> StageRecord:
     h = _handle(cfg)
     if h.shape.symmetric:
         raise ValueError("the lower-bound pipeline runs on general shapes")
@@ -338,10 +346,10 @@ def run_lemma(cfg: ExperimentConfig) -> RunManifest:
         out / f"{h.name}_certificate.json",
     )
     summary = asdict(cert) | {"function": h.name, "expected_pass": expected}
-    return _finish(cfg, "lemma", summary, checks, [csv, cert_json])
+    return StageRecord("lemma", h.name, cfg, summary, checks, [csv, cert_json])
 
 
-def run_appendix(cfg: ExperimentConfig) -> RunManifest:
+def run_appendix(cfg: ExperimentConfig) -> StageRecord:
     rng = np.random.default_rng(cfg.seed)
     out = Path(cfg.out_dir) / "appendix"
     artifacts = []
@@ -436,48 +444,22 @@ def run_appendix(cfg: ExperimentConfig) -> RunManifest:
         "tail_slope": tail.fitted_slope,
         "tail_oscillation": tail.oscillation,
     }
-    return _finish(cfg, "appendix", summary, checks, artifacts)
+    return StageRecord("appendix", None, cfg, summary, checks, artifacts)
 
 
-def run_all(cfg: ExperimentConfig) -> RunManifest:
+def run_all(cfg: ExperimentConfig) -> list[StageRecord]:
     """Smoke-scale sweep over every pipeline with deterministic sub-budgets."""
-    # The theta stage would reject it too, but only after verify has written its outputs.
-    if cfg.threads < 1:
-        raise ValueError(f"theta_field needs threads >= 1, got {cfg.threads}")
-    sub_manifests: list[RunManifest] = []
-    for h in corpus():
-        sub_manifests.append(run_verify(replace(cfg, function=h.name)))
-    sub_manifests.append(
-        run_theta(replace(cfg, function="neg_det_2x2", grid_points=7, eval_count=40))
-    )
-    sub_manifests.append(
-        run_tail(
-            replace(cfg, function="abs_x11", grid_points=9, eval_count=80)
-        )
-    )
-    for name in ("neg_det_2x2", "frob_norm"):
-        sub_manifests.append(run_envelope(replace(cfg, function=name, grid_points=7)))
-    for name in ("neg_det_2x2", "neg_half_norm_sq", "neg_uv"):
-        sub_manifests.append(run_lemma(replace(cfg, function=name, sample_count=4000)))
-    sub_manifests.append(run_appendix(replace(cfg, lines_per_direction=16)))
-
-    checks = {}
-    artifacts = {}
-    for m in sub_manifests:
-        for k, v in m.checks.items():
-            checks[f"{m.experiment}[{m.config['function']}].{k}"] = v
-        artifacts.update(m.artifacts)
-    manifest = RunManifest(
-        experiment="all",
-        config=asdict(cfg),
-        artifacts=artifacts,
-        checks=checks,
-        versions=_versions(),
-    )
-    out = Path(cfg.out_dir) / "all"
-    fieldio.write_json({"checks": checks}, out / "summary.json")
-    fieldio.write_json(manifest.to_dict(), out / "manifest.json")
-    return manifest
+    return [
+        *(run_verify(replace(cfg, function=h.name)) for h in corpus()),
+        run_theta(replace(cfg, function="neg_det_2x2", grid_points=7, eval_count=40)),
+        run_tail(replace(cfg, function="abs_x11", grid_points=9, eval_count=80)),
+        *(run_envelope(replace(cfg, function=name, grid_points=7)) for name in ("neg_det_2x2", "frob_norm")),
+        *(
+            run_lemma(replace(cfg, function=name, sample_count=4000))
+            for name in ("neg_det_2x2", "neg_half_norm_sq", "neg_uv")
+        ),
+        run_appendix(replace(cfg, lines_per_direction=16)),
+    ]
 
 
 _PIPELINES = {
@@ -510,7 +492,10 @@ def run(cfg: ExperimentConfig) -> RunManifest:
         raise ValueError(f"unknown experiment {cfg.experiment!r}; valid: {', '.join(EXPERIMENTS)}")
     if not (math.isfinite(cfg.tol) and cfg.tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {cfg.tol}")
-    return _PIPELINES[cfg.experiment](cfg)
+    if cfg.threads < 1:
+        raise ValueError(f"threads must be >= 1, got {cfg.threads}")
+    records = _PIPELINES[cfg.experiment](cfg)
+    return _write(cfg, [records] if isinstance(records, StageRecord) else records)
 
 
 def list_corpus(flag: str | None = None) -> list[str]:

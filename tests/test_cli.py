@@ -56,17 +56,20 @@ def test_config_file_roundtrip(tmp_path):
         (["list-corpus", "--flag", "bogus"], "unknown flag 'bogus'"),
         # t_min was a config key; a retired key is as unknown as a misspelt one
         (["tail", "--config", "{retired}"], "unknown config keys: ['t_min']"),
-        (["theta", "--threads", "0"], "theta_field needs threads >= 1, got 0"),
+        (["theta", "--threads", "0"], "threads must be >= 1, got 0"),
         (["lemma", "--samples", "0"], "empirical_majorant needs at least one sample, got 0"),
         (["appendix", "--config", "{no_lines}"], "fubini_tail_experiment needs lines_per_direction >= 1, got 0"),
         (["verify", "--tol", "nan"], "tol must be finite and >= 0, got nan"),
-        (["all", "--threads", "0"], "theta_field needs threads >= 1, got 0"),
+        (["all", "--threads", "0"], "threads must be >= 1, got 0"),
         # every norm of a cube draw overflows, so rejection sampling would never accept one
         (["lemma", "--radius", "1e300"], "ball_samples cannot sample radius 1e+300"),
         (["verify", "--config", "{str_tol}"], "config key 'tol' must be float, got \"x\""),
         (["verify", "--config", "{float_points}"], "config key 'grid_points' must be int, got 7.5"),
         (["lemma", "--radius", "inf"], "ball radius must be positive and finite, got inf"),
         (["lemma", "--radius", "nan"], "ball radius must be positive and finite, got nan"),
+        # the subcommand names the experiment; a config file may not
+        (["verify", "--config", "{experiment}"], "unknown config keys: ['experiment']"),
+        (["verify", "--threads", "0"], "threads must be >= 1, got 0"),
     ],
     ids=[
         "unknown_function",
@@ -85,6 +88,8 @@ def test_config_file_roundtrip(tmp_path):
         "float_grid_points",
         "radius_inf",
         "radius_nan",
+        "experiment_key",
+        "verify_zero_threads",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, argv, cause):
@@ -94,6 +99,7 @@ def test_bad_input_exits_2_with_one_line(tmp_path, argv, cause):
         "no_lines": json.dumps({"lines_per_direction": 0}),
         "str_tol": json.dumps({"tol": "x"}),
         "float_points": json.dumps({"grid_points": 7.5}),
+        "experiment": json.dumps({"experiment": "tail"}),
     }
     for name, text in configs.items():
         (tmp_path / f"{name}.json").write_text(text)
@@ -177,7 +183,11 @@ def test_envelope_at_axis_capacity(tmp_path):
     argv = ["envelope", "--function", "frob_norm", "--grid-points", str(MAX_POINTS_PER_AXIS)]
     assert main(argv + ["--out", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "envelope/manifest.json").read_text())
-    assert manifest["checks"] == {"order_exact": True, "lipschitz_within_tol": True, "idempotent": True}
+    assert manifest["checks"] == {
+        "envelope[frob_norm].order_exact": True,
+        "envelope[frob_norm].lipschitz_within_tol": True,
+        "envelope[frob_norm].idempotent": True,
+    }
 
 
 def test_theta_rejects_zero_eval_count(tmp_path, capsys):
@@ -191,11 +201,26 @@ def test_theta_summary_reports_solver_counters(tmp_path):
         experiment="theta", function="abs_x11", grid_points=7, eval_count=8, out_dir=str(tmp_path)
     )
     manifest = run(cfg)
-    assert manifest.checks["lower_bound_replays"] and manifest.passed
-    summary = json.loads((tmp_path / "theta/summary.json").read_text())["summary"]
+    assert manifest.checks["theta[abs_x11].lower_bound_replays"] and manifest.passed
+    summary = json.loads((tmp_path / "theta/abs_x11_summary.json").read_text())["summary"]
     assert 1 <= summary["pivots_mean"] <= summary["pivots_max"]
     assert abs(summary["duality_gap_max"]) <= 1e-9
     assert len(summary["witness"]) == 4
+
+
+def test_all_writes_one_manifest_and_every_stage_summary(tmp_path):
+    manifest = run(ExperimentConfig(experiment="all", out_dir=str(tmp_path)))
+    assert [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("manifest.json")] == ["all/manifest.json"]
+    assert not (tmp_path / "all/summary.json").exists()
+    summaries = [rel for rel in manifest.artifacts if rel.endswith("summary.json")]
+    assert len(summaries) == 19
+    for rel in summaries:
+        path = tmp_path / rel
+        assert path.is_file()
+        if rel != "appendix/summary.json":
+            assert path.name == json.loads(path.read_text())["summary"]["function"] + "_summary.json"
+    appendix = json.loads((tmp_path / "appendix/summary.json").read_text())["checks"]
+    assert {f"appendix.{k}" for k in appendix} == {k for k in manifest.checks if k.startswith("appendix")}
 
 
 def test_field_csv_roundtrip(tmp_path):
