@@ -142,6 +142,7 @@ def run_verify(cfg: ExperimentConfig) -> StageRecord:
     h = _handle(cfg)
     sampler = verify.SegmentSampler(direction_count=12, step_count=10, seed=cfg.seed)
     domain = grid_spec(h.shape, cfg.radius, cfg.grid_points, "cube")
+    fld = sample(h, domain)  # first, so a non-finite value fails before any check runs
     rows = []
     checks: dict[str, bool] = {}
 
@@ -155,7 +156,6 @@ def run_verify(cfg: ExperimentConfig) -> StageRecord:
     checks["separate_convexity_matches_flag"] = ok
     rows.append(("separate_convexity", sep.worst_violation, cfg.tol, h.flags.separately_convex, ok))
 
-    fld = sample(h, domain)
     if h.shape.symmetric:
         node_rep = verify.symmetric_operator_check(fld)
         op_name = "symmetric_operator_min"
@@ -494,6 +494,10 @@ def run(cfg: ExperimentConfig) -> RunManifest:
         raise ValueError(f"tol must be finite and >= 0, got {cfg.tol}")
     if cfg.threads < 1:
         raise ValueError(f"threads must be >= 1, got {cfg.threads}")
+    if cfg.experiment == "all":  # run_all sets these per stage, so it takes only their defaults
+        keys = ("function", "grid_points", "eval_count", "sample_count", "lines_per_direction")
+        if taken := [f"{k}={getattr(cfg, k)!r}" for k in keys if getattr(cfg, k) != getattr(ExperimentConfig, k)]:
+            raise ValueError(f"all runs its own budgets and takes no {', '.join(taken)}")
     records = _PIPELINES[cfg.experiment](cfg)
     return _write(cfg, [records] if isinstance(records, StageRecord) else records)
 

@@ -443,7 +443,8 @@ def sample(f: FunctionHandle, spec: GridSpec) -> SampledField:
     grid = make_grid(spec)
     values = np.full(grid.node_count, np.nan)
     mats = grid.matrices()[grid.mask]
-    vals = np.asarray(f.value(mats), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the node
+        vals = np.asarray(f.value(mats), dtype=float)
     if not np.all(np.isfinite(vals)):
         k = int(np.flatnonzero(~np.isfinite(vals))[0])
         where = grid.coords[grid.mask][k]
@@ -452,30 +453,38 @@ def sample(f: FunctionHandle, spec: GridSpec) -> SampledField:
     return SampledField(spec, values, grid.mask)
 
 
+def shifted(v: np.ndarray, step: np.ndarray | tuple[int, ...]) -> np.ndarray:
+    """The nd node values `v` read `step` nodes away, NaN where that node is off the grid.
+
+    Masked nodes already hold NaN, so an off-grid and an off-mask neighbour read alike.
+    """
+    out = np.full(v.shape, np.nan)
+    dst, src = [], []
+    for s, n in zip(step, v.shape):
+        s = int(s)
+        dst.append(slice(min(n, max(0, -s)), max(0, min(n, n - s))))
+        src.append(slice(min(n, max(0, s)), max(0, min(n, n + s))))
+    out[tuple(dst)] = v[tuple(src)]
+    return out
+
+
 def gradient_field(fld: SampledField) -> list[SampledField]:
     """Per-coordinate derivative fields by central differences.
 
     One-sided second-order stencils are used where a neighbor is missing (cube
     boundary or ball mask); nodes with no admissible stencil are masked out.
     """
-    if fld.grid.points_per_axis < 3:
-        raise ValueError("gradients require at least 3 points per axis")
     h = fld.grid.spacing
     v = fld.values_nd()
-    dim = fld.grid.shape.dim
     out: list[SampledField] = []
-    for axis in range(dim):
-        vm = np.moveaxis(v, axis, 0)
-        g = np.full_like(vm, np.nan)
-        central = (vm[2:] - vm[:-2]) / (2.0 * h)
-        fwd = (-3.0 * vm[:-2] + 4.0 * vm[1:-1] - vm[2:]) / (2.0 * h)
-        bwd = (3.0 * vm[2:] - 4.0 * vm[1:-1] + vm[:-2]) / (2.0 * h)
-        g[1:-1] = central
-        g[:-2] = np.where(np.isfinite(g[:-2]), g[:-2], fwd)
-        g[2:] = np.where(np.isfinite(g[2:]), g[2:], bwd)
-        g = np.moveaxis(g, 0, axis)
-        mask = np.isfinite(g).reshape(-1)
-        out.append(SampledField(fld.grid, g.reshape(-1), mask))
+    for e in np.eye(fld.grid.shape.dim, dtype=int):
+        p1, p2, m1, m2 = (shifted(v, s * e) for s in (1, 2, -1, -2))
+        central = (p1 - m1) / (2.0 * h)
+        fwd = (-3.0 * v + 4.0 * p1 - p2) / (2.0 * h)
+        bwd = (3.0 * v - 4.0 * m1 + m2) / (2.0 * h)
+        g = np.where(np.isfinite(central), central, fwd)
+        g = np.where(np.isfinite(g), g, bwd).reshape(-1)
+        out.append(SampledField(fld.grid, g, np.isfinite(g)))
     return out
 
 

@@ -25,6 +25,7 @@ from .core import (
     grid_spec,
     make_grid,
     random_directions,
+    shifted,
 )
 from .corpus import FunctionHandle
 
@@ -225,70 +226,44 @@ class NodeMinReport:
     nodes_checked: int
 
 
-def viscosity_subharmonic_check(fld: SampledField) -> NodeMinReport:
-    """Minimum discrete Laplacian over interior nodes; >= -tol for rank-one convex inputs."""
-    if fld.shape.symmetric:
-        raise ValueError("symmetric fields use symmetric_operator_check")
-    dim = fld.shape.dim
-    ppa = fld.grid.points_per_axis
-    h = fld.grid.spacing
-    v = fld.values_nd()
-    core = (slice(1, -1),) * dim
-    acc = np.zeros((ppa - 2,) * dim)
-    for axis in range(dim):
-        sl_p = tuple(slice(2, None) if a == axis else slice(1, -1) for a in range(dim))
-        sl_m = tuple(slice(0, -2) if a == axis else slice(1, -1) for a in range(dim))
-        acc = acc + v[sl_p] + v[sl_m] - 2.0 * v[core]
-    lap = acc / (h * h)
-    finite = np.isfinite(lap)
-    if not np.any(finite):
-        raise ValueError("no interior nodes with a complete stencil")
-    flat = np.where(finite, lap, np.inf).reshape(-1)
-    k = int(np.argmin(flat))
-    idx = np.unravel_index(k, lap.shape)
-    witness = tuple(float(fld.grid.axis_values(a)[idx[a] + 1]) for a in range(dim))
-    return NodeMinReport(float(flat[k]), witness, int(np.sum(finite)))
-
-
-def symmetric_operator_check(fld: SampledField) -> NodeMinReport:
-    """Minimum of the r_ij second-difference operator over interior nodes."""
-    if not fld.shape.symmetric:
-        raise ValueError("symmetric_operator_check requires a symmetric shape")
-    n = fld.shape.rows
-    dim = fld.shape.dim
-    ppa = fld.grid.points_per_axis
-    h = fld.grid.spacing
-    coord_index = {pair: k for k, pair in enumerate(fld.shape.coord_pairs())}
-    v = fld.values_nd()
-    pad = np.pad(v, 1, constant_values=np.nan)
-
-    def shifted(step: np.ndarray) -> np.ndarray:
-        sl = tuple(slice(1 + int(s), 1 + int(s) + ppa) for s in step)
-        return pad[sl]
-
-    total = np.zeros_like(v)
-    for i in range(n):
-        for j in range(i, n):
-            step = np.zeros(dim, dtype=int)
-            if i == j:
-                step[coord_index[(i, i)]] = 1
-                weight = 1.0
-            else:
-                step[coord_index[(i, i)]] = 1
-                step[coord_index[(i, j)]] = 1
-                step[coord_index[(j, j)]] = 1
-                weight = 2.0  # r_ij and r_ji coincide
-            second = (shifted(step) + shifted(-step) - 2.0 * v) / (h * h)
-            total = total + weight * second
-
+def _node_min(fld: SampledField, total: np.ndarray) -> NodeMinReport:
+    """The least finite node value of `total`, at its first node in C order."""
     finite = np.isfinite(total)
     if not np.any(finite):
         raise ValueError("no interior nodes with a complete stencil")
     flat = np.where(finite, total, np.inf).reshape(-1)
     k = int(np.argmin(flat))
     idx = np.unravel_index(k, total.shape)
-    witness = tuple(float(fld.grid.axis_values(a)[idx[a]]) for a in range(dim))
+    witness = tuple(float(fld.grid.axis_values(a)[i]) for a, i in enumerate(idx))
     return NodeMinReport(float(flat[k]), witness, int(np.sum(finite)))
+
+
+def viscosity_subharmonic_check(fld: SampledField) -> NodeMinReport:
+    """Minimum discrete Laplacian over interior nodes; >= -tol for rank-one convex inputs."""
+    if fld.shape.symmetric:
+        raise ValueError("symmetric fields use symmetric_operator_check")
+    h = fld.grid.spacing
+    v = fld.values_nd()
+    acc = np.zeros_like(v)
+    for e in np.eye(fld.shape.dim, dtype=int):
+        acc = acc + shifted(v, e) + shifted(v, -e) - 2.0 * v
+    return _node_min(fld, acc / (h * h))
+
+
+def symmetric_operator_check(fld: SampledField) -> NodeMinReport:
+    """Minimum of the r_ij second-difference operator over interior nodes."""
+    if not fld.shape.symmetric:
+        raise ValueError("symmetric_operator_check requires a symmetric shape")
+    shape = fld.shape
+    h = fld.grid.spacing
+    v = fld.values_nd()
+    total = np.zeros_like(v)
+    for d in coordinate_directions(shape):
+        step = shape.matrix_to_coords(d.matrix).astype(int)
+        weight = 1.0 if d.pair[0] == d.pair[1] else 2.0  # r_ij and r_ji coincide
+        second = (shifted(v, step) + shifted(v, -step) - 2.0 * v) / (h * h)
+        total = total + weight * second
+    return _node_min(fld, total)
 
 
 def mollify(fld: SampledField, kernel_radius: int) -> SampledField:

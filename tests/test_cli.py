@@ -70,6 +70,14 @@ def test_config_file_roundtrip(tmp_path):
         # the subcommand names the experiment; a config file may not
         (["verify", "--config", "{experiment}"], "unknown config keys: ['experiment']"),
         (["verify", "--threads", "0"], "threads must be >= 1, got 0"),
+        # run_all sets its own budgets, so `all` rejects them instead of ignoring them
+        (["all", "--samples", "0"], "all runs its own budgets and takes no sample_count=0"),
+        (["all", "--function", "nope"], "all runs its own budgets and takes no function='nope'"),
+        # the handle overflows at the grid corners (det there is inf - inf); sampling names
+        # the node before any check runs
+        (["verify", "--radius", "1e300"], "non-finite value of neg_det_2x2 at node"),
+        (["envelope", "--radius", "1e300"], "non-finite value of neg_det_2x2 at node"),
+        (["all", "--radius", "1e300"], "non-finite value of half_norm_sq_0p5 at node"),
     ],
     ids=[
         "unknown_function",
@@ -90,6 +98,11 @@ def test_config_file_roundtrip(tmp_path):
         "radius_nan",
         "experiment_key",
         "verify_zero_threads",
+        "all_zero_samples",
+        "all_unknown_function",
+        "verify_huge_radius",
+        "envelope_huge_radius",
+        "all_huge_radius",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, argv, cause):
