@@ -393,7 +393,12 @@ class SampledField:
         """Multilinear interpolation at query coordinates (K, dim).
 
         Returns (values, ok); ok is False where the query leaves the grid cube or
-        the surrounding cell touches an invalid node.
+        the surrounding cell touches an invalid node. Corner c has bit k of c set
+        when it takes the upper node on axis k; its weight multiplies the axis
+        factors in axis order, and the corner terms are added in corner order by
+        a running sum. Each query's value reads only its own row, in an order
+        that does not depend on K, so a query gets the same bits alone or in a
+        batch (np.sum would add the 2^dim terms pairwise for one query).
         """
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         spec = self.grid
@@ -404,24 +409,20 @@ class SampledField:
         inside = np.all((rel >= -1e-9) & (rel <= spec.points_per_axis - 1 + 1e-9), axis=1)
         cell = np.clip(np.floor(rel).astype(int), 0, spec.points_per_axis - 2)
         frac = np.clip(rel - cell, 0.0, 1.0)
-        # Per axis, the weight factor of the lower (bit 0) and upper (bit 1) node.
-        factors = [(1.0 - frac[:, k], frac[:, k]) for k in range(dim)]
-        strides = [spec.points_per_axis ** (dim - 1 - k) for k in range(dim)]  # C order
-        base = cell @ np.array(strides)  # flat index of each cell's lowest corner
-        out = np.zeros(coords.shape[0])
-        ok = inside.copy()
-        for corner in range(2**dim):
-            bits = [(corner >> k) & 1 for k in range(dim)]
-            weight = factors[0][bits[0]]
-            for k in range(1, dim):
-                weight = weight * factors[k][bits[k]]
-            corner_vals = self.values[base + sum(b * s for b, s in zip(bits, strides))]
-            contrib = weight * corner_vals
-            # A NaN corner with zero weight must not poison the cell.
-            bad = ~np.isfinite(corner_vals)
-            ok &= ~(bad & (weight > 0.0))
-            contrib = np.where(bad, 0.0, contrib)
-            out += contrib
+        # factors[:, k, b]: the weight factor on axis k of the lower (b = 0) or upper (b = 1) node.
+        factors = np.stack([1.0 - frac, frac], axis=2)
+        bits = (np.arange(2**dim)[:, None] >> np.arange(dim)) & 1  # (2^dim, dim)
+        weight = factors[:, 0, bits[:, 0]]
+        for k in range(1, dim):
+            weight = weight * factors[:, k, bits[:, k]]
+        strides = spec.points_per_axis ** np.arange(dim - 1, -1, -1)  # C order
+        corner_vals = self.values[(cell @ strides)[:, None] + bits @ strides]
+        # A NaN corner with zero weight must not poison the cell.
+        bad = ~np.isfinite(corner_vals)
+        ok = inside & ~np.any(bad & (weight > 0.0), axis=1)
+        contrib = np.where(bad, 0.0, weight * corner_vals)
+        # + 0.0 turns a -0.0 total into 0.0, as a running sum started from 0.0 gives.
+        out = np.cumsum(contrib, axis=1)[:, -1] + 0.0
         out[~ok] = np.nan
         return out, ok
 
@@ -443,7 +444,8 @@ def sample(f: FunctionHandle, spec: GridSpec) -> SampledField:
     grid = make_grid(spec)
     values = np.full(grid.node_count, np.nan)
     mats = grid.matrices()[grid.mask]
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the node
+    # The check below names the node, so numpy warnings would only repeat it.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         vals = np.asarray(f.value(mats), dtype=float)
     if not np.all(np.isfinite(vals)):
         k = int(np.flatnonzero(~np.isfinite(vals))[0])

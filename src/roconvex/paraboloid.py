@@ -18,6 +18,7 @@ the cloud from below. `replay_lower_bound` checks that certificate from f alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import GridSpec, SampledField, ball_samples, ball_volume, evaluate, make_grid
+from .core import GridSpec, MatrixShape, SampledField, ball_samples, ball_volume, evaluate, make_grid
 from .corpus import FunctionHandle
 
 MAX_PIVOTS = 500  # an opening LP has at most 5 rows; a solve past this cap raises
@@ -88,29 +89,66 @@ def _cloud(
     """The masked constraint nodes y, f(y), the flattened matrices y - x0, and |y - x0|^2.
 
     The nodes and their matrices come from the grid's shared cloud; only the
-    offsets from x0 are computed per call. A field supplies its own node
-    values, so it must be sampled on `constraints`.
+    offsets from x0 are computed per call, by `_offsets`, whose order of
+    addition gives each row the same bits whatever the cloud's size. A field
+    supplies its own node values, so it must be sampled on `constraints`.
     """
     if isinstance(f, SampledField) and f.grid != constraints:
         raise ValueError("field constraints must use the field's own grid")
     coords, mats = make_grid(constraints).cloud
     fy = f.valid_values() if isinstance(f, SampledField) else f.value_at_coords(coords)
-    # Flattened matrices, not storage coordinates, so |d|^2 is the Frobenius norm.
-    d = mats - constraints.shape.coords_to_matrix(x0).reshape(-1)
-    return coords, fy, d, np.sum(d * d, axis=1)
+    return (coords, fy) + _offsets(mats, x0, constraints.shape)
+
+
+def _offsets(mats: np.ndarray, x0: np.ndarray, shape: MatrixShape) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets d = y - x0 of flattened matrices (K, rows*cols) and |d|^2 per row.
+
+    Flattened matrices, not storage coordinates, so |d|^2 is the Frobenius norm.
+    It adds the squares column by column, ((d_0^2 + d_1^2) + d_2^2) + d_3^2:
+    the order np.sum(d * d, axis=1) takes over fewer than 8 columns. Each row's
+    sum reads only that row, so a row gets the same bits whatever K is.
+    """
+    d = mats - shape.coords_to_matrix(x0).reshape(-1)
+    sq = d * d
+    q = sq[:, 0].copy()
+    for j in range(1, sq.shape[1]):
+        q += sq[:, j]
+    return d, q
+
+
+def _constraint_rows(
+    fy: np.ndarray, fx0: float, d: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """c_y and B_y of the given cloud rows, element-wise, so any subset of rows keeps its bits."""
+    return 2.0 * (fy - fx0) / q, 2.0 * d / q[:, None]
+
+
+@functools.cache
+def _slope_map(shape: MatrixShape) -> np.ndarray:
+    """Columns map storage coordinates to flattened matrices, read-only.
+
+    For symmetric shapes the slope p = P s is then symmetric by construction.
+    """
+    P = shape.coords_to_matrix(np.eye(shape.dim)).reshape(shape.dim, -1).T
+    P.flags.writeable = False
+    return P
+
+
+def _on_node(constraints: GridSpec) -> float:
+    """|y - x0|^2 up to which a node y counts as x0 itself and leaves the cloud."""
+    return (1e-9 * constraints.spacing) ** 2
 
 
 class _TouchProblem:
     """Constraint data for one evaluation point: c_y and b_y with a(p) = max(0, max(c - B p))."""
 
     def __init__(self, f: FunctionHandle | SampledField, x0: np.ndarray, constraints: GridSpec):
-        shape = constraints.shape
         x0 = np.asarray(x0, dtype=float).reshape(-1)
         coords, fy, d, q = _cloud(f, x0, constraints)
         vals, ok = evaluate(f, x0[None, :])
         if not ok[0]:
             raise ValueError("x0 is not interpolable on the constraint grid")
-        keep = q > (1e-9 * constraints.spacing) ** 2
+        keep = q > _on_node(constraints)
         if not np.all(keep):  # x0 sits on a node; drop it
             coords, fy, d, q = coords[keep], fy[keep], d[keep], q[keep]
         if d.shape[0] == 0:
@@ -118,11 +156,8 @@ class _TouchProblem:
         self.x0 = x0
         self.fx0 = float(vals[0])
         self.coords = coords
-        self.c = 2.0 * (fy - self.fx0) / q
-        self.B = 2.0 * d / q[:, None]
-        # Columns map storage coordinates to flattened matrices; for symmetric
-        # shapes the slope p = P s is then symmetric by construction.
-        self.P = shape.coords_to_matrix(np.eye(shape.dim)).reshape(shape.dim, -1).T
+        self.c, self.B = _constraint_rows(fy, self.fx0, d, q)
+        self.P = _slope_map(constraints.shape)
 
     def scores(self, p: np.ndarray) -> np.ndarray:
         return self.c - self.B @ p
@@ -139,16 +174,19 @@ def _solve_dual(prob: _TouchProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray
     the slope (flattened matrix), the basic cloud rows, their weights, and the
     pivot count.
     """
-    A = np.vstack([np.zeros(prob.P.shape[1]), prob.B @ prob.P])
-    c = np.concatenate([[0.0], prob.c])
-    k = A.shape[1]
-    cols = np.hstack([A, np.ones((A.shape[0], 1))])  # column j of the LP is cols[j]
+    n, k = prob.B.shape[0], prob.P.shape[1]
+    A = np.empty((n + 1, k))  # row j is column j of the LP without its last entry 1
+    A[0] = 0.0
+    np.matmul(prob.B, prob.P, out=A[1:])
+    c = np.empty(n + 1)
+    c[0] = 0.0
+    c[1:] = prob.c
     tol = OPT_RTOL * float(np.max(np.abs(c)))
     eye = np.eye(k + 1)
     # Start from the unit basis: slack columns for the k slope rows, column 0
     # (weight 1) for the last row. Crash each slack out with a degenerate pivot
     # on the cloud column of largest pivot element.
-    basis = np.zeros(k + 1, dtype=int)
+    basis = [0] * (k + 1)
     M = eye.copy()
     span_tol = 1e-9 * float(np.max(np.abs(A)))
     for row in range(k):
@@ -158,7 +196,7 @@ def _solve_dual(prob: _TouchProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray
         if not r[j] > span_tol:
             raise ValueError("constraint cloud does not span the slope space")
         basis[row] = j
-        M[:, row] = cols[j]
+        M[:, row] = np.append(A[j], 1.0)
     pivots = k
     degenerate = 0
     # lam solves M lam = e_k and pi solves M^T pi = c_B, as one stack of
@@ -179,17 +217,23 @@ def _solve_dual(prob: _TouchProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray
             break
         if pivots >= MAX_PIVOTS:
             raise RuntimeError(f"opening LP at x0 = {prob.x0.tolist()} exceeded {MAX_PIVOTS} pivots")
-        u = np.linalg.solve(M, cols[j])
-        # The last row of every column is 1, so sum(u) = 1 and some u_i > 0.
-        ok = u > 1e-11 * float(np.max(np.abs(u)))
-        ratios = np.full(k + 1, np.inf)
-        ratios[ok] = np.where(lam[ok] > 1e-13, lam[ok], 0.0) / u[ok]
-        ties = np.flatnonzero(ratios == np.min(ratios))
-        leave = ties[np.argmin(basis[ties])] if bland else ties[np.argmax(u[ties])]
-        degenerate = degenerate + 1 if ratios[leave] == 0.0 else 0
+        col = np.append(A[j], 1.0)
+        u = np.linalg.solve(M, col).tolist()
+        # Ratio test on k + 1 <= 5 floats. The last row of every column is 1,
+        # so sum(u) = 1 and some u_i > 0; min and max keep the first extremum.
+        cut = 1e-11 * max(map(abs, u))
+        ratios = [
+            (lam_i if lam_i > 1e-13 else 0.0) / u_i if u_i > cut else math.inf
+            for lam_i, u_i in zip(lam.tolist(), u)
+        ]
+        least = min(ratios)
+        ties = [i for i, ratio in enumerate(ratios) if ratio == least]
+        leave = min(ties, key=basis.__getitem__) if bland else max(ties, key=u.__getitem__)
+        degenerate = degenerate + 1 if least == 0.0 else 0
         basis[leave] = j
-        M[:, leave] = cols[j]
+        M[:, leave] = col
         pivots += 1
+    basis = np.array(basis)
     cloud = (basis > 0) & (lam > 0.0)
     return prob.P @ pi[:k], basis[cloud] - 1, lam[cloud], pivots
 
@@ -246,22 +290,41 @@ def replay_lower_bound(
     Checks first that the weights are dual feasible: every support point is a
     constraint node, lam >= 0, sum lam <= 1 (the rest weighs the row t >= 0),
     and sum lam_y B_y = 0 up to DUAL_RTOL. Raises ValueError when one fails.
+    Only the support rows of c and B are computed, with the arithmetic of
+    `_TouchProblem`, so the replay repeats the solver's bits.
     """
-    prob = _TouchProblem(f, np.asarray(touch.x0), constraints)
-    rows = []
-    for point in touch.support:
-        hit = np.flatnonzero(np.all(prob.coords == point, axis=1))
-        if hit.size == 0:
-            raise ValueError(f"support point {point.tolist()} is not a constraint node")
-        rows.append(int(hit[0]))
+    if isinstance(f, SampledField) and f.grid != constraints:
+        raise ValueError("field constraints must use the field's own grid")
+    x0 = np.asarray(touch.x0, dtype=float)
+    vals, ok = evaluate(f, x0[None, :])
+    if not ok[0]:
+        raise ValueError("x0 is not interpolable on the constraint grid")
+    shape, n = constraints.shape, constraints.points_per_axis
+    grid = make_grid(constraints)
+    points = np.asarray(touch.support, dtype=float).reshape(-1, shape.dim)
+    # A node's lattice index follows from its coordinates; the node must lie in
+    # the clip region, hold exactly that point, and not be x0.
+    lo = constraints.center.coords - constraints.radius
+    index = np.rint((points - lo) / constraints.spacing)
+    inside = np.all((index >= 0) & (index < n), axis=1)
+    strides = n ** np.arange(shape.dim - 1, -1, -1)  # C order
+    nodes = np.where(inside[:, None], index, 0).astype(int) @ strides
+    coords = grid.coords[nodes]
+    mats = shape.coords_to_matrix(coords).reshape(nodes.size, shape.rows * shape.cols)
+    d, q = _offsets(mats, x0, shape)
+    hit = inside & grid.mask[nodes] & np.all(coords == points, axis=1) & (q > _on_node(constraints))
+    if not np.all(hit):
+        point = points[int(np.argmin(hit))]
+        raise ValueError(f"support point {point.tolist()} is not a constraint node")
     w = touch.weights
     if np.any(w < 0.0) or np.sum(w) > 1.0 + 1e-12:
         raise ValueError("certificate weights are not a sub-probability vector")
-    B = prob.B[rows]
+    fy = f.values[nodes] if isinstance(f, SampledField) else f.value_at_coords(coords)
+    c, B = _constraint_rows(fy, float(vals[0]), d, q)
     residual = float(np.max(np.abs(w @ B), initial=0.0))
     if residual > DUAL_RTOL * max(1.0, float(np.max(np.abs(B), initial=0.0))):
         raise ValueError(f"certificate weights leave sum lam B = {residual:.3e}, not 0")
-    return float(w @ prob.c[rows])
+    return float(w @ c)
 
 
 def touch_feasibility_gap(

@@ -133,7 +133,6 @@ def test_sample_neg_det_at_identity():
     assert fld.values[k] == -1.0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_sample_rejects_non_finite():
     shape = MatrixShape(1, 1)
     bad = FunctionHandle("bad", shape, lambda x: 1.0 / x[..., 0, 0])
@@ -298,6 +297,37 @@ def test_interpolation_matches_per_corner_reference_bitwise(points, clip):
             assert ok.tobytes() == ref_ok.tobytes(), (h.name, count)
             masked_cells += int(np.sum(~ok & np.all(np.abs(q) <= 1.0, axis=1)))
     assert (masked_cells > 0) == (clip == "ball")
+
+
+@pytest.mark.parametrize("points, clip", [(7, "ball"), (5, "cube")])
+def test_interpolation_on_nodes_and_faces_matches_per_corner_reference_bitwise(points, clip):
+    rng = np.random.default_rng(points + 100)
+    for h in corpus():
+        spec = grid_spec(h.shape, 1.0, points, clip)
+        fld = sample(h, spec)
+        dim = h.shape.dim
+        nodes = fld.node_coords()
+        # Points on cell faces: one coordinate on the lattice, the rest anywhere
+        # in or past the cube.
+        faces = rng.uniform(-1.2, 1.2, size=(300, dim))
+        axis = rng.integers(dim, size=300)
+        level = rng.integers(points, size=300)
+        faces[np.arange(300), axis] = [spec.axis_values(k)[i] for k, i in zip(axis, level)]
+        q = np.concatenate([nodes, faces])
+        vals, ok = fld.interpolate(q)
+        ref_vals, ref_ok = _interpolate_per_corner(fld, q)
+        assert vals.tobytes() == ref_vals.tobytes(), h.name
+        assert ok.tobytes() == ref_ok.tobytes(), h.name
+        # On a ball, some answered queries have masked NaN corners of zero weight.
+        cell = np.clip(np.floor((q - (spec.center.coords - spec.radius)) / spec.spacing), 0, points - 2)
+        corners = (np.arange(2**dim)[:, None] >> np.arange(dim)) & 1
+        nan_corner = np.isnan(fld.values_nd()[tuple((cell.astype(int)[:, None, :] + corners).T)])
+        assert np.any(ok & np.any(nan_corner, axis=0)) == (clip == "ball"), h.name
+        for k in rng.choice(q.shape[0], size=40, replace=False):
+            one, one_ok = fld.interpolate(q[k])
+            ref_one, ref_one_ok = _interpolate_per_corner(fld, q[k : k + 1])
+            assert one.tobytes() == ref_one.tobytes() == vals[k : k + 1].tobytes(), (h.name, k)
+            assert one_ok.tobytes() == ref_one_ok.tobytes() == ok[k : k + 1].tobytes(), (h.name, k)
 
 
 def test_ball_samples_inside():

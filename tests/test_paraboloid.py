@@ -349,44 +349,121 @@ def _per_pivot_solve_dual(prob):
     return prob.P @ pi[:k], basis[cloud] - 1, lam[cloud], pivots
 
 
+def _per_point_scan_replay(f, touch, constraints):
+    """`replay_lower_bound` over a full `_TouchProblem`, one node scan per support point."""
+    prob = paraboloid._TouchProblem(f, np.asarray(touch.x0), constraints)
+    rows = []
+    for point in touch.support:
+        hit = np.flatnonzero(np.all(prob.coords == point, axis=1))
+        if hit.size == 0:
+            raise ValueError(f"support point {point.tolist()} is not a constraint node")
+        rows.append(int(hit[0]))
+    w = touch.weights
+    if np.any(w < 0.0) or np.sum(w) > 1.0 + 1e-12:
+        raise ValueError("certificate weights are not a sub-probability vector")
+    B = prob.B[rows]
+    residual = float(np.max(np.abs(w @ B), initial=0.0))
+    if residual > paraboloid.DUAL_RTOL * max(1.0, float(np.max(np.abs(B), initial=0.0))):
+        raise ValueError(f"certificate weights leave sum lam B = {residual:.3e}, not 0")
+    return float(w @ prob.c[rows])
+
+
 def _bits(touch, f, spec):
     """Every output of a touch and of its three replays, as exact bytes."""
     floats = [touch.opening, touch.value_at_x0, touch.lower_bound]
-    floats += [replay_opening(f, touch, spec), replay_lower_bound(f, touch, spec)]
-    floats.append(touch_feasibility_gap(f, touch, spec))
+    floats.append(paraboloid.replay_opening(f, touch, spec))
+    floats.append(paraboloid.replay_lower_bound(f, touch, spec))
+    floats.append(paraboloid.touch_feasibility_gap(f, touch, spec))
     arrays = (touch.slope, touch.support, touch.weights, np.array(touch.x0), np.array(floats))
     return [a.tobytes() for a in arrays] + [touch.iterations, touch.converged]
+
+
+def _handle(name):
+    if name == "max_linear_1x2":
+        return max_linear((np.array([[1.0, 0.0]]), np.array([[-0.5, 0.75]])), S12)
+    return get_handle(name)
+
+
+def _test_points(h, spec):
+    """Random points of the half-radius ball, the center node and an off-center node."""
+    nodes = make_grid(spec).cloud[0]
+    pts = list(ball_samples(h.shape, spec.center.coords, 0.5, 4, np.random.default_rng(5)))
+    return pts + [np.zeros(h.shape.dim), nodes[np.argmin(np.abs(np.linalg.norm(nodes, axis=1) - 0.3))]]
+
+
+def _assert_matches_references(monkeypatch, name, points, clip, field):
+    """Touches and replays equal, bit for bit, those of the per-call references."""
+    h = _handle(name)
+    spec = grid_spec(h.shape, 1.0, points, clip)
+    f = sample(h, spec) if field else h
+    pts = _test_points(h, spec)
+    shared = [_bits(theta_upper(f, x0, spec), f, spec) for x0 in pts]
+    with monkeypatch.context() as m:
+        m.setattr(paraboloid, "_cloud", _per_call_cloud)
+        m.setattr(paraboloid, "_solve_dual", _per_pivot_solve_dual)
+        m.setattr(paraboloid, "replay_lower_bound", _per_point_scan_replay)
+        per_call = [_bits(theta_upper(f, x0, spec), f, spec) for x0 in pts]
+    assert shared == per_call
+    return h, spec, shared
 
 
 @pytest.mark.parametrize(
     "name, points, clip, field",
     [
         ("max_linear_1x2", 13, "cube", False),
+        ("max_linear_1x2", 9, "ball", True),
         ("neg_det_2x2", 13, "ball", False),
+        ("neg_det_2x2", 7, "cube", True),
         ("neg_det_2x2_sym", 13, "ball", False),  # matrices are a copy, not a view
+        ("neg_det_2x2_sym", 9, "cube", True),
         ("frob_norm", 13, "ball", True),
+        ("frob_norm", 5, "cube", False),
+        ("abs_x11", 11, "ball", False),
     ],
 )
 def test_shared_cloud_matches_per_call_cloud_bitwise(monkeypatch, name, points, clip, field):
-    if name == "max_linear_1x2":
-        h = max_linear((np.array([[1.0, 0.0]]), np.array([[-0.5, 0.75]])), S12)
-    else:
-        h = get_handle(name)
-    spec = grid_spec(h.shape, 1.0, points, clip)
-    f = sample(h, spec) if field else h
+    h, spec, _ = _assert_matches_references(monkeypatch, name, points, clip, field)
     grid = make_grid(spec)
-    nodes = grid.coords[grid.mask]
-    # Random points of the half-radius ball, the center node and an off-center node.
-    pts = list(ball_samples(h.shape, spec.center.coords, 0.5, 4, np.random.default_rng(5)))
-    pts += [np.zeros(h.shape.dim), nodes[np.argmin(np.abs(np.linalg.norm(nodes, axis=1) - 0.3))]]
-    shared = [_bits(theta_upper(f, x0, spec), f, spec) for x0 in pts]
-    with monkeypatch.context() as m:
-        m.setattr(paraboloid, "_cloud", _per_call_cloud)
-        m.setattr(paraboloid, "_solve_dual", _per_pivot_solve_dual)
-        per_call = [_bits(theta_upper(f, x0, spec), f, spec) for x0 in pts]
-    assert shared == per_call
     coords, mats = grid.cloud
     assert grid.cloud is make_grid(spec).cloud
     assert not coords.flags.writeable and not mats.flags.writeable
-    assert mats.shape == (nodes.shape[0], h.shape.rows * h.shape.cols)
+    assert mats.shape == (grid.coords[grid.mask].shape[0], h.shape.rows * h.shape.cols)
     assert np.shares_memory(mats, coords) == (not h.shape.symmetric)
+
+
+@pytest.mark.parametrize(
+    "name, points, clip, field",
+    [
+        ("abs_det_2x2", 5, "cube", True),
+        ("neg_det_2x2_sym", 7, "cube", True),
+        ("neg_uv", 13, "ball", False),
+        ("max_linear_3", 9, "ball", False),
+    ],
+)
+def test_bland_rule_matches_per_pivot_reference_bitwise(monkeypatch, name, points, clip, field):
+    # Bland's rule from the first pivot after the crash basis, so every
+    # pivot goes through the tie-breaks of the ratio test.
+    monkeypatch.setattr(paraboloid, "BLAND_AFTER", 0)
+    h, _, shared = _assert_matches_references(monkeypatch, name, points, clip, field)
+    assert min(bits[-2] for bits in shared) > h.shape.dim
+
+
+@pytest.mark.parametrize("name, field", [("neg_det_2x2", False), ("neg_det_2x2_sym", True)])
+def test_replay_lower_bound_rejects_what_the_node_scan_rejects(name, field):
+    h = get_handle(name)
+    spec = grid_spec(h.shape, 1.0, 7, "ball")
+    f = sample(h, spec) if field else h
+    grid = make_grid(spec)
+    x0 = _test_points(h, spec)[-1]  # a node, so it is not in its own cloud
+    touch = theta_upper(f, x0, spec)
+    assert touch.support.shape[0] > 0
+    off_mask = grid.coords[np.flatnonzero(~grid.mask)[0]]
+    near = touch.support[0] + 1e-12
+    for point in (x0, off_mask, near, np.full(h.shape.dim, 1e300), np.full(h.shape.dim, np.nan)):
+        support = touch.support.copy()
+        support[-1] = point
+        tampered = replace(touch, support=support)
+        for replay in (replay_lower_bound, _per_point_scan_replay):
+            with pytest.raises(ValueError, match="is not a constraint node"):
+                replay(f, tampered, spec)
+    assert replay_lower_bound(f, touch, spec) == _per_point_scan_replay(f, touch, spec) == touch.lower_bound
