@@ -399,6 +399,13 @@ class SampledField:
         a running sum. Each query's value reads only its own row, in an order
         that does not depend on K, so a query gets the same bits alone or in a
         batch (np.sum would add the 2^dim terms pairwise for one query).
+
+        A node's own coordinates give (node - lo) / h off its integer by the
+        roundings of linspace, the centre shift, lo, the difference and the
+        quotient: at most u (6.5 (n - 1) + 2 |c| / h) to first order, with
+        u = eps / 2. An offset that small would give a masked neighbour a
+        weight of about 1e-16, so lattice positions within 4 eps (n + |c| / h)
+        of an integer snap to it, and a node answers with its own value.
         """
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         spec = self.grid
@@ -406,6 +413,9 @@ class SampledField:
         h = spec.spacing
         lo = spec.center.coords - spec.radius
         rel = (coords - lo) / h
+        near = np.rint(rel)
+        tol = 4.0 * np.finfo(float).eps * (spec.points_per_axis + np.abs(spec.center.coords) / h)
+        rel = np.where(np.abs(rel - near) <= tol, near, rel)
         inside = np.all((rel >= -1e-9) & (rel <= spec.points_per_axis - 1 + 1e-9), axis=1)
         cell = np.clip(np.floor(rel).astype(int), 0, spec.points_per_axis - 2)
         frac = np.clip(rel - cell, 0.0, 1.0)

@@ -9,6 +9,14 @@ so ordering w- <= src <= w+ holds exactly at nodes (y = x is admissible), both
 envelopes are L-Lipschitz, and re-enveloping with the same L changes nothing.
 Since y = x bounds w-(x) by max src (and w+(x) by min src), no y with
 L |x - y| > osc src can decide either envelope: only offsets within osc/L count.
+
+The stencil passes spend their time on the envelope arithmetic. Distances come
+from one (n, slots) table per axis, since grid coordinates are a tensor
+product; each call allocates one chunk workspace and fills it in place; and a
+slot off the grid or off the mask reads a sentinel appended to the values
+(+inf for w-, -inf for w+, NaN for the Lipschitz check, which fmax skips), so
+no reduction needs a mask. Every value is bit-identical to a full pairwise scan,
+except that where -0.0 and +0.0 tie for the max, numpy's reduction picks one.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import GridSpec, SampledField, evaluate, make_grid
+from .core import GridSpec, SampledField, evaluate
 from .corpus import FunctionHandle
 from .paraboloid import ThetaField
 
@@ -63,14 +71,23 @@ def _lattice_offsets(spec: GridSpec, radius: float) -> np.ndarray:
 def _stencil_chunks(
     spec: GridSpec, rows: np.ndarray, col_mask: np.ndarray, radius: float, half: bool = False
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (lo, hi, cols, ok, dist) for the nodes rows[lo:hi] (flat indices).
+    """Yield (lo, hi, cols, dist, buf) for the nodes rows[lo:hi] (flat indices).
 
     Slot j of a row holds the node at lattice offset j of the stencil of
     `radius`; `half` keeps only the offsets that are lexicographically >= 0.
-    cols indexes the nodes of `col_mask` in node order (-1 off them), ok
-    marks the slots that hold one, and dist holds Frobenius distances. The
-    weighted squares are added one coordinate at a time, in coordinate order,
-    as a full pairwise scan adds them, so every distance is bit-identical to it.
+    cols holds the rank of that node among the nodes of `col_mask` (node
+    order), or -1 off them, so a value array with one sentinel appended reads
+    the sentinel there through `np.take(..., mode="wrap")`. dist holds the
+    Frobenius distances (finite in every slot) and buf is free scratch. All
+    three are views of one workspace allocated per call: the next chunk
+    overwrites them.
+
+    Grid coordinates are a tensor product, so the weighted square on axis k of
+    slot j depends only on the row's index i_k and on offsets[j, k]. One
+    (n, slots) table per axis holds it, and a chunk's squares are the table
+    rows of its indices, added in axis order: the same floats, added in the
+    same order, as a full pairwise scan adds them, so every distance is
+    bit-identical to it.
     """
     n, dim = spec.points_per_axis, spec.shape.dim
     offsets = _lattice_offsets(spec, radius)
@@ -84,21 +101,58 @@ def _stencil_chunks(
         col_mask, np.cumsum(col_mask) - 1, -1
     ).reshape((n,) * dim)
     strides = np.array(ranks.strides) // ranks.itemsize
-    row_at = (np.stack(np.unravel_index(rows, (n,) * dim), axis=-1) + pad) @ strides
+    index = np.stack(np.unravel_index(rows, (n,) * dim))  # (dim, rows): axis indices
+    row_at = (index.T + pad) @ strides
     off_at = offsets @ strides
     ranks = ranks.reshape(-1)
-    wc = make_grid(spec).coords * spec.shape.frob_weights()
-    row_wc = wc[rows].T.copy()
-    col_wc = wc[col_mask].T.copy()
+    w = spec.shape.frob_weights()
+    tables = []
+    for k in range(dim):
+        wc = spec.axis_values(k) * w[k]
+        # Off the axis the clipped neighbour stands in: those slots read a sentinel.
+        nbr = np.clip(np.arange(n)[:, None] + offsets[:, k], 0, n - 1)
+        tables.append((wc[:, None] - wc[nbr]) ** 2)
     # A chunk never holds more pairs than _CHUNK rows of a full scan would.
-    step = max(1, min(_CHUNK, _CHUNK * col_wc.shape[1] // offsets.shape[0]))
+    slots = offsets.shape[0]
+    step = max(1, min(_CHUNK, _CHUNK * int(np.count_nonzero(col_mask)) // slots, rows.size))
+    cols = np.empty((step, slots), dtype=np.intp)
+    dist, buf = np.empty((step, slots)), np.empty((step, slots))
+    at = buf.view(np.intp)  # the slots' positions in `ranks`, read before buf serves the distances
     for lo in range(0, rows.size, step):
         hi = min(lo + step, rows.size)
-        cols = ranks[row_at[lo:hi, None] + off_at]
-        sq = np.zeros(cols.shape)
-        for k in range(dim):
-            sq += (row_wc[k, lo:hi, None] - col_wc[k, cols]) ** 2
-        yield lo, hi, cols, cols >= 0, np.sqrt(sq)
+        m = hi - lo
+        # Every index is in range; mode="clip" spares the copy of `out` that "raise" makes.
+        np.add(row_at[lo:hi, None], off_at, out=at[:m])
+        np.take(ranks, at[:m], out=cols[:m], mode="clip")
+        np.take(tables[0], index[0, lo:hi], axis=0, out=dist[:m], mode="clip")
+        for k in range(1, dim):
+            dist[:m] += np.take(tables[k], index[k, lo:hi], axis=0, out=buf[:m], mode="clip")
+        yield lo, hi, cols[:m], np.sqrt(dist[:m], out=dist[:m]), buf[:m]
+
+
+def _envelope_pass(
+    spec: GridSpec,
+    rows: np.ndarray,
+    col_mask: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
+    L: float,
+    radius: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """min_y lower(y) + L |x - y| and max_y upper(y) - L |x - y| at the nodes
+    `rows`, over the nodes y of `col_mask` within `radius`; every row must be
+    one of those nodes. A +inf (-inf) sentinel stands in for the slots off
+    them, so the reductions need no mask."""
+    lower = np.append(lower, np.inf)
+    upper = np.append(upper, -np.inf)
+    w_lo, w_hi = np.empty(rows.size), np.empty(rows.size)
+    for lo, hi, cols, dist, buf in _stencil_chunks(spec, rows, col_mask, radius):
+        cone = np.multiply(dist, L, out=dist)
+        np.add(np.take(lower, cols, out=buf, mode="wrap"), cone, out=buf)
+        np.min(buf, axis=1, out=w_lo[lo:hi])
+        np.subtract(np.take(upper, cols, out=buf, mode="wrap"), cone, out=buf)
+        np.max(buf, axis=1, out=w_hi[lo:hi])
+    return w_lo, w_hi
 
 
 def cone_convolutions(
@@ -124,15 +178,9 @@ def cone_convolutions(
     if not np.any(out_mask):
         raise ValueError("output region contains no valid nodes")
     src_vals = source.values[source.mask]
-    out_rows = np.flatnonzero(out_mask)
-
-    lo_vals = np.empty(out_rows.size)
-    hi_vals = np.empty(out_rows.size)
-    for lo, hi, cols, ok, dist in _stencil_chunks(spec, out_rows, source.mask, _osc(src_vals) / L):
-        vals = src_vals[cols]
-        cone = L * dist
-        lo_vals[lo:hi] = np.min(vals + cone, axis=1, initial=np.inf, where=ok)
-        hi_vals[lo:hi] = np.max(vals - cone, axis=1, initial=-np.inf, where=ok)
+    lo_vals, hi_vals = _envelope_pass(
+        spec, np.flatnonzero(out_mask), source.mask, src_vals, src_vals, L, _osc(src_vals) / L
+    )
 
     def as_field(vals: np.ndarray) -> SampledField:
         full = np.full(coords.shape[0], np.nan)
@@ -152,15 +200,18 @@ def envelope_lipschitz_violation(fld: SampledField, L: float) -> float:
 
     Pairs farther apart than osc(w)/L have a negative gap and x1 = x2 gives 0,
     so only the stencil pairs count; the gap is symmetric, so half of them do.
+    A NaN sentinel stands in for the slots off the valid nodes, and fmax skips it.
     """
     _check_slope(L)
     vals = fld.valid_values()
+    padded = np.append(vals, np.nan)
     worst = -math.inf
     rows = np.flatnonzero(fld.mask)
     radius = _osc(vals) / L
-    for lo, hi, cols, ok, dist in _stencil_chunks(fld.grid, rows, fld.mask, radius, half=True):
-        gap = np.abs(vals[lo:hi, None] - vals[cols]) - L * dist
-        worst = max(worst, float(np.max(gap, initial=-np.inf, where=ok)))
+    for lo, hi, cols, dist, gap in _stencil_chunks(fld.grid, rows, fld.mask, radius, half=True):
+        np.subtract(vals[lo:hi, None], np.take(padded, cols, out=gap, mode="wrap"), out=gap)
+        np.subtract(np.abs(gap, out=gap), np.multiply(dist, L, out=dist), out=gap)
+        worst = max(worst, float(np.fmax.reduce(gap, axis=None)))
     return worst
 
 
@@ -173,16 +224,13 @@ def envelope_idempotence_gap(pair: ConeEnvelopePair) -> float:
     _check_slope(pair.L)
     lo_vals, hi_vals = lower.valid_values(), upper.valid_values()
     radius = max(_osc(lo_vals), _osc(hi_vals)) / pair.L
-    worst = 0.0
     rows = np.flatnonzero(lower.mask)
-    for lo, hi, cols, ok, dist in _stencil_chunks(lower.grid, rows, lower.mask, radius):
-        cone = pair.L * dist
-        redone_lo = np.min(lo_vals[cols] + cone, axis=1, initial=np.inf, where=ok)
-        redone_hi = np.max(hi_vals[cols] - cone, axis=1, initial=-np.inf, where=ok)
-        lo_gap = np.abs(redone_lo - lo_vals[lo:hi])
-        hi_gap = np.abs(redone_hi - hi_vals[lo:hi])
-        worst = max(worst, float(np.max(lo_gap)), float(np.max(hi_gap)))
-    return worst
+    redone_lo, redone_hi = _envelope_pass(
+        lower.grid, rows, lower.mask, lo_vals, hi_vals, pair.L, radius
+    )
+    lo_gap = float(np.max(np.abs(redone_lo - lo_vals)))
+    hi_gap = float(np.max(np.abs(redone_hi - hi_vals)))
+    return max(0.0, lo_gap, hi_gap)
 
 
 @dataclass(frozen=True)

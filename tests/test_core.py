@@ -16,11 +16,13 @@ from roconvex.core import (
     gradient_field,
     make_grid,
     sample,
+    shifted,
 )
 from roconvex.corpus import (
     FunctionHandle,
     abs_entry,
     corpus,
+    get_handle,
     half_norm_sq,
     linear,
     neg_det,
@@ -265,6 +267,10 @@ def _interpolate_per_corner(fld, coords):
     spec = fld.grid
     dim = spec.shape.dim
     rel = (coords - (spec.center.coords - spec.radius)) / spec.spacing
+    # Snap lattice positions within the rounding bound of a node, as interpolate does.
+    eps = np.finfo(float).eps
+    tol = 4.0 * eps * (spec.points_per_axis + np.abs(spec.center.coords) / spec.spacing)
+    rel = np.where(np.abs(rel - np.rint(rel)) <= tol, np.rint(rel), rel)
     inside = np.all((rel >= -1e-9) & (rel <= spec.points_per_axis - 1 + 1e-9), axis=1)
     cell = np.clip(np.floor(rel).astype(int), 0, spec.points_per_axis - 2)
     frac = np.clip(rel - cell, 0.0, 1.0)
@@ -328,6 +334,31 @@ def test_interpolation_on_nodes_and_faces_matches_per_corner_reference_bitwise(p
             ref_one, ref_one_ok = _interpolate_per_corner(fld, q[k : k + 1])
             assert one.tobytes() == ref_one.tobytes() == vals[k : k + 1].tobytes(), (h.name, k)
             assert one_ok.tobytes() == ref_one_ok.tobytes() == ok[k : k + 1].tobytes(), (h.name, k)
+
+
+@pytest.mark.parametrize(
+    "name, points, radius, centre",
+    [
+        ("half_norm_sq_0p5", 7, 1.0, 0.0),
+        ("half_norm_sq_0p5", 13, 1.0, 0.0),
+        ("neg_uv", 7, 1.0, 0.0),
+        ("neg_det_2x2_sym", 7, 1.0, 0.0),
+        # a non-dyadic radius and an off-centre grid
+        ("neg_det_2x2", 9, 0.7, 0.3),
+    ],
+)
+def test_ball_field_answers_its_own_nodes_with_their_values(name, points, radius, centre):
+    h = get_handle(name)
+    centre = MatrixPoint(h.shape, np.linspace(-centre, centre, h.shape.dim))
+    fld = sample(h, grid_spec(h.shape, radius, points, "ball", centre))
+    vals, ok = fld.interpolate(fld.valid_coords())
+    assert ok.all()
+    assert np.array_equal(vals, fld.valid_values())
+    # Nodes next to a masked node are among them: the case that needs the snap.
+    v, on_grid = fld.values_nd(), np.ones(fld.nd_shape)
+    steps = [s * e for e in np.eye(h.shape.dim, dtype=int) for s in (1, -1)]
+    masked_next = [np.isnan(shifted(v, s)) & ~np.isnan(shifted(on_grid, s)) for s in steps]
+    assert np.any(np.isfinite(v) & np.any(masked_next, axis=0))
 
 
 def test_ball_samples_inside():

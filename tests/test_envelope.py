@@ -135,8 +135,16 @@ def _dip(spec):
     return SampledField(spec, values, mask)
 
 
+def _single_node(spec):
+    # One valid node at the centre: every slot but the zero offset reads the sentinel.
+    mask = np.zeros(spec.points_per_axis**spec.shape.dim, dtype=bool)
+    mask[mask.size // 2] = True
+    return SampledField(spec, np.full(mask.size, -0.6), mask)
+
+
 SYM_CUBE = grid_spec(S22_SYM, 0.7, 7, "cube")
 WHOLE_GRID = grid_spec(S22, 0.75, 5, "cube")
+SYM_BALL = grid_spec(S22_SYM, 0.7, 9, "ball")
 
 
 @pytest.mark.parametrize(
@@ -156,6 +164,10 @@ WHOLE_GRID = grid_spec(S22, 0.75, 5, "cube")
         (_random, WHOLE_GRID, 0.05, 1.5),
         # osc/L = 1 = 2.67 h: output nodes 2 h to 2.65 h from the dip take it as their minimiser.
         (_dip, grid_spec(S22, 0.75, 5, "cube"), 1.0, 1.0),
+        # Slots on masked nodes inside the grid read the sentinel; the 189 rows
+        # make a chunk of 170 and a partial one of 19.
+        (_random, SYM_BALL, 2.5, 0.7),
+        (_single_node, grid_spec(S22, 0.7, 5, "ball"), 0.9, None),
     ],
     ids=[
         "2x2_ball",
@@ -166,6 +178,8 @@ WHOLE_GRID = grid_spec(S22, 0.75, 5, "cube")
         "constant",
         "whole_grid_radius",
         "one_node_dip",
+        "sym_ball_sentinels",
+        "single_valid_node",
     ],
 )
 def test_multidim_envelopes_match_pairwise_reference(make, spec, L, output_radius):
@@ -201,6 +215,34 @@ def test_reference_cases_reach_the_stencil_edges():
     radius = np.ptp(_random(WHOLE_GRID).valid_values()) / 0.05
     assert envelope._lattice_offsets(WHOLE_GRID, radius).shape == ((2 * n - 1) ** dim, dim)
     assert envelope._lattice_offsets(WHOLE_GRID, 0.0).tolist() == [[0] * dim]
+    # sym_ball_sentinels: stencil slots land on masked nodes inside the grid,
+    # and the last chunk is partial.
+    src = _random(SYM_BALL)
+    rows = np.flatnonzero(cone_convolutions(src, 2.5, 0.7).w_minus.mask)
+    radius = np.ptp(src.valid_values()) / 2.5
+    at = np.stack(np.unravel_index(rows, src.nd_shape), axis=-1)[:, None, :]
+    at = at + envelope._lattice_offsets(SYM_BALL, radius)
+    on_grid = np.all((at >= 0) & (at < SYM_BALL.points_per_axis), axis=-1)
+    flat = np.ravel_multi_index(tuple(np.moveaxis(at, -1, 0)), src.nd_shape, mode="clip")
+    assert np.any(on_grid & ~src.mask[flat])
+    sizes = [hi - lo for lo, hi, *_ in envelope._stencil_chunks(SYM_BALL, rows, src.mask, radius)]
+    assert len(sizes) > 1 and 0 < sizes[-1] < sizes[0]
+
+
+def test_consecutive_calls_match_fresh_calls_bitwise():
+    """A call gives the same bits after a call with a wider stencil on the same
+    grid as after one with a narrower stencil: no workspace outlives its call."""
+    spec = grid_spec(S22, 0.7, 7, "ball")
+    src = _random(spec)
+    radii = [np.ptp(src.valid_values()) / L for L in (1.0, 4.0)]
+    wide, narrow = (envelope._lattice_offsets(spec, r).shape[0] for r in radii)
+    assert wide > narrow
+    first, narrow_after_wide = cone_convolutions(src, 1.0), cone_convolutions(src, 4.0)
+    narrow_after_narrow, wide_after_narrow = cone_convolutions(src, 4.0), cone_convolutions(src, 1.0)
+    for got, ref in ((narrow_after_wide, narrow_after_narrow), (wide_after_narrow, first)):
+        assert _bits(got.w_minus.values) == _bits(ref.w_minus.values)
+        assert _bits(got.w_plus.values) == _bits(ref.w_plus.values)
+    assert not np.array_equal(first.w_minus.values, narrow_after_wide.w_minus.values, equal_nan=True)
 
 
 @pytest.mark.parametrize("L", [math.nan, math.inf, 0.0, -1.0])

@@ -44,6 +44,18 @@ def spec1(points=13, radius=1.0):
     return GridSpec(S1, MatrixPoint.zero(S1), radius, points, "cube")
 
 
+def test_theta_upper_at_a_ball_field_node_next_to_the_mask():
+    # Node (-2/3, 0, 0, 1/3): its neighbour (-1, 0, 0, 1/3) lies outside the unit ball.
+    spec = grid_spec(S22, 1.0, 7, "ball")
+    fld = sample(half_norm_sq(0.5), spec)
+    node = np.ravel_multi_index((1, 3, 3, 4), fld.nd_shape)
+    assert fld.mask[node] and not fld.mask[np.ravel_multi_index((0, 3, 3, 4), fld.nd_shape)]
+    touch = theta_upper(fld, fld.node_coords()[node], spec)
+    assert touch.value_at_x0 == fld.values[node]
+    assert touch.converged
+    assert touch.opening == pytest.approx(0.5, abs=1e-12)
+
+
 @pytest.mark.parametrize("a0", [0.5, 1.0, 2.0])
 def test_quadratic_opening_exact(a0):
     touch = theta_upper(half_norm_sq(a0), np.zeros(4), grid_spec(S22, 1.0, 9, "cube"))
