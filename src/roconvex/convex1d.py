@@ -320,8 +320,8 @@ class L1BallReport:
         return self.max_ratio <= self.bound + 1e-12
 
 
-def l1_ball_containment(n: int, sample_count: int = 100_000, seed: int = 0) -> L1BallReport:
-    """max |x|_1 / |x|_2 over random unit vectors, with the flat witness included.
+def l1_ball_containment(n: int, seed: int = 0) -> L1BallReport:
+    """max |x|_1 / |x|_2 over 100,000 random unit vectors, with the flat witness included.
 
     The bound sqrt(n) is the containment radius: the hull of {±h e_j} holds the
     ball of radius h / sqrt(n), and membership is |x|_1 <= h.
@@ -329,7 +329,7 @@ def l1_ball_containment(n: int, sample_count: int = 100_000, seed: int = 0) -> L
     if n < 1:
         raise ValueError("dimension must be >= 1")
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((sample_count, n))
+    x = rng.standard_normal((100_000, n))
     x /= np.linalg.norm(x, axis=1)[:, None]
     witness = np.full(n, 1.0 / math.sqrt(n))
     x = np.concatenate([x, witness[None, :]], axis=0)
@@ -424,6 +424,8 @@ def fubini_tail_experiment(
     osc = osc_on_cube(f, 3.0)
     threshold = 2.0 * osc
     t_arr = np.asarray(list(t_grid), dtype=float)
+    if t_arr.size == 0 or not np.all(np.isfinite(t_arr)):
+        raise ValueError(f"t_grid must be non-empty and finite, got {t_arr.tolist()}")
     if np.any(np.diff(t_arr) <= 0):
         raise ValueError("t_grid must be increasing")
     if t_arr[0] <= threshold:

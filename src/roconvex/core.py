@@ -171,10 +171,6 @@ class RankOneDirection:
             return np.outer(e, e)
         return np.outer(self.a, self.b)
 
-    @property
-    def frob_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix))
-
     def label(self) -> str:
         if self.shape.symmetric:
             i, j = self.pair  # type: ignore[misc]
@@ -313,16 +309,12 @@ class Grid:
         return coords, mats
 
 
-def make_grid(spec: GridSpec, max_nodes: int | None = None) -> Grid:
+@functools.lru_cache(maxsize=8)
+def make_grid(spec: GridSpec) -> Grid:
     """Build the tensor grid for `spec`, masking nodes outside the clip region.
 
     Grids are read-only, so the few most recently used ones are cached and shared.
     """
-    return _make_grid(spec, MAX_GRID_NODES if max_nodes is None else max_nodes)
-
-
-@functools.lru_cache(maxsize=8)
-def _make_grid(spec: GridSpec, budget: int) -> Grid:
     dim = spec.shape.dim
     if dim > MAX_GRID_DIM:
         raise CapacityError(f"grid dimension {dim} exceeds budget {MAX_GRID_DIM}")
@@ -331,8 +323,8 @@ def _make_grid(spec: GridSpec, budget: int) -> Grid:
             f"points_per_axis {spec.points_per_axis} exceeds budget {MAX_POINTS_PER_AXIS}"
         )
     total = spec.points_per_axis**dim
-    if total > budget:
-        raise CapacityError(f"node count {total} exceeds budget {budget}")
+    if total > MAX_GRID_NODES:
+        raise CapacityError(f"node count {total} exceeds budget {MAX_GRID_NODES}")
     axes = [spec.axis_values(k) for k in range(dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     coords = np.stack([m.reshape(-1) for m in mesh], axis=-1)

@@ -45,8 +45,9 @@ class FunctionHandle:
             raise ValueError(f"handle {self.name!r} has no exact gradient")
         return self.gradient(self.shape.coords_to_matrix(coords))
 
-    def fd_gradient(self, mats: np.ndarray, h: float = 1e-6) -> np.ndarray:
-        """Central-difference gradient in matrix space; reference for exact gradients."""
+    def fd_gradient(self, mats: np.ndarray) -> np.ndarray:
+        """Central-difference gradient in matrix space at step 1e-6; reference for exact gradients."""
+        h = 1e-6
         mats = np.asarray(mats, dtype=float)
         out = np.zeros_like(mats)
         m, n = mats.shape[-2:]

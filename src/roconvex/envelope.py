@@ -400,6 +400,8 @@ def second_order_remainder(
     handles may be probed at any radius.
     """
     radii_arr = np.asarray(list(radii), dtype=float)
+    if radii_arr.size == 0 or not np.all(np.isfinite(radii_arr) & (radii_arr > 0)):
+        raise ValueError(f"radii must be non-empty, finite and positive, got {radii_arr.tolist()}")
     if np.any(np.diff(radii_arr) >= 0):
         raise ValueError("radii must be strictly decreasing")
     shape = f.shape

@@ -22,7 +22,6 @@ import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +33,9 @@ BLAND_AFTER = 8  # consecutive degenerate pivots before Bland's rule replaces Da
 OPT_RTOL = 1e-12  # reduced costs up to OPT_RTOL * max|c| count as optimal
 GAP_RTOL = 1e-9  # converged: opening - lower bound <= GAP_RTOL * max(1, opening)
 DUAL_RTOL = 1e-9  # replay: |sum lam B| <= DUAL_RTOL * max(1, max|B|)
+# the tail levels t: eight log-spaced over one decade, from 2 to 20; read-only
+TAIL_T_GRID = np.exp(np.linspace(math.log(2.0), math.log(20.0), 8))
+TAIL_T_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -247,7 +249,12 @@ def theta_upper(
     x0: np.ndarray,
     constraints: GridSpec,
 ) -> ParaboloidTouch:
-    """Least opening of a paraboloid tangent from above at x0 over the constraint grid."""
+    """Least opening of a paraboloid tangent from above at x0 over the constraint grid.
+
+    At a node x0 on the boundary sphere of a ball cloud the opening is 0: every
+    other cloud node lies in the open half-space behind x0, so tilting the slope
+    makes every constraint slack.
+    """
     prob = _TouchProblem(f, x0, constraints)
     p, rows, weights, pivots = _solve_dual(prob)
     lower_bound = float(weights @ prob.c[rows])
@@ -375,17 +382,9 @@ def theta_field(
     )
 
 
-def tail_experiment(
-    theta: ThetaField,
-    f_sup: float,
-    t_grid: Sequence[float],
-) -> TailReport:
-    """Estimated measure of {opening > f_sup * t} inside the evaluation ball, per t."""
-    t_arr = np.asarray(list(t_grid), dtype=float)
-    if t_arr.size < 2 or np.any(np.diff(t_arr) <= 0):
-        raise ValueError("t_grid must be increasing with at least two entries")
-    if t_arr[-1] < 10.0 * t_arr[0] * (1.0 - 1e-9):
-        raise ValueError("t_grid must cover at least one decade")
+def tail_experiment(theta: ThetaField, f_sup: float) -> TailReport:
+    """Estimated measure of {opening > f_sup * t} inside the evaluation ball, per t in TAIL_T_GRID."""
+    t_arr = TAIL_T_GRID
     vol = ball_volume(theta.eval_coords.shape[1], theta.region_radius)
     fractions = np.array([float(np.mean(theta.theta > f_sup * t)) for t in t_arr])
     measure = fractions * vol
@@ -407,8 +406,3 @@ def tail_experiment(
         fit_residual=residual,
         nonzero_count=int(np.sum(nonzero)),
     )
-
-
-def default_tail_t_grid() -> np.ndarray:
-    """Eight log-spaced levels t over one decade, from 2 to 20."""
-    return np.exp(np.linspace(math.log(2.0), math.log(20.0), 8))

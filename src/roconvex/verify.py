@@ -266,30 +266,18 @@ def symmetric_operator_check(fld: SampledField) -> NodeMinReport:
     return _node_min(fld, total)
 
 
-def mollify(fld: SampledField, kernel_radius: int) -> SampledField:
-    """Normalized triangular product-kernel average; the domain shrinks by
-    kernel_radius nodes per side."""
-    if kernel_radius < 1:
-        raise ValueError("kernel_radius must be >= 1")
-    ppa = fld.grid.points_per_axis
-    new_ppa = ppa - 2 * kernel_radius
+def mollify(fld: SampledField) -> SampledField:
+    """Product-kernel average with weights (1/4, 1/2, 1/4) per axis; the domain
+    shrinks by one node per side."""
+    new_ppa = fld.grid.points_per_axis - 2
     if new_ppa < 3:
-        raise ValueError("mollified domain is empty at this kernel radius")
-    ramp = np.arange(1, kernel_radius + 2, dtype=float)
-    weights = np.concatenate([ramp, ramp[-2::-1]])
-    weights /= weights.sum()
+        raise ValueError("mollified domain is empty: mollify needs at least 5 points per axis")
+    weights = np.array([0.25, 0.5, 0.25])
     v = fld.values_nd()
     for axis in range(fld.shape.dim):
         windows = np.lib.stride_tricks.sliding_window_view(v, weights.size, axis=axis)
         v = np.tensordot(windows, weights, axes=([-1], [0]))
-    h = fld.grid.spacing
-    new_spec = GridSpec(
-        fld.shape,
-        fld.grid.center,
-        fld.grid.radius - kernel_radius * h,
-        new_ppa,
-        fld.grid.clip,
-    )
+    new_spec = GridSpec(fld.shape, fld.grid.center, fld.grid.radius - fld.grid.spacing, new_ppa, fld.grid.clip)
     values = v.reshape(-1)
     mask = np.isfinite(values) & make_grid(new_spec).mask
     return SampledField(new_spec, values, mask)

@@ -39,7 +39,7 @@ from roconvex.envelope import (
     second_order_remainder,
 )
 from roconvex.lowerbound import empirical_majorant, lemma_constant, lower_bound_certify
-from roconvex.paraboloid import default_tail_t_grid, tail_experiment, theta_field, theta_upper
+from roconvex.paraboloid import tail_experiment, theta_field, theta_upper
 from roconvex.verify import SegmentSampler, rank_one_convexity_check, separate_convexity_check
 
 S22 = MatrixShape(2, 2)
@@ -150,7 +150,7 @@ def test_criterion_05_convex_taylor_chain():
 
 
 def test_criterion_06_l1_geometry():
-    rep = l1_ball_containment(4, 100_000, seed=99)
+    rep = l1_ball_containment(4, seed=99)
     ok = rep.max_ratio <= 2.0 + 1e-12 and rep.witness_ratio == pytest.approx(2.0, abs=1e-12)
     _report(6, f"l1/l2 ratio on R^4 bounded by 2 (max {rep.max_ratio:.12f}), witness attains it", ok)
 
@@ -165,7 +165,7 @@ def test_criterion_07_tail_decay():
 
     constraints = grid_spec(S22, 1.0, 13, "ball")
     tf = theta_field(abs_entry(0, 0), constraints, count=500, seed=31)
-    rep = tail_experiment(tf, f_sup=1.0, t_grid=default_tail_t_grid())
+    rep = tail_experiment(tf, f_sup=1.0)
     eps_ok = rep.fitted_epsilon is not None and rep.fitted_epsilon >= 0.9
     mono_ok = bool(np.all(np.diff(rep.measure) <= 0.0))
     elapsed = time.monotonic() - start

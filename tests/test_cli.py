@@ -1,13 +1,16 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import roconvex
+from roconvex import cli
 from roconvex.cli import ExperimentConfig, list_corpus, load_config, main, run
 from roconvex.fieldio import read_field, write_field
 from roconvex.core import MAX_POINTS_PER_AXIS, MatrixPoint, MatrixShape, SampledField, grid_spec, make_grid, sample
@@ -41,9 +44,11 @@ def test_config_file_roundtrip(tmp_path):
     values = load_config(cfg_path)
     assert values == {"seed": 5, "grid_points": 7}
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"seeed": 5}))
-    with pytest.raises(ValueError, match="unknown config keys"):
-        load_config(bad)
+    # a misspelt key, and the keys of values that became constants
+    for key in ("seeed", "tol", "min_epsilon"):
+        bad.write_text(json.dumps({key: 5}))
+        with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
+            load_config(bad)
 
 
 @pytest.mark.parametrize(
@@ -59,11 +64,11 @@ def test_config_file_roundtrip(tmp_path):
         (["theta", "--threads", "0"], "threads must be >= 1, got 0"),
         (["lemma", "--samples", "0"], "empirical_majorant needs at least one sample, got 0"),
         (["appendix", "--config", "{no_lines}"], "fubini_tail_experiment needs lines_per_direction >= 1, got 0"),
-        (["verify", "--tol", "nan"], "tol must be finite and >= 0, got nan"),
         (["all", "--threads", "0"], "threads must be >= 1, got 0"),
         # every norm of a cube draw overflows, so rejection sampling would never accept one
         (["lemma", "--radius", "1e300"], "ball_samples cannot sample radius 1e+300"),
-        (["verify", "--config", "{str_tol}"], "config key 'tol' must be float, got \"x\""),
+        # tol was a config key until the verdict tolerance became a constant
+        (["verify", "--config", "{str_tol}"], "unknown config keys: ['tol']"),
         (["verify", "--config", "{float_points}"], "config key 'grid_points' must be int, got 7.5"),
         (["lemma", "--radius", "inf"], "ball radius must be positive and finite, got inf"),
         (["lemma", "--radius", "nan"], "ball radius must be positive and finite, got nan"),
@@ -78,6 +83,9 @@ def test_config_file_roundtrip(tmp_path):
         (["verify", "--radius", "1e300"], "non-finite value of neg_det_2x2 at node"),
         (["envelope", "--radius", "1e300"], "non-finite value of neg_det_2x2 at node"),
         (["all", "--radius", "1e300"], "non-finite value of half_norm_sq_0p5 at node"),
+        # named before numpy's generator rejects it with a message that names no input
+        (["verify", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["all", "--config", "{negative_seed}"], "seed must be >= 0, got -1"),
     ],
     ids=[
         "unknown_function",
@@ -89,7 +97,6 @@ def test_config_file_roundtrip(tmp_path):
         "zero_threads",
         "zero_samples",
         "zero_lines",
-        "nan_tol",
         "all_zero_threads",
         "huge_radius",
         "str_tol",
@@ -103,6 +110,8 @@ def test_config_file_roundtrip(tmp_path):
         "verify_huge_radius",
         "envelope_huge_radius",
         "all_huge_radius",
+        "verify_negative_seed",
+        "all_negative_seed",
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, argv, cause):
@@ -113,6 +122,7 @@ def test_bad_input_exits_2_with_one_line(tmp_path, argv, cause):
         "str_tol": json.dumps({"tol": "x"}),
         "float_points": json.dumps({"grid_points": 7.5}),
         "experiment": json.dumps({"experiment": "tail"}),
+        "negative_seed": json.dumps({"seed": -1}),
     }
     for name, text in configs.items():
         (tmp_path / f"{name}.json").write_text(text)
@@ -154,33 +164,20 @@ def test_cli_flags_override_config(tmp_path):
     assert manifest["passed"] is True
 
 
-def test_verify_exit_codes(tmp_path):
-    assert main(["verify", "--function", "neg_det_2x2", "--out", str(tmp_path / "a")]) == 0
-    # an impossible epsilon floor forces a failing check and a nonzero exit
-    code = main(
-        [
-            "tail",
-            "--function",
-            "half_norm_sq_1",
-            "--grid-points",
-            "7",
-            "--eval-count",
-            "10",
-            "--out",
-            str(tmp_path / "b"),
-        ]
+def test_verify_exit_codes(tmp_path, monkeypatch, capsys):
+    argv = ["verify", "--function", "neg_det_2x2", "--out"]
+    assert main(argv + [str(tmp_path / "a")]) == 0
+    # one forced failing check fails the run with exit 1
+    run_verify = cli._PIPELINES["verify"]
+    monkeypatch.setitem(
+        cli._PIPELINES, "verify", lambda cfg: replace(run_verify(cfg), checks={"forced": False})
     )
-    assert code == 0
-    cfg = ExperimentConfig(
-        experiment="tail",
-        function="half_norm_sq_1",
-        grid_points=7,
-        eval_count=10,
-        min_epsilon=0.9,
-        out_dir=str(tmp_path / "c"),
-    )
-    manifest = run(cfg)
-    assert not manifest.passed
+    capsys.readouterr()
+    assert main(argv + [str(tmp_path / "b")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["FAIL  verify[neg_det_2x2].forced", "1 of 1 checks failed"]
+    manifest = json.loads((tmp_path / "b/verify/manifest.json").read_text())
+    assert manifest["passed"] is False
 
 
 def test_tail_rejects_grid_over_budget(tmp_path, capsys):
@@ -339,3 +336,13 @@ def test_threaded_run_matches_serial(tmp_path):
     serial = run(ExperimentConfig(**base, threads=1, out_dir=str(tmp_path / "s")))
     threaded = run(ExperimentConfig(**base, threads=2, out_dir=str(tmp_path / "t")))
     assert serial.artifacts == threaded.artifacts
+
+
+def test_readme_lists_the_config_keys_and_flags():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    sentence = re.search(r"A config file may hold only the `ExperimentConfig` keys:(.*?)\.", readme, re.S)
+    keys = re.findall(r"`(\w+)`", sentence.group(1))
+    assert keys == [k for k in ExperimentConfig.__dataclass_fields__ if k != "experiment"]
+    flag_list = re.search(r"^Flags:(.*?)\n\n", readme, re.S | re.M)
+    flags = [item.split()[0] for item in re.findall(r"`([^`]+)`", flag_list.group(1))]
+    assert flags == ["--config"] + [flag for flag, _, _, _ in cli._FLAGS]

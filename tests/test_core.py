@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roconvex import core
 from roconvex.core import (
     CapacityError,
     GridSpec,
@@ -91,14 +92,18 @@ def test_grid_symmetry_about_center():
     assert all(tuple(row) in as_set for row in flipped)
 
 
-def test_grid_budget_errors():
+def test_grid_budget_errors(monkeypatch):
     shape = MatrixShape(2, 3)  # dim 6 over budget
     with pytest.raises(CapacityError):
         make_grid(grid_spec(shape, 1.0, 3, "cube"))
     with pytest.raises(CapacityError):
         make_grid(grid_spec(MatrixShape(2, 2), 1.0, 15, "cube"))
-    with pytest.raises(CapacityError):
-        make_grid(grid_spec(MatrixShape(2, 2), 1.0, 13, "cube"), max_nodes=1000)
+    # the axis and dimension caps keep every grid under the node budget (13^4 = 28,561),
+    # so the node guard is checked under a lowered budget, on an uncached grid
+    make_grid.cache_clear()
+    monkeypatch.setattr(core, "MAX_GRID_NODES", 2400)
+    with pytest.raises(CapacityError, match="node count 2401 exceeds budget 2400"):
+        make_grid(grid_spec(MatrixShape(2, 2), 1.0, 7, "cube"))
 
 
 def test_signed_zero_center_shares_one_grid():
@@ -232,7 +237,7 @@ def test_corpus_gradients_match_finite_differences():
             pts = pts[np.all(np.abs(pts) > 0.05, axis=1)]
             mats = h.shape.coords_to_matrix(pts)
         exact = h.gradient(mats)
-        approx = h.fd_gradient(mats, h=1e-6)
+        approx = h.fd_gradient(mats)
         scale = np.maximum(1.0, np.abs(exact))
         mism = np.abs(exact - approx) / scale
         if h.name in ("frob_norm", "abs_x11", "abs_det_2x2", "max_linear_3"):

@@ -426,3 +426,12 @@ def test_remainder_field_resolution_guard():
 def test_remainder_radii_validation():
     with pytest.raises(ValueError, match="decreasing"):
         second_order_remainder(half_norm_sq(1.0), np.zeros(4), [0.1, 0.2])
+
+
+# each ratio divides by r^2, and an empty profile has no smallest radius to judge
+@pytest.mark.parametrize(
+    "radii", [[0.2, 0.0], [0.2, -0.1], [], [0.2, math.nan]], ids=["zero", "negative", "empty", "nan"]
+)
+def test_remainder_rejects_empty_or_non_positive_radii(radii):
+    with pytest.raises(ValueError, match="radii must be non-empty, finite and positive"):
+        second_order_remainder(frob_norm(), np.zeros(4), radii)

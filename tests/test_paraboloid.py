@@ -5,7 +5,6 @@ import pytest
 
 from roconvex import paraboloid
 from roconvex.core import (
-    MAX_GRID_NODES,
     GridSpec,
     MatrixPoint,
     MatrixShape,
@@ -26,7 +25,7 @@ from roconvex.corpus import (
 )
 from roconvex.paraboloid import (
     GAP_RTOL,
-    default_tail_t_grid,
+    TAIL_T_GRID,
     replay_lower_bound,
     replay_opening,
     tail_experiment,
@@ -54,6 +53,20 @@ def test_theta_upper_at_a_ball_field_node_next_to_the_mask():
     assert touch.value_at_x0 == fld.values[node]
     assert touch.converged
     assert touch.opening == pytest.approx(0.5, abs=1e-12)
+
+
+def test_theta_upper_on_a_ball_field_reads_zero_on_the_boundary_sphere():
+    # At a node on the sphere every other node lies in the open half-space behind it,
+    # so the slope can tilt until no constraint binds; inside, the true opening 0.5.
+    spec = grid_spec(S22, 1.0, 7, "ball")
+    fld = sample(half_norm_sq(0.5), spec)
+    nodes = fld.valid_coords()
+    openings = np.array([theta_upper(fld, x0, spec).opening for x0 in nodes])
+    lattice = np.rint(nodes / spec.spacing).astype(int)
+    on_sphere = np.sum(lattice * lattice, axis=1) == 9  # |x| = 1 at spacing 1/3
+    assert int(np.sum(on_sphere)) == 104 and int(np.sum(~on_sphere)) == 321
+    assert np.all(np.abs(openings[on_sphere]) <= 1e-12)
+    assert np.all(np.abs(openings[~on_sphere] - 0.5) <= 1e-12)
 
 
 @pytest.mark.parametrize("a0", [0.5, 1.0, 2.0])
@@ -186,7 +199,7 @@ def test_quadratic_theta_field_constant():
 def test_tail_empty_for_quadratic():
     spec = grid_spec(S22, 1.0, 9, "cube")
     tf = theta_field(half_norm_sq(1.0), spec, count=30, seed=4)
-    rep = tail_experiment(tf, f_sup=1.0, t_grid=[2.0, 4.0, 8.0, 20.0])
+    rep = tail_experiment(tf, f_sup=1.0)
     assert np.all(rep.measure == 0.0)
     assert rep.fitted_epsilon is None  # fewer than 3 nonzero measures: fit refused
     assert rep.nonzero_count == 0
@@ -195,18 +208,10 @@ def test_tail_empty_for_quadratic():
 def test_tail_measures_non_increasing_and_fit():
     spec = grid_spec(S22, 1.0, 9, "ball")
     tf = theta_field(abs_entry(0, 0), spec, count=120, seed=2)
-    rep = tail_experiment(tf, f_sup=1.0, t_grid=default_tail_t_grid())
+    rep = tail_experiment(tf, f_sup=1.0)
+    assert rep.t_grid is TAIL_T_GRID and not TAIL_T_GRID.flags.writeable
     assert np.all(np.diff(rep.measure) <= 0.0)
     assert rep.fitted_epsilon is not None and rep.fitted_epsilon > 0.0
-
-
-def test_tail_grid_validation():
-    spec = grid_spec(S22, 1.0, 7, "cube")
-    tf = theta_field(half_norm_sq(1.0), spec, count=5, seed=0)
-    with pytest.raises(ValueError, match="decade"):
-        tail_experiment(tf, 1.0, [1.0, 2.0, 4.0])
-    with pytest.raises(ValueError, match="increasing"):
-        tail_experiment(tf, 1.0, [4.0, 2.0, 1.0, 50.0])
 
 
 def test_solver_budget_recorded():
@@ -287,7 +292,6 @@ def test_make_grid_cached_per_spec():
     spec = grid_spec(S22, 1.0, 9, "ball")
     grid = make_grid(spec)
     assert make_grid(grid_spec(S22, 1.0, 9, "ball")) is grid
-    assert make_grid(spec, max_nodes=None) is grid and make_grid(spec, MAX_GRID_NODES) is grid
     assert not grid.coords.flags.writeable and not grid.mask.flags.writeable
     assert make_grid(grid_spec(S22, 1.0, 9, "cube")) is not grid
 

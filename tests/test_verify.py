@@ -108,7 +108,7 @@ def test_field_is_checked_on_its_own_grid():
         (neg_half_norm_sq(), grid_spec(MatrixShape(2, 2), 1.0, 9, "cube")),
         (neg_uv(), grid_spec(MatrixShape(1, 2), 0.8, 9, "ball")),
         (get_handle("neg_det_2x2_sym"), None),
-        (mollify(sample(neg_half_norm_sq(), grid_spec(MatrixShape(2, 2), 1.0, 9, "cube")), 1), None),
+        (mollify(sample(neg_half_norm_sq(), grid_spec(MatrixShape(2, 2), 1.0, 9, "cube"))), None),
     ],
     ids=["handle_cube", "handle_ball", "neg_det_2x2_sym", "mollified_field"],
 )
@@ -235,10 +235,10 @@ def test_symmetric_operator_rejects_general_shape():
 def test_mollify_constant_and_linear():
     shape = MatrixShape(1, 2)
     spec = grid_spec(shape, 1.0, 9, "cube")
-    molc = mollify(sample(constant(5.0, shape), spec), 2)
+    molc = mollify(sample(constant(5.0, shape), spec))
     assert np.allclose(molc.values[molc.mask], 5.0)
     ell = np.array([[2.0, -1.0]])
-    moll = mollify(sample(linear(ell, shape), spec), 2)
+    moll = mollify(sample(linear(ell, shape), spec))
     exact = moll.node_coords() @ ell.ravel()
     assert np.allclose(moll.values[moll.mask], exact[moll.mask], atol=1e-13)
 
@@ -246,18 +246,20 @@ def test_mollify_constant_and_linear():
 def test_mollify_shrinks_and_rejects_empty():
     shape = MatrixShape(1, 1)
     fld = sample(half_norm_sq(1.0, shape), grid_spec(shape, 1.0, 9, "cube"))
-    mol = mollify(fld, 2)
-    assert mol.grid.points_per_axis == 5
-    assert mol.grid.radius == pytest.approx(1.0 - 2 * fld.grid.spacing)
+    mol = mollify(fld)
+    assert mol.grid.points_per_axis == 7
+    assert mol.grid.radius == pytest.approx(1.0 - fld.grid.spacing)
+    # interior nodes of x^2/2: the (1/4, 1/2, 1/4) average adds h^2/4 per axis
+    assert np.allclose(mol.values, 0.5 * mol.node_coords()[:, 0] ** 2 + fld.grid.spacing**2 / 4)
     with pytest.raises(ValueError, match="empty"):
-        mollify(fld, 4)
+        mollify(sample(half_norm_sq(1.0, shape), grid_spec(shape, 1.0, 3, "cube")))
 
 
 @pytest.mark.parametrize("name", ["frob_norm", "abs_x11", "neg_det_2x2", "half_norm_sq_2"])
 def test_mollification_preserves_flagged_convexity(name):
     h = next(c for c in corpus() if c.name == name)
     spec = grid_spec(h.shape, 1.0, 13, "cube")
-    mol = mollify(sample(h, spec), 1)
+    mol = mollify(sample(h, spec))
     rep = rank_one_convexity_check(mol, sampler=SAMPLER)
     # interpolation tolerance class K h^2; measured corpus margin is K <= 0.24
     assert rep.worst_violation <= spec.spacing**2
@@ -266,7 +268,7 @@ def test_mollification_preserves_flagged_convexity(name):
 def test_mollified_negative_control_still_fails():
     h = neg_half_norm_sq()
     spec = grid_spec(h.shape, 1.0, 13, "cube")
-    mol = mollify(sample(h, spec), 1)
+    mol = mollify(sample(h, spec))
     rep = rank_one_convexity_check(mol, sampler=SAMPLER)
     assert rep.worst_violation > spec.spacing**2
 
