@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import seeded_rng
 from .corpus import FunctionHandle
 
 LINE_RESOLUTION = 0.05  # step of the per-line fit grid on [-3, 3] in the tail experiment
@@ -148,19 +149,97 @@ def second_derivative_measure(f: PLConvex1D) -> AtomicMeasure1D:
     return AtomicMeasure1D(f.breakpoints[keep], jumps[keep])
 
 
-def maximal_function(mu: AtomicMeasure1D, x: float) -> float:
-    """sup over open intervals I containing x of mu(I)/|I|, exactly.
+@dataclass(frozen=True)
+class _LineRuns:
+    """Every contiguous atom run of one atomic measure per line, as (lines, runs)
+    arrays padded past each line's own runs (`valid` false there)."""
 
-    The supremum over intervals pinching a contiguous atom run [a_i, a_j] and x
-    equals run mass / span(run, x); it is +inf exactly at atoms.
-    """
-    at = np.abs(mu.locations - x) == 0.0
-    if np.any(at & (mu.masses > 0)):
-        return math.inf
-    left, right, mass = mu.runs
-    span = np.maximum(right, x) - np.minimum(left, x)
-    good = span > 0  # a zero span is a zero-mass atom at x, which adds nothing
-    return float(np.max(mass[good] / span[good], initial=0.0))
+    left: np.ndarray
+    right: np.ndarray
+    mass: np.ndarray
+    valid: np.ndarray
+
+    @classmethod
+    def of(cls, mu: AtomicMeasure1D) -> _LineRuns:
+        """The one line of a measure."""
+        left, right, mass = mu.runs
+        return cls(left[None], right[None], mass[None], np.ones((1, mass.size), dtype=bool))
+
+    @classmethod
+    def fit(
+        cls, vals: np.ndarray, offsets: np.ndarray, direction: int, s_grid: np.ndarray, tol: float
+    ) -> _LineRuns:
+        """The PL fit of each row of `vals` on `s_grid`: one atom per slope jump
+        above the row's roundoff floor; a slope dip below -tol names its line."""
+        slopes = np.diff(vals, axis=1) / np.diff(s_grid)
+        dips = np.diff(slopes, axis=1)
+        bent = np.min(dips, axis=1, initial=math.inf) < -tol
+        if np.any(bent):
+            k = int(np.argmax(bent))
+            raise ValueError(
+                f"restriction along axis {direction} at offset {offsets[k].tolist()} is not convex"
+            )
+        jumps = np.maximum(dips, 0.0)
+        # roundoff floor: secant slopes of affine restrictions jitter at ~1e-16
+        floor = 1e-12 * np.fmax(1.0, np.max(np.abs(slopes), axis=1))
+        keep = jumps > floor[:, None]
+        count = np.sum(keep, axis=1)
+        atoms = int(np.max(count, initial=0))
+        first = np.argsort(~keep, axis=1, kind="stable")[:, :atoms]  # kept atoms, left to right
+        prefix = np.zeros((len(vals), atoms + 1))
+        np.cumsum(np.take_along_axis(np.where(keep, jumps, 0.0), first, axis=1), axis=1, out=prefix[:, 1:])
+        loc = s_grid[1:-1][first]
+        i, j = np.triu_indices(atoms)
+        return cls(loc[:, i], loc[:, j], prefix[:, j + 1] - prefix[:, i], j < count[:, None])
+
+    def intervals(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """{M mu > t} per line, exactly: (start, end, last) over the runs sorted by
+        start, where `last` marks the run that closes an open interval of the
+        union, and start, end there are that interval's endpoints. A (lines, 1)
+        column of levels gives line k the level t[k]."""
+        ell = self.mass / t
+        keep = self.valid & ((self.right - self.left) < ell)
+        starts = np.where(keep, self.right - ell, np.inf)
+        order = np.argsort(starts, axis=1, kind="stable")
+        s = np.take_along_axis(starts, order, axis=1)
+        end = np.maximum.accumulate(
+            np.take_along_axis(np.where(keep, self.left + ell, -np.inf), order, axis=1), axis=1
+        )
+        # a run opens an interval when it starts past every end before it
+        opens = np.ones(s.shape, dtype=bool)
+        opens[:, 1:] = s[:, 1:] > end[:, :-1]
+        last = np.ones(s.shape, dtype=bool)
+        last[:, :-1] = opens[:, 1:]
+        last &= np.isfinite(s)  # the runs kept sort first
+        first = np.maximum.accumulate(np.where(opens, np.arange(s.shape[1]), 0), axis=1)
+        return np.take_along_axis(s, first, axis=1), end, last
+
+    def measure(self, t: float | np.ndarray, lo: float = -math.inf, hi: float = math.inf) -> np.ndarray:
+        """|{M mu > t} cap [lo, hi]| per line: its intervals clipped, then summed
+        left to right from 0, as IntervalUnion.intersect(lo, hi).measure adds them."""
+        start, end, last = self.intervals(t)
+        a, b = np.maximum(start, lo), np.minimum(end, hi)
+        lengths = np.zeros((len(a), a.shape[1] + 1))  # a leading 0: each sum starts from 0
+        lengths[:, 1:] = np.where(last & (a < b), b - a, 0.0)
+        return np.cumsum(lengths, axis=1)[:, -1]
+
+    def maximal(self, x: np.ndarray) -> np.ndarray:
+        """M mu(x_k) of each line k at its own point x_k, exactly.
+
+        The supremum over intervals pinching a contiguous atom run [a_i, a_j] and
+        x equals run mass / span(run, x); it is +inf exactly at atoms of positive
+        mass. A zero span is a zero-mass atom at x, which adds nothing.
+        """
+        span = np.maximum(self.right, x[:, None]) - np.minimum(self.left, x[:, None])
+        ratio = np.divide(self.mass, span, out=np.zeros(span.shape), where=self.valid & (span > 0))
+        atom = self.valid & (self.left == self.right) & (self.mass > 0)
+        at_atom = np.any(atom & (self.left == x[:, None]), axis=1)
+        return np.where(at_atom, math.inf, np.max(ratio, axis=1, initial=0.0))
+
+
+def maximal_function(mu: AtomicMeasure1D, x: float) -> float:
+    """sup over open intervals I containing x of mu(I)/|I|, exactly; +inf at atoms."""
+    return float(_LineRuns.of(mu).maximal(np.array([float(x)]))[0])
 
 
 @dataclass(frozen=True)
@@ -192,35 +271,12 @@ class IntervalUnion:
         return True
 
 
-def _merge(starts: np.ndarray, ends: np.ndarray) -> IntervalUnion:
-    if starts.size == 0:
-        return IntervalUnion(())
-    order = np.argsort(starts, kind="stable")
-    s, e = starts[order], ends[order]
-    out = []
-    cur_s, cur_e = float(s[0]), float(e[0])
-    for k in range(1, s.size):
-        if s[k] <= cur_e:
-            cur_e = max(cur_e, float(e[k]))
-        else:
-            out.append((cur_s, cur_e))
-            cur_s, cur_e = float(s[k]), float(e[k])
-    out.append((cur_s, cur_e))
-    return IntervalUnion(tuple(out))
-
-
 def superlevel(mu: AtomicMeasure1D, t: float) -> IntervalUnion:
     """{M mu > t} as an exact union of open intervals."""
     if t <= 0:
         raise ValueError("superlevel threshold must be positive")
-    left, right, mass = mu.runs
-    if mass.size == 0:
-        return IntervalUnion(())
-    ell = mass / t
-    keep = (right - left) < ell
-    starts = right[keep] - ell[keep]
-    ends = left[keep] + ell[keep]
-    return _merge(starts, ends)
+    start, end, last = _LineRuns.of(mu).intervals(t)
+    return IntervalUnion(tuple(zip(start[last].tolist(), end[last].tolist())))
 
 
 @dataclass(frozen=True)
@@ -237,24 +293,28 @@ class WeakOneOneRow:
 
 def weak_one_one_check(mu: AtomicMeasure1D, t_grid: Sequence[float]) -> list[WeakOneOneRow]:
     """The maximal-function distribution bound with explicit constant 2, plus the
-    localized variant through the [-2,2] truncation."""
+    localized variant through the [-2,2] truncation. All levels are computed at
+    once, one line per level."""
     trunc = mu.restrict(-2.0, 2.0)
     total, local_total = mu.total(), trunc.total()
+    t_arr = np.array([float(t) for t in t_grid])
+    if np.any(t_arr <= 0):
+        raise ValueError("superlevel threshold must be positive")
+    full, local = _LineRuns.of(mu), _LineRuns.of(trunc)
+    levels = t_arr[:, None]
+    columns = (t_arr, full.measure(levels), local.measure(levels), full.measure(levels, -1.0, 1.0))
     rows = []
-    for t in t_grid:
-        t = float(t)
-        full = superlevel(mu, t)
-        local = superlevel(trunc, t)
+    for t, measure, local_measure, window_measure in zip(*(c.tolist() for c in columns)):
         rows.append(
             WeakOneOneRow(
                 t=t,
-                measure=full.measure,
+                measure=measure,
                 bound=2.0 * total / t,
-                ok=full.measure <= 2.0 * total / t + 1e-12,
-                local_measure=local.measure,
+                ok=measure <= 2.0 * total / t + 1e-12,
+                local_measure=local_measure,
                 local_bound=2.0 * local_total / t,
-                local_ok=local.measure <= 2.0 * local_total / t + 1e-12,
-                window_measure=full.intersect(-1.0, 1.0).measure,
+                local_ok=local_measure <= 2.0 * local_total / t + 1e-12,
+                window_measure=window_measure,
             )
         )
     return rows
@@ -328,7 +388,7 @@ def l1_ball_containment(n: int, seed: int = 0) -> L1BallReport:
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     x = rng.standard_normal((100_000, n))
     x /= np.linalg.norm(x, axis=1)[:, None]
     witness = np.full(n, 1.0 / math.sqrt(n))
@@ -373,27 +433,11 @@ class FubiniTailReport:
     inclusion: tuple[InclusionProbe, ...]
 
 
-def _line_values(f: FunctionHandle, offset: np.ndarray, direction: int, s_grid: np.ndarray) -> np.ndarray:
-    coords = np.tile(offset, (s_grid.size, 1))
-    coords[:, direction] = offset[direction] + s_grid
+def _line_values(f: FunctionHandle, offsets: np.ndarray, direction: int, s_grid: np.ndarray) -> np.ndarray:
+    """f along the axis `direction` through each offset row: one (lines, S) array."""
+    coords = np.repeat(offsets[:, None, :], s_grid.size, axis=1)
+    coords[:, :, direction] = offsets[:, direction, None] + s_grid
     return f.value_at_coords(coords)
-
-
-def _line_measure(
-    f: FunctionHandle, offset: np.ndarray, direction: int, s_grid: np.ndarray, tol: float
-) -> AtomicMeasure1D:
-    vals = _line_values(f, offset, direction, s_grid)
-    slopes = np.diff(vals) / np.diff(s_grid)
-    dips = np.diff(slopes)
-    if dips.size and float(np.min(dips)) < -tol:
-        raise ValueError(
-            f"restriction along axis {direction} at offset {offset.tolist()} is not convex"
-        )
-    jumps = np.maximum(np.diff(slopes), 0.0)
-    # roundoff floor: secant slopes of affine restrictions jitter at ~1e-16
-    floor = 1e-12 * max(1.0, float(np.max(np.abs(slopes))))
-    keep = jumps > floor
-    return AtomicMeasure1D(s_grid[1:-1][keep], jumps[keep])
 
 
 def fubini_tail_experiment(
@@ -411,13 +455,16 @@ def fubini_tail_experiment(
     set {M f_y'' > t} cap [-1, 1] computed exactly. Aggregates estimate the
     tail-set measure; probes outside the tail set verify the axis Taylor bound
     0 <= f~(h e_i) <= 2 t h^2 and the paraboloid bound of opening 4 n t on the
-    inscribed balls of the coordinate hulls.
+    inscribed balls of the coordinate hulls. Each axis's lines are evaluated as
+    one array, and their atom runs are held as one padded array set.
     """
     shape = f.shape
     if shape.rows != 1 or shape.symmetric:
         raise ValueError("the tail experiment runs on row-vector shapes (1 x n)")
     if lines_per_direction < 1:
         raise ValueError(f"fubini_tail_experiment needs lines_per_direction >= 1, got {lines_per_direction}")
+    if probe_count < 0:
+        raise ValueError(f"fubini_tail_experiment needs probe_count >= 0, got {probe_count}")
     n = shape.cols
     s_grid = np.linspace(-3.0, 3.0, 2 * round(3.0 / LINE_RESOLUTION) + 1)
 
@@ -431,21 +478,19 @@ def fubini_tail_experiment(
     if t_arr[0] <= threshold:
         raise ValueError(f"t values must exceed 2 osc(f, Q_3) = {threshold}")
 
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     cross_volume = 2.0 ** (n - 1)
-    line_measures: list[list[AtomicMeasure1D]] = []
+    line_runs: list[_LineRuns] = []
     for i in range(n):
         offsets = rng.uniform(-1.0, 1.0, size=(lines_per_direction, n))
         offsets[:, i] = 0.0
-        line_measures.append(
-            [_line_measure(f, offsets[k], i, s_grid, LINE_CONVEXITY_TOL) for k in range(lines_per_direction)]
-        )
+        vals = _line_values(f, offsets, i, s_grid)
+        line_runs.append(_LineRuns.fit(vals, offsets, i, s_grid, LINE_CONVEXITY_TOL))
 
     measures = np.zeros(t_arr.size)
     for j, t in enumerate(t_arr):
-        for i in range(n):
-            meas = [superlevel(mu, float(t)).intersect(-1.0, 1.0).measure for mu in line_measures[i]]
-            measures[j] += float(np.mean(meas)) * cross_volume
+        for runs in line_runs:
+            measures[j] += float(np.mean(runs.measure(float(t), -1.0, 1.0))) * cross_volume
 
     good = measures > 0
     slope = None
@@ -475,32 +520,36 @@ def _inclusion_probes(
     rng: np.random.Generator,
     convexity_tol: float,
 ) -> list[InclusionProbe]:
-    """At probes off the tail set, check the axis chain and the hull paraboloid bound."""
+    """At probes off the tail set, check the axis chain and the hull paraboloid bound.
+
+    A level's probe_count x n axis lines are fitted as one array per axis; a
+    handle without a gradient takes its slopes from those same line values.
+    """
     tol = 1e-7  # slack of the axis and hull bounds
     n = f.shape.cols
     h_values = np.arange(resolution, 1.0, resolution)
     # Points stay stacked as (H, k, n), so `@` multiplies one (k, n) block per h.
     axis_z = h_values[:, None, None] * np.concatenate([np.eye(n), -np.eye(n)])[None]
+    rows = np.arange(probe_count)
     probes = []
     for t in t_arr:
         cap = (2.0 * t * h_values * h_values)[:, None]
         pts = rng.uniform(-1.0, 1.0, size=(probe_count, n))
-        for x0 in pts:
-            maxima = []
-            slopes = np.zeros(n)
-            for i in range(n):
-                offset = x0.copy()
-                offset[i] = 0.0
-                mu = _line_measure(f, offset, i, s_grid, convexity_tol)
-                maxima.append(maximal_function(mu, float(x0[i])))
-                if f.gradient is None:
-                    vals = _line_values(f, offset, i, s_grid)
-                    idx = int(np.searchsorted(s_grid, x0[i])) - 1
-                    slopes[i] = (vals[idx + 1] - vals[idx]) / resolution
-            if any(m > t for m in maxima):
+        in_tail = np.zeros(probe_count, dtype=bool)
+        slopes = np.zeros((probe_count, n))
+        for i in range(n):
+            offsets = pts.copy()
+            offsets[:, i] = 0.0
+            vals = _line_values(f, offsets, i, s_grid)
+            in_tail |= _LineRuns.fit(vals, offsets, i, s_grid, convexity_tol).maximal(pts[:, i]) > t
+            if f.gradient is None:
+                idx = np.searchsorted(s_grid, pts[:, i]) - 1
+                slopes[:, i] = (vals[rows, idx + 1] - vals[rows, idx]) / resolution
+        for x0, tail, fd_slopes in zip(pts, in_tail, slopes):
+            if tail:
                 probes.append(InclusionProbe(float(t), tuple(map(float, x0)), True, True, True, 0.0))
                 continue
-            g = f.gradient_at_coords(x0).reshape(-1) if f.gradient is not None else slopes
+            g = f.gradient_at_coords(x0).reshape(-1) if f.gradient is not None else fd_slopes
             f0 = float(f.value_at_coords(x0[None, :])[0])
             axis_vals = f.value_at_coords(x0 + axis_z) - f0 - axis_z @ g
             axis_ok = not (np.any(axis_vals < -tol) or np.any(axis_vals > cap + tol))

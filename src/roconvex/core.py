@@ -87,10 +87,20 @@ class MatrixShape:
         return np.stack(cols, axis=-1)
 
     def frob_norm_coords(self, coords: np.ndarray) -> np.ndarray:
-        """Frobenius norm of the represented matrices, from coordinates (..., dim)."""
+        """Frobenius norm of the represented matrices, from coordinates (..., dim).
+
+        The weighted squares are added one coordinate at a time, the order
+        np.sum takes over fewer than 8 coordinates, so each row's bits depend
+        only on that row and no (..., dim) temporary is built.
+        """
         coords = np.asarray(coords, dtype=float)
         w = self.frob_weights()
-        return np.sqrt(np.sum((coords * w) ** 2, axis=-1))
+        c = coords[..., 0] * w[0]
+        q = c * c
+        for j in range(1, self.dim):
+            c = coords[..., j] * w[j]
+            q += c * c
+        return np.sqrt(q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,23 +207,28 @@ def coordinate_directions(shape: MatrixShape) -> list[RankOneDirection]:
     return dirs
 
 
-def random_directions(shape: MatrixShape, count: int, rng: np.random.Generator) -> list[RankOneDirection]:
-    """Rank-one directions with unit-sphere factors; symmetric shapes use v (x) v."""
-    dirs: list[RankOneDirection] = []
-    for _ in range(count):
-        if shape.symmetric:
-            v = rng.standard_normal(shape.rows)
-            v /= np.linalg.norm(v)
-            # v (x) v expressed through the nearest index pair is lossy; keep the raw
-            # matrix by routing through the general constructor on the full square shape.
-            dirs.append(RankOneDirection(MatrixShape(shape.rows, shape.cols), a=v, b=v))
-        else:
-            a = rng.standard_normal(shape.rows)
-            a /= np.linalg.norm(a)
-            b = rng.standard_normal(shape.cols)
-            b /= np.linalg.norm(b)
-            dirs.append(RankOneDirection(shape, a=a, b=b))
-    return dirs
+def random_directions(shape: MatrixShape, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Unit factors (a, b) of `count` random rank-one directions a (x) b, as
+    (count, rows) and (count, cols) arrays; symmetric shapes use v (x) v, so b is a.
+
+    One standard-normal draw holds, row by row, the draws of a then b (v alone
+    for symmetric shapes). Each factor is divided by sqrt(z . z) formed by a
+    stacked matmul, the arithmetic of the 1-D np.linalg.norm, so every row has
+    the bits of a direction drawn and normalised on its own.
+    """
+    rows = shape.rows
+    z = rng.standard_normal((count, rows if shape.symmetric else rows + shape.cols))
+    factors = [z] if shape.symmetric else [z[:, :rows], z[:, rows:]]
+    for u in factors:
+        u /= np.sqrt(np.matmul(u[:, None, :], u[:, :, None]))[:, 0]
+    return factors[0], factors[-1]
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """np.random.default_rng(seed), after naming a negative seed (numpy's error names no input)."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import GridSpec, SampledField, evaluate
+from .core import GridSpec, SampledField, evaluate, seeded_rng
 from .corpus import FunctionHandle
 from .paraboloid import ThetaField
 
@@ -307,7 +307,7 @@ def cone_touch_check(
 ) -> SlopeBoundReport:
     """Check the gradient slope bound C_probe * A around every touch-set point,
     at radii in [1/80, 1/4]."""
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     shape = f.shape
     skipped = 0
     ratios = np.zeros(tset.count)
@@ -448,7 +448,7 @@ def second_order_remainder(
     asymmetry = float(np.max(np.abs(hess - hess.T)))
     hess = 0.5 * (hess + hess.T)
 
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     dirs = rng.standard_normal((32, shape.dim))
     dirs /= shape.frob_norm_coords(dirs)[:, None]
     eye = np.eye(shape.dim)

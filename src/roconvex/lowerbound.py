@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MatrixShape, ball_samples
+from .core import MatrixShape, ball_samples, seeded_rng
 from .corpus import FunctionHandle
 
 
@@ -89,21 +89,40 @@ def quadratic_majorant(x0: np.ndarray, A: float, radius: float) -> RadialMajoran
     )
 
 
+def _tangent(f: FunctionHandle, x0: np.ndarray) -> tuple[float, np.ndarray]:
+    """f(x0) and Df(x0) as a matrix; the gradient is exact when available."""
+    f0 = float(f.value_at_coords(x0[None, :])[0])
+    if f.gradient is not None:
+        return f0, f.gradient_at_coords(x0)
+    return f0, f.fd_gradient(f.shape.coords_to_matrix(x0))
+
+
 def recentered_values(
     f: FunctionHandle, x0: np.ndarray, coords: np.ndarray
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Values of f(x) - f(x0) - Df(x0).(x - x0); the gradient is exact when available."""
     shape = f.shape
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    f0 = float(f.value_at_coords(x0[None, :])[0])
-    if f.gradient is not None:
-        g0 = f.gradient_at_coords(x0)
-    else:
-        g0 = f.fd_gradient(shape.coords_to_matrix(x0))
+    f0, g0 = _tangent(f, x0)
     d = shape.coords_to_matrix(coords) - shape.coords_to_matrix(x0)
     lin = np.einsum("ij,...ij->...", g0, d)
     vals = f.value_at_coords(coords) - f0 - lin
     return vals, f0, g0
+
+
+def _checked_samples(x0: np.ndarray, samples: np.ndarray, who: str) -> np.ndarray:
+    """The samples as a (K, dim) float array, after naming what would make a NaN or empty answer."""
+    pts = np.asarray(samples, dtype=float)
+    if pts.shape[0] == 0:
+        raise ValueError(f"{who} needs at least one sample, got 0")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"{who} needs a finite x0, got {x0.tolist()}")
+    if not np.all(np.isfinite(pts)):
+        k = int(np.argmin(np.isfinite(pts).all(axis=1)))
+        raise ValueError(f"{who}: sample {k} is not finite: {pts[k].tolist()}")
+    if np.all(pts == x0):
+        raise ValueError(f"{who} needs a sample off x0, and every sample sits at x0")
+    return pts
 
 
 def empirical_majorant(
@@ -113,28 +132,34 @@ def empirical_majorant(
 ) -> RadialMajorant:
     """Monotone running-max majorant of the recentered function over 50 radius bins.
 
-    The build set is augmented with the column split of every sample x - x0:
-    per column i, the partial x_i keeping columns 0..i and its reflection
-    x_i - 2 x_col_i (x) e_i, which stays on the same sphere and keeps the
-    certificate sharp for functions convex along rank-one segments. All samples
-    are split at once by column masks; the points follow the samples in the
-    order (reflection, partial) per sample and column.
+    The build set is the column split of every sample x - x0: per column i,
+    the reflection x_i - 2 x_col_i (x) e_i, which stays on the sphere of the
+    partial x_i and keeps the certificate sharp for functions convex along
+    rank-one segments, then the partial x_i keeping columns 0..i. A sample is
+    its own last partial, so it yields 2n points. They are written column by
+    column into one (K, 2n, m, n) array, in the order (sample, column,
+    reflection-then-partial), and shifted back by x0; offsets and distances
+    are then taken from those shifted points, as for any other point.
     """
     shape = f.shape
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    pts = np.asarray(samples, dtype=float)
-    if pts.shape[0] == 0:
-        raise ValueError("empirical_majorant needs at least one sample, got 0")
+    pts = _checked_samples(x0, samples, "empirical_majorant")
     x0m = shape.coords_to_matrix(x0)
-    mats = (shape.coords_to_matrix(pts) - x0m)[:, None]  # (K, 1, m, n)
+    mats = shape.coords_to_matrix(pts) - x0m  # (K, m, n)
     n = shape.cols
-    upto = np.arange(n)[None, :] <= np.arange(n)[:, None]  # upto[i, j]: partial i keeps column j
-    partials = np.where(upto[:, None, :], mats, 0.0)  # (K, n, m, n)
-    reflections = partials - 2.0 * np.where(np.eye(n, dtype=bool)[:, None, :], mats, 0.0)
-    extra = np.stack([reflections, partials], axis=2) + x0m
-    pts = np.concatenate([pts, shape.matrix_to_coords(extra).reshape(-1, shape.dim)], axis=0)
-    vals, _, _ = recentered_values(f, x0, pts)
-    dist = shape.frob_norm_coords(pts - x0)
+    split = np.empty((mats.shape[0], 2 * n) + x0m.shape)
+    for j in range(n):
+        col = mats[:, :, j]
+        split[:, : 2 * j, :, j] = 0.0  # the splits before column j drop it
+        split[:, 2 * j, :, j] = col - 2.0 * col  # reflection j negates it
+        split[:, 2 * j + 1 :, :, j] = col[:, None]  # and every later split keeps it
+    split += x0m
+    pts = shape.matrix_to_coords(split)  # a view of `split` for general shapes
+    f0, g0 = _tangent(f, x0)
+    vals = f.value_at_coords(pts) - f0
+    d = np.subtract(pts, x0, out=pts)
+    vals -= np.einsum("ij,...ij->...", g0, shape.coords_to_matrix(d))
+    vals, dist = vals.reshape(-1), shape.frob_norm_coords(d).reshape(-1)
     rmax = float(np.max(dist))
     bins = 50
     edges = np.linspace(rmax / bins, rmax, bins)
@@ -171,9 +196,7 @@ def lower_bound_certify(
     """
     shape = f.shape
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    pts = np.asarray(samples, dtype=float)
-    if pts.shape[0] == 0:
-        raise ValueError("lower_bound_certify needs at least one sample, got 0")
+    pts = _checked_samples(x0, samples, "lower_bound_certify")
     C = float(lemma_constant(shape.cols))
     vals, _, _ = recentered_values(f, x0, pts)
     g_vals = majorant.evaluate(shape, pts)
@@ -222,7 +245,7 @@ def sup_growth_check(
     """Sampled sup of |f~| on B_r(x0) against (1 + C) (A/2) r^2 per radius."""
     shape = f.shape
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     C = float(lemma_constant(shape.cols))
     rows = []
     for r in radii:

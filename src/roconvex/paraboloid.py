@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, MatrixShape, SampledField, ball_samples, ball_volume, evaluate, make_grid
+from .core import GridSpec, MatrixShape, SampledField, ball_samples, ball_volume, evaluate, make_grid, seeded_rng
 from .corpus import FunctionHandle
 
 MAX_PIVOTS = 500  # an opening LP has at most 5 rows; a solve past this cap raises
@@ -357,7 +357,7 @@ def theta_field(
         raise ValueError(f"theta_field needs threads >= 1, got {threads}")
     shape = constraints.shape
     region_radius = constraints.radius / 2.0
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     pts = ball_samples(shape, constraints.center.coords, region_radius, count, rng)
 
     def solve(k: int) -> ParaboloidTouch:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
 from .core import (
     GridSpec,
+    MatrixShape,
     RankOneDirection,
     SampledField,
     ball_samples,
@@ -25,6 +26,7 @@ from .core import (
     grid_spec,
     make_grid,
     random_directions,
+    seeded_rng,
     shifted,
 )
 from .corpus import FunctionHandle
@@ -44,6 +46,8 @@ class SegmentSampler:
                 "direction_count and step_count must be >= 0, "
                 f"got {self.direction_count} and {self.step_count}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -94,9 +98,12 @@ def _segment_check(
     f: FunctionHandle | SampledField,
     domain: GridSpec | None,
     sampler: SegmentSampler,
-    directions: Sequence[RankOneDirection],
+    matrices: np.ndarray,
+    direction: Callable[[int], RankOneDirection],
     operation: str,
 ) -> ConvexityReport:
+    """Midpoint gaps along the direction matrices (count, rows, cols); `direction(k)`
+    rebuilds the k-th one, and is called only to label the witness."""
     region = _region(f, domain)
     shape = region.shape
     radius = region.radius
@@ -105,19 +112,21 @@ def _segment_check(
 
     # One block of rows per direction: two deterministic center probes at half and
     # quarter radius, which catch unit-scale concavity regardless of the random
-    # stream, then `step_count` random bases and steps.
-    block = 2 + sampler.step_count
-    base = np.empty((len(directions) * block, shape.dim))
-    dirs = np.empty_like(base)
-    t = np.empty(len(base))
-    for k, d in enumerate(directions):
-        lo, hi = k * block, (k + 1) * block
-        dirs[lo:hi] = shape.matrix_to_coords(d.matrix)
-        dnorm = shape.frob_norm_coords(dirs[lo])
-        base[lo : lo + 2] = region.center.coords
-        t[lo : lo + 2] = np.array([0.5, 0.25]) * radius / dnorm
-        base[lo + 2 : hi] = draw(shape, region.center.coords, radius, sampler.step_count, rng)
-        t[lo + 2 : hi] = rng.uniform(0.0, radius / dnorm, size=sampler.step_count)
+    # stream, then `step_count` random bases and steps. The loop holds only the
+    # two draws per direction that define the stream.
+    count, block = len(matrices), 2 + sampler.step_count
+    dirs = shape.matrix_to_coords(matrices)
+    dnorm = shape.frob_norm_coords(dirs)
+    base = np.empty((count, block, shape.dim))
+    t = np.empty((count, block))
+    base[:, :2] = region.center.coords
+    t[:, :2] = np.array([0.5, 0.25]) * radius / dnorm[:, None]
+    reach = radius / dnorm
+    for k in range(count):
+        base[k, 2:] = draw(shape, region.center.coords, radius, sampler.step_count, rng)
+        t[k, 2:] = rng.uniform(0.0, reach[k], size=sampler.step_count)
+    base, t = base.reshape(-1, shape.dim), t.reshape(-1)
+    dirs = np.repeat(dirs, block, axis=0)
 
     gaps, ok = _midpoint_gaps(f, region, base, dirs, t)
     admissible = ok & (t > 0.0)
@@ -130,7 +139,7 @@ def _segment_check(
     witness = SegmentSample(
         base=tuple(float(c) for c in base[k]),
         direction=tuple(float(c) for c in dirs[k]),
-        direction_label=directions[k // block].label(),
+        direction_label=direction(k // block).label(),
         t=float(t[k]),
     )
     return ConvexityReport(operation, float(violations[k]), witness, checked, skipped, sampler.seed)
@@ -142,10 +151,18 @@ def rank_one_convexity_check(
     sampler: SegmentSampler = SegmentSampler(),
 ) -> ConvexityReport:
     """Midpoint convexity along rank-one segments; positive violations are counterexamples."""
+    shape = f.shape
     rng = np.random.default_rng(sampler.seed + 1)
-    directions = coordinate_directions(f.shape)
-    directions += random_directions(f.shape, sampler.direction_count, rng)
-    return _segment_check(f, domain, sampler, directions, "rank_one_convexity_check")
+    fixed = coordinate_directions(shape)
+    a, b = random_directions(shape, sampler.direction_count, rng)
+    matrices = np.concatenate([[d.matrix for d in fixed], a[:, :, None] * b[:, None, :]])
+    square = MatrixShape(shape.rows, shape.cols)  # v (x) v is not an r_ij, so it keeps its factors
+
+    def direction(k: int) -> RankOneDirection:
+        j = k - len(fixed)
+        return fixed[k] if j < 0 else RankOneDirection(square, a=a[j], b=b[j])
+
+    return _segment_check(f, domain, sampler, matrices, direction, "rank_one_convexity_check")
 
 
 def separate_convexity_check(
@@ -159,7 +176,8 @@ def separate_convexity_check(
         directions = [RankOneDirection(shape, pair=(i, i)) for i in range(shape.rows)]
     else:
         directions = coordinate_directions(shape)
-    return _segment_check(f, domain, sampler, directions, "separate_convexity_check")
+    matrices = np.array([d.matrix for d in directions])
+    return _segment_check(f, domain, sampler, matrices, directions.__getitem__, "separate_convexity_check")
 
 
 def replay_violation(
@@ -198,7 +216,7 @@ def lipschitz_estimate_check(
     shape = f.shape
     if float(shape.frob_norm_coords(x)) + 2.0 * r > 1.0 + 1e-12:
         raise ValueError("B_2r(x) leaves the domain ball of radius 1.0")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     p1 = ball_samples(shape, x, r, pair_count, rng)
     p2 = ball_samples(shape, x, r, pair_count, rng)
     v1 = f.value_at_coords(p1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from certify_reference import line_measure, line_values
 from roconvex.core import MatrixShape
 from roconvex.corpus import FunctionHandle, abs_entry, half_norm_sq, linear
 from roconvex.convex1d import (
@@ -13,8 +14,6 @@ from roconvex.convex1d import (
     PLConvex1D,
     TaylorChainRow,
     _inclusion_probes,
-    _line_measure,
-    _line_values,
     convex_taylor_check,
     fubini_tail_experiment,
     l1_ball_containment,
@@ -325,10 +324,10 @@ def _probes_reference(f, t_arr, s_grid, resolution, probe_count, rng, convexity_
             for i in range(n):
                 offset = x0.copy()
                 offset[i] = 0.0
-                mu = _line_measure(f, offset, i, s_grid, convexity_tol)
+                mu = line_measure(f, offset, i, s_grid, convexity_tol)
                 maxima.append(maximal_function(mu, float(x0[i])))
                 if f.gradient is None:
-                    vals = _line_values(f, offset, i, s_grid)
+                    vals = line_values(f, offset, i, s_grid)
                     idx = int(np.searchsorted(s_grid, x0[i])) - 1
                     slopes[i] = (vals[idx + 1] - vals[idx]) / resolution
             if any(m > t for m in maxima):
@@ -399,6 +398,11 @@ def test_fubini_threshold_refusal():
 def test_fubini_rejects_empty_or_non_finite_levels(t_grid):
     with pytest.raises(ValueError, match="t_grid must be non-empty and finite"):
         fubini_tail_experiment(abs_entry(0, 0, S12), t_grid, lines_per_direction=4, seed=0)
+
+
+def test_fubini_rejects_negative_probe_count():
+    with pytest.raises(ValueError, match="probe_count >= 0, got -1"):
+        fubini_tail_experiment(abs_entry(0, 0, S12), [19.0, 40.0], lines_per_direction=4, probe_count=-1)
 
 
 def test_fubini_rejects_nonconvex_restrictions():

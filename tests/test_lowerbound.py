@@ -31,7 +31,7 @@ S22 = MatrixShape(2, 2)
 def column_split(x):
     """Partials (columns 0..i kept), rank-one columns x_col_i (x) e_i, and reflections
     partials[i] - 2 columns[i] of one matrix: the reference loop for the split that
-    empirical_majorant builds by column masks."""
+    empirical_majorant writes column by column."""
     m, n = x.shape
     partials = np.zeros((n, m, n))
     columns = np.zeros((n, m, n))
@@ -91,8 +91,9 @@ def test_lemma_constant_recurrence_unroll():
 
 @pytest.mark.parametrize("shape", [MatrixShape(1, 2), MatrixShape(2, 2), MatrixShape(2, 3)])
 def test_majorant_build_points_match_column_split_loop(shape):
-    # The vectorised augmentation must evaluate f on exactly the points, in the
-    # order, of an explicit column_split loop over the samples.
+    # The split array must evaluate f on exactly the points, in the order, of an
+    # explicit column_split loop: per sample and column, the reflection, then the
+    # partial; the last partial stands for the sample itself.
     seen = []
 
     def value(x):
@@ -110,9 +111,9 @@ def test_majorant_build_points_match_column_split_loop(shape):
         for i in range(shape.cols):
             extra.append(shape.matrix_to_coords(reflections[i] + x0m))
             extra.append(shape.matrix_to_coords(partials[i] + x0m))
-    build = np.concatenate([samples, np.asarray(extra)])
+    build = np.asarray(extra)
     g = empirical_majorant(f, x0, samples)
-    assert np.array_equal(seen[-1], shape.coords_to_matrix(build))
+    assert np.array_equal(seen[-1].reshape(-1, shape.rows, shape.cols), shape.coords_to_matrix(build))
     assert g.radii[-1] == np.max(shape.frob_norm_coords(build - x0))
 
 
@@ -245,3 +246,28 @@ def test_empty_sample_set_is_rejected():
     G = quadratic_majorant(np.zeros(4), 1.0, 1.0)
     with pytest.raises(ValueError, match="at least one sample"):
         lower_bound_certify(neg_det(), np.zeros(4), G, empty)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+def test_non_finite_samples_are_named(bad):
+    samples = ball_samples(S22, np.zeros(4), 1.0, 20, np.random.default_rng(2))
+    samples[7, 2] = bad
+    samples[9, 0] = bad
+    with pytest.raises(ValueError, match="empirical_majorant: sample 7 is not finite"):
+        empirical_majorant(neg_det(), np.zeros(4), samples)
+    G = quadratic_majorant(np.zeros(4), 1.0, 1.0)
+    with pytest.raises(ValueError, match="lower_bound_certify: sample 7 is not finite"):
+        lower_bound_certify(neg_det(), np.zeros(4), G, samples)
+
+
+def test_samples_all_at_x0_or_a_non_finite_x0_are_rejected():
+    x0 = np.array([0.1, -0.2, 0.3, 0.0])
+    at_x0 = np.tile(x0, (5, 1))
+    G = quadratic_majorant(x0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="needs a sample off x0"):
+        empirical_majorant(neg_det(), x0, at_x0)
+    with pytest.raises(ValueError, match="needs a sample off x0"):
+        lower_bound_certify(neg_det(), x0, G, at_x0)
+    samples = ball_samples(S22, np.zeros(4), 1.0, 20, np.random.default_rng(2))
+    with pytest.raises(ValueError, match="needs a finite x0"):
+        empirical_majorant(neg_det(), np.array([0.0, np.nan, 0.0, 0.0]), samples)

@@ -116,7 +116,9 @@ def test_witness_replays_and_names_its_direction(f, domain):
     rep = rank_one_convexity_check(f, domain, SAMPLER)
     assert replay_violation(f, rep.witness, domain) == rep.worst_violation
     directions = coordinate_directions(f.shape)
-    directions += random_directions(f.shape, SAMPLER.direction_count, np.random.default_rng(SAMPLER.seed + 1))
+    a, b = random_directions(f.shape, SAMPLER.direction_count, np.random.default_rng(SAMPLER.seed + 1))
+    square = MatrixShape(f.shape.rows, f.shape.cols)
+    directions += [RankOneDirection(square, a=u, b=v) for u, v in zip(a, b)]
     assert rep.samples_checked + rep.samples_skipped == len(directions) * (2 + SAMPLER.step_count)
     labels = {
         d.label()
