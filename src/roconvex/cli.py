@@ -3,8 +3,8 @@
 Subcommands: verify | theta | tail | envelope | lemma | appendix | all |
 list-corpus. Each pipeline writes its data files and returns one
 `StageRecord` per stage it ran; `run` then writes one summary per record and
-one manifest per run, which echoes the configuration and hashes every
-artifact. The same configuration and seed reproduce byte-identical outputs.
+one manifest per run, which echoes the keys each stage read and hashes
+every artifact. The same configuration and seed reproduce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -116,7 +116,6 @@ def _handle(cfg: ExperimentConfig) -> FunctionHandle:
 def _write(cfg: ExperimentConfig, records: list[StageRecord]) -> RunManifest:
     """Write each record's summary, then the run's one manifest over every artifact."""
     root = Path(cfg.out_dir)
-    config = asdict(cfg)
     stages, artifacts, checks = {}, {}, {}
     for rec in records:
         name = "summary.json" if rec.function is None else f"{rec.function}_summary.json"
@@ -126,7 +125,8 @@ def _write(cfg: ExperimentConfig, records: list[StageRecord]) -> RunManifest:
         for path in rec.artifacts + [summary]:
             artifacts[str(path.relative_to(root))] = fieldio.sha256_file(path)
         checks.update({f"{rec.label}.{k}": v for k, v in rec.checks.items()})
-        stages[rec.label] = {k: v for k, v in asdict(rec.config).items() if v != config[k]}
+        stages[rec.label] = {k: getattr(rec.config, k) for k in READS[rec.experiment]}
+    config = {"experiment": cfg.experiment} | {k: getattr(cfg, k) for k in READS[cfg.experiment]}
     manifest = RunManifest(cfg.experiment, config, stages, artifacts, checks, _versions())
     fieldio.write_json(manifest.to_dict(), root / cfg.experiment / "manifest.json")
     return manifest
@@ -180,10 +180,10 @@ def run_verify(cfg: ExperimentConfig) -> StageRecord:
         {
             "function": h.name,
             "flags": asdict(h.flags),
-            "rank_one": asdict(replace(r1c, tolerance=ANALYTIC_TOL)),
-            "separate": asdict(replace(sep, tolerance=ANALYTIC_TOL)),
+            "rank_one": asdict(r1c) | {"tolerance": ANALYTIC_TOL},
+            "separate": asdict(sep) | {"tolerance": ANALYTIC_TOL},
             "node_operator": asdict(node_rep),
-            "mollified": asdict(replace(molrep, tolerance=field_tol)),
+            "mollified": asdict(molrep) | {"tolerance": field_tol},
         },
         out / f"{h.name}_reports.json",
     )
@@ -320,8 +320,6 @@ def run_envelope(cfg: ExperimentConfig) -> StageRecord:
 
 def run_lemma(cfg: ExperimentConfig) -> StageRecord:
     h = _handle(cfg)
-    if h.shape.symmetric:
-        raise ValueError("the lower-bound pipeline runs on general shapes")
     rng = np.random.default_rng(cfg.seed)
     x0 = np.zeros(h.shape.dim)
     samples = ball_samples(h.shape, x0, cfg.radius, cfg.sample_count, rng)
@@ -441,7 +439,7 @@ def run_appendix(cfg: ExperimentConfig) -> StageRecord:
 def run_all(cfg: ExperimentConfig) -> list[StageRecord]:
     """Smoke-scale sweep over every pipeline with deterministic sub-budgets."""
     return [
-        *(run_verify(replace(cfg, function=h.name)) for h in corpus()),
+        *(run_verify(replace(cfg, function=h.name, grid_points=9)) for h in corpus()),
         run_theta(replace(cfg, function="neg_det_2x2", grid_points=7, eval_count=40)),
         run_tail(replace(cfg, function="abs_x11", grid_points=9, eval_count=80)),
         *(run_envelope(replace(cfg, function=name, grid_points=7)) for name in ("neg_det_2x2", "frob_norm")),
@@ -463,8 +461,22 @@ _PIPELINES = {
     "all": run_all,
 }
 EXPERIMENTS = tuple(_PIPELINES)
+# The ExperimentConfig keys each pipeline reads. `run` rejects any other key set to a
+# value but its default, and the manifest echoes only these.
+READS = {
+    name: ("seed", "out_dir", *keys)
+    for name, keys in {
+        "verify": ("function", "grid_points", "radius"),
+        "theta": ("function", "grid_points", "radius", "eval_count", "threads"),
+        "tail": ("function", "grid_points", "radius", "eval_count", "threads"),
+        "envelope": ("function", "grid_points", "radius"),
+        "lemma": ("function", "radius", "sample_count"),
+        "appendix": ("lines_per_direction",),
+        "all": ("radius", "threads"),  # run_all sets every other key per stage
+    }.items()
+}
 
-# (flag, config key, type, help) of the override flags every experiment takes
+# (flag, config key, type, help) of the override flags; `run` rejects those an experiment does not read
 _FLAGS = (
     ("--seed", "seed", int, None),
     ("--out", "out_dir", str, "output directory"),
@@ -480,14 +492,13 @@ _FLAGS = (
 def run(cfg: ExperimentConfig) -> RunManifest:
     if cfg.experiment not in _PIPELINES:
         raise ValueError(f"unknown experiment {cfg.experiment!r}; valid: {', '.join(EXPERIMENTS)}")
+    default = asdict(ExperimentConfig(cfg.experiment))
+    if taken := [f"{k}={v!r}" for k, v in asdict(cfg).items() if v != default[k] and k not in READS[cfg.experiment]]:
+        raise ValueError(f"{cfg.experiment} does not read {', '.join(taken)}")
     if cfg.seed < 0:
         raise ValueError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.threads < 1:
         raise ValueError(f"threads must be >= 1, got {cfg.threads}")
-    if cfg.experiment == "all":  # run_all sets these per stage, so it takes only their defaults
-        keys = ("function", "grid_points", "eval_count", "sample_count", "lines_per_direction")
-        if taken := [f"{k}={getattr(cfg, k)!r}" for k in keys if getattr(cfg, k) != getattr(ExperimentConfig, k)]:
-            raise ValueError(f"all runs its own budgets and takes no {', '.join(taken)}")
     records = _PIPELINES[cfg.experiment](cfg)
     return _write(cfg, [records] if isinstance(records, StageRecord) else records)
 

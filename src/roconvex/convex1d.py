@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import seeded_rng
+from .core import loglog_fit, seeded_rng
 from .corpus import FunctionHandle
 
 LINE_RESOLUTION = 0.05  # step of the per-line fit grid on [-3, 3] in the tail experiment
@@ -492,12 +492,7 @@ def fubini_tail_experiment(
         for runs in line_runs:
             measures[j] += float(np.mean(runs.measure(float(t), -1.0, 1.0))) * cross_volume
 
-    good = measures > 0
-    slope = None
-    if int(np.sum(good)) >= 3:
-        fit = np.polyfit(np.log(t_arr[good]), np.log(measures[good]), 1)
-        slope = float(fit[0])
-
+    fit = loglog_fit(t_arr, measures, 3)
     inclusion = _inclusion_probes(
         f, t_arr, s_grid, LINE_RESOLUTION, probe_count, rng, LINE_CONVEXITY_TOL
     )
@@ -506,7 +501,7 @@ def fubini_tail_experiment(
         measures=measures,
         oscillation=osc,
         threshold=threshold,
-        fitted_slope=slope,
+        fitted_slope=None if fit is None else fit[0],
         inclusion=tuple(inclusion),
     )
 

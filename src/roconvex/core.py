@@ -547,3 +547,14 @@ def cube_samples(
 def ball_volume(dim: int, radius: float) -> float:
     """Lebesgue volume of the Euclidean ball in `dim` coordinates."""
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0) * radius**dim
+
+
+def loglog_fit(x: np.ndarray, y: np.ndarray, min_points: int) -> tuple[float, float] | None:
+    """Least-squares line of log y on log x over the points with y > 0: its slope and
+    largest absolute residual, or None with fewer than `min_points` such points."""
+    good = y > 0
+    if int(np.sum(good)) < min_points:
+        return None
+    lx, ly = np.log(x[good]), np.log(y[good])
+    slope, intercept = np.polyfit(lx, ly, 1)
+    return float(slope), float(np.max(np.abs(ly - (slope * lx + intercept))))

@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import GridSpec, SampledField, evaluate, seeded_rng
+from .core import GridSpec, SampledField, evaluate, loglog_fit, seeded_rng
 from .corpus import FunctionHandle
 from .paraboloid import ThetaField
 
@@ -380,11 +380,8 @@ class RemainderProfile:
         return decreasing and bool(r[-1] <= 0.05)
 
     def loglog_slope(self) -> float | None:
-        good = self.ratios > 0
-        if int(np.sum(good)) < 2:
-            return None
-        slope, _ = np.polyfit(np.log(self.radii[good]), np.log(self.ratios[good]), 1)
-        return float(slope)
+        fit = loglog_fit(self.radii, self.ratios, 2)
+        return None if fit is None else fit[0]
 
 
 def second_order_remainder(

@@ -110,8 +110,11 @@ def recentered_values(
     return vals, f0, g0
 
 
-def _checked_samples(x0: np.ndarray, samples: np.ndarray, who: str) -> np.ndarray:
-    """The samples as a (K, dim) float array, after naming what would make a NaN or empty answer."""
+def _checked_samples(f: FunctionHandle, x0: np.ndarray, samples: np.ndarray, who: str) -> np.ndarray:
+    """The samples as a (K, dim) float array, after naming what would make a NaN, empty or meaningless answer."""
+    if f.shape.symmetric:  # the column split leaves the symmetric space
+        shape = f"{f.shape.rows}x{f.shape.cols}"
+        raise ValueError(f"{who} needs a general shape, and {f.name} has the symmetric shape {shape}")
     pts = np.asarray(samples, dtype=float)
     if pts.shape[0] == 0:
         raise ValueError(f"{who} needs at least one sample, got 0")
@@ -143,7 +146,7 @@ def empirical_majorant(
     """
     shape = f.shape
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    pts = _checked_samples(x0, samples, "empirical_majorant")
+    pts = _checked_samples(f, x0, samples, "empirical_majorant")
     x0m = shape.coords_to_matrix(x0)
     mats = shape.coords_to_matrix(pts) - x0m  # (K, m, n)
     n = shape.cols
@@ -196,7 +199,7 @@ def lower_bound_certify(
     """
     shape = f.shape
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    pts = _checked_samples(x0, samples, "lower_bound_certify")
+    pts = _checked_samples(f, x0, samples, "lower_bound_certify")
     C = float(lemma_constant(shape.cols))
     vals, _, _ = recentered_values(f, x0, pts)
     g_vals = majorant.evaluate(shape, pts)

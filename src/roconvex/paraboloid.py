@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GridSpec, MatrixShape, SampledField, ball_samples, ball_volume, evaluate, make_grid, seeded_rng
+from .core import (GridSpec, MatrixShape, SampledField, ball_samples, ball_volume, evaluate, loglog_fit,
+                   make_grid, seeded_rng)
 from .corpus import FunctionHandle
 
 MAX_PIVOTS = 500  # an opening LP has at most 5 rows; a solve past this cap raises
@@ -388,21 +389,13 @@ def tail_experiment(theta: ThetaField, f_sup: float) -> TailReport:
     vol = ball_volume(theta.eval_coords.shape[1], theta.region_radius)
     fractions = np.array([float(np.mean(theta.theta > f_sup * t)) for t in t_arr])
     measure = fractions * vol
-    nonzero = measure > 0.0
-    eps: float | None = None
-    residual: float | None = None
-    if int(np.sum(nonzero)) >= 3:
-        lt = np.log(t_arr[nonzero])
-        lm = np.log(measure[nonzero])
-        slope, intercept = np.polyfit(lt, lm, 1)
-        eps = float(-slope)
-        residual = float(np.max(np.abs(lm - (slope * lt + intercept))))
+    fit = loglog_fit(t_arr, measure, 3)
     return TailReport(
         t_grid=t_arr,
         measure=measure,
         scale=float(f_sup),
         region_volume=float(vol),
-        fitted_epsilon=eps,
-        fit_residual=residual,
-        nonzero_count=int(np.sum(nonzero)),
+        fitted_epsilon=None if fit is None else -fit[0],
+        fit_residual=None if fit is None else fit[1],
+        nonzero_count=int(np.sum(measure > 0.0)),
     )

@@ -68,7 +68,6 @@ class ConvexityReport:
     samples_checked: int
     samples_skipped: int
     seed: int
-    tolerance: float | None = None  # attached by the caller that classifies the report
 
     def passes(self, tol: float) -> bool:
         return self.worst_violation <= tol

@@ -57,7 +57,11 @@ def test_config_file_roundtrip(tmp_path):
         (["verify", "--function", "nope"], "unknown corpus function 'nope'"),
         (["verify", "--config", "{missing}"], "cannot read config file {missing}"),
         (["verify", "--config", "{malformed}"], "config file {malformed} is not JSON"),
-        (["lemma", "--function", "neg_det_2x2_sym"], "the lower-bound pipeline runs on general shapes"),
+        # the column split leaves the symmetric space; the library names the shape
+        (
+            ["lemma", "--function", "neg_det_2x2_sym"],
+            "empirical_majorant needs a general shape, and neg_det_2x2_sym has the symmetric shape 2x2",
+        ),
         (["list-corpus", "--flag", "bogus"], "unknown flag 'bogus'"),
         # t_min was a config key; a retired key is as unknown as a misspelt one
         (["tail", "--config", "{retired}"], "unknown config keys: ['t_min']"),
@@ -74,10 +78,11 @@ def test_config_file_roundtrip(tmp_path):
         (["lemma", "--radius", "nan"], "ball radius must be positive and finite, got nan"),
         # the subcommand names the experiment; a config file may not
         (["verify", "--config", "{experiment}"], "unknown config keys: ['experiment']"),
-        (["verify", "--threads", "0"], "threads must be >= 1, got 0"),
+        # verify runs no thread pool, so it rejects a thread count instead of ignoring it
+        (["verify", "--threads", "0"], "verify does not read threads=0"),
         # run_all sets its own budgets, so `all` rejects them instead of ignoring them
-        (["all", "--samples", "0"], "all runs its own budgets and takes no sample_count=0"),
-        (["all", "--function", "nope"], "all runs its own budgets and takes no function='nope'"),
+        (["all", "--samples", "0"], "all does not read sample_count=0"),
+        (["all", "--function", "nope"], "all does not read function='nope'"),
         # the handle overflows at the grid corners (det there is inf - inf); sampling names
         # the node before any check runs
         (["verify", "--radius", "1e300"], "non-finite value of neg_det_2x2 at node"),
@@ -141,6 +146,103 @@ def test_bad_input_exits_2_with_one_line(tmp_path, argv, cause):
     err = done.stderr
     assert err.startswith("error: " + cause.format(**paths)) and len(err.splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config, cause",
+    [
+        (["verify", "--samples", "0"], None, "verify does not read sample_count=0"),
+        (["verify", "--threads", "7"], None, "verify does not read threads=7"),
+        (["verify"], {"eval_count": 10}, "verify does not read eval_count=10"),
+        (["theta", "--samples", "5"], None, "theta does not read sample_count=5"),
+        (["theta"], {"lines_per_direction": 8}, "theta does not read lines_per_direction=8"),
+        (["tail", "--samples", "5"], None, "tail does not read sample_count=5"),
+        (["tail"], {"lines_per_direction": 8}, "tail does not read lines_per_direction=8"),
+        (["envelope", "--eval-count", "-5"], None, "envelope does not read eval_count=-5"),
+        (["envelope"], {"threads": 2}, "envelope does not read threads=2"),
+        (["lemma", "--grid-points", "999"], None, "lemma does not read grid_points=999"),
+        (["lemma"], {"eval_count": 10}, "lemma does not read eval_count=10"),
+        (["appendix", "--function", "nope", "--radius", "7"], None, "appendix does not read function='nope', radius=7.0"),
+        (["appendix"], {"sample_count": 100}, "appendix does not read sample_count=100"),
+        (["all", "--grid-points", "7"], None, "all does not read grid_points=7"),
+        (["all"], {"lines_per_direction": 8}, "all does not read lines_per_direction=8"),
+        # a flag and a config file share the one check and its one line
+        (["verify", "--threads", "2"], {"eval_count": 3}, "verify does not read eval_count=3, threads=2"),
+    ],
+    ids=[
+        "verify_samples",
+        "verify_threads",
+        "verify_config",
+        "theta_samples",
+        "theta_config",
+        "tail_samples",
+        "tail_config",
+        "envelope_eval_count",
+        "envelope_config",
+        "lemma_grid_points",
+        "lemma_config",
+        "appendix_function_radius",
+        "appendix_config",
+        "all_grid_points",
+        "all_config",
+        "verify_flag_and_config",
+    ],
+)
+def test_unread_key_exits_2_before_any_stage_writes(tmp_path, capsys, argv, config, cause):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {cause}\n" and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def _fields_read(pipeline, **values) -> set[str]:
+    """The ExperimentConfig fields that one call of `pipeline` reads."""
+    seen = set()
+
+    class Recording(ExperimentConfig):
+        def __getattribute__(self, name):
+            if name in ExperimentConfig.__dataclass_fields__:
+                seen.add(name)
+            return super().__getattribute__(name)
+
+    pipeline(Recording(**values))
+    return seen
+
+
+STAGES = [name for name in cli.EXPERIMENTS if name != "all"]
+
+
+@pytest.mark.parametrize("name", STAGES)
+def test_reads_table_is_what_each_pipeline_reads(tmp_path, name):
+    tiny = dict(grid_points=5, eval_count=2, sample_count=50, lines_per_direction=2)
+    assert _fields_read(cli._PIPELINES[name], experiment=name, out_dir=str(tmp_path), **tiny) == set(cli.READS[name])
+
+
+def test_all_passes_on_exactly_the_keys_of_its_row(monkeypatch):
+    # run_all's replace reads every field, so its row is pinned through what reaches its
+    # stages: a key of the row reaches a stage that reads it, and no other key reaches any
+    for name in STAGES:
+        monkeypatch.setattr(cli, f"run_{name}", lambda cfg, name=name: (name, cfg))
+    moved = dict(
+        function="abs_x11", grid_points=5, radius=0.5, seed=3, out_dir="elsewhere",
+        eval_count=3, sample_count=3, lines_per_direction=3, threads=2,
+    )
+    assert moved.keys() == set(ExperimentConfig.__dataclass_fields__) - {"experiment"}
+    base = cli.run_all(ExperimentConfig("all"))
+    stages = cli.run_all(ExperimentConfig("all", **moved))
+    passed = {k for (name, a), (_, b) in zip(base, stages) for k in cli.READS[name] if getattr(a, k) != getattr(b, k)}
+    assert passed == set(cli.READS["all"])
+
+
+def test_manifest_echoes_only_the_keys_read(tmp_path):
+    run(ExperimentConfig("appendix", lines_per_direction=4, out_dir=str(tmp_path)))
+    manifest = json.loads((tmp_path / "appendix/manifest.json").read_text())
+    read = {"seed": 0, "out_dir": str(tmp_path), "lines_per_direction": 4}
+    assert manifest["config"] == {"experiment": "appendix"} | read
+    assert manifest["stages"] == {"appendix": read}
 
 
 def test_cli_flags_override_config(tmp_path):
@@ -231,6 +333,14 @@ def test_all_writes_one_manifest_and_every_stage_summary(tmp_path):
             assert path.name == json.loads(path.read_text())["summary"]["function"] + "_summary.json"
     appendix = json.loads((tmp_path / "appendix/summary.json").read_text())["checks"]
     assert {f"appendix.{k}" for k in appendix} == {k for k in manifest.checks if k.startswith("appendix")}
+    # each stage lists the keys its pipeline read: all's own keys as given, the rest per stage
+    assert manifest.config == {"experiment": "all", "seed": 0, "out_dir": str(tmp_path), "radius": 1.0, "threads": 1}
+    assert len(manifest.stages) == 19
+    for label, read in manifest.stages.items():
+        name, _, function = label.rstrip("]").partition("[")
+        assert read.keys() == set(cli.READS[name]), label
+        assert all(read[k] == manifest.config[k] for k in read.keys() & set(cli.READS["all"])), label
+        assert read.get("function", "") == function
 
 
 def test_field_csv_roundtrip(tmp_path):
@@ -343,6 +453,17 @@ def test_readme_lists_the_config_keys_and_flags():
     sentence = re.search(r"A config file may hold only the `ExperimentConfig` keys:(.*?)\.", readme, re.S)
     keys = re.findall(r"`(\w+)`", sentence.group(1))
     assert keys == [k for k in ExperimentConfig.__dataclass_fields__ if k != "experiment"]
-    flag_list = re.search(r"^Flags:(.*?)\n\n", readme, re.S | re.M)
-    flags = [item.split()[0] for item in re.findall(r"`([^`]+)`", flag_list.group(1))]
-    assert flags == ["--config"] + [flag for flag, _, _, _ in cli._FLAGS]
+    # the keys every experiment takes, then one table row per group of experiments;
+    # each key is followed by its flag, or by "config file only" where it has none
+    common = re.search(r"^Every experiment takes `--config PATH`(.*?)\n\n", readme, re.S | re.M)
+    rows = re.findall(r"^\| (`\w+`(?:, `\w+`)*) \| (.*) \|$", readme, re.M)
+    pair = re.compile(r"`(\w+)`\s+\((?:`(--[\w-]+) \w+`|config file only)\)")
+    flag_of = {key: flag for flag, key, _, _ in cli._FLAGS}
+    documented = [pair.findall(common.group(1))] + [pair.findall(cell) for _, cell in rows]
+    assert all((flag or None) == flag_of.get(key) for pairs in documented for key, flag in pairs)
+    assert {flag for pairs in documented for _, flag in pairs} - {""} == set(flag_of.values())
+    table = {}
+    for (names, _), pairs in zip(rows, documented[1:]):
+        for name in re.findall(r"`(\w+)`", names):
+            table[name] = tuple(key for key, _ in documented[0] + pairs)
+    assert table == cli.READS

@@ -10,6 +10,7 @@ from roconvex.corpus import (
     corpus,
     half_norm_sq,
     neg_det,
+    neg_det_sym,
     neg_half_norm_sq,
     neg_uv,
 )
@@ -271,3 +272,15 @@ def test_samples_all_at_x0_or_a_non_finite_x0_are_rejected():
     samples = ball_samples(S22, np.zeros(4), 1.0, 20, np.random.default_rng(2))
     with pytest.raises(ValueError, match="needs a finite x0"):
         empirical_majorant(neg_det(), np.array([0.0, np.nan, 0.0, 0.0]), samples)
+
+
+def test_symmetric_shapes_are_rejected_by_name():
+    # the column split of a symmetric matrix is not symmetric, so neither function takes one
+    h = neg_det_sym()
+    samples = ball_samples(h.shape, np.zeros(3), 1.0, 20, np.random.default_rng(2))
+    cause = "needs a general shape, and neg_det_2x2_sym has the symmetric shape 2x2"
+    with pytest.raises(ValueError, match=f"empirical_majorant {cause}"):
+        empirical_majorant(h, np.zeros(3), samples)
+    G = quadratic_majorant(np.zeros(3), 1.0, 1.0)
+    with pytest.raises(ValueError, match=f"lower_bound_certify {cause}"):
+        lower_bound_certify(h, np.zeros(3), G, samples)
