@@ -33,12 +33,9 @@ from .corpus import ConvexityFlags, FunctionHandle, corpus, corpus_names, get_ha
 from .envelope import (
     ConeEnvelopePair,
     RemainderProfile,
-    TouchSet,
     cone_convolutions,
-    cone_touch_check,
     sandwich_check,
     second_order_remainder,
-    touch_set,
 )
 from .lowerbound import (
     RadialMajorant,
@@ -46,7 +43,6 @@ from .lowerbound import (
     empirical_majorant,
     lemma_constant,
     lower_bound_certify,
-    majorant_from_theta,
 )
 from .paraboloid import (
     ParaboloidTouch,
@@ -60,7 +56,6 @@ from .paraboloid import (
 from .verify import (
     ConvexityReport,
     SegmentSampler,
-    lipschitz_estimate_check,
     mollify,
     rank_one_convexity_check,
     separate_convexity_check,

@@ -36,6 +36,10 @@ class PLConvex1D:
     def __post_init__(self) -> None:
         bp = np.asarray(self.breakpoints, dtype=float).reshape(-1)
         sl = np.asarray(self.slopes, dtype=float).reshape(-1)
+        given = (("breakpoints", bp), ("slopes", sl), ("anchor_x", self.anchor_x), ("anchor_value", self.anchor_value))
+        for name, v in given:
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be finite, got {np.asarray(v).tolist()}")
         if sl.size != bp.size + 1:
             raise ValueError("need one slope per interval (breakpoints + 1)")
         if bp.size and np.any(np.diff(bp) <= 0):
@@ -47,24 +51,6 @@ class PLConvex1D:
         sl.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "slopes", sl)
-
-    @classmethod
-    def from_samples(cls, xs: np.ndarray, vs: np.ndarray) -> "PLConvex1D":
-        """Interpolate samples of a convex function; secant slopes must be non-decreasing."""
-        xs = np.asarray(xs, dtype=float)
-        vs = np.asarray(vs, dtype=float)
-        if xs.size < 2 or np.any(np.diff(xs) <= 0):
-            raise ValueError("need at least two strictly increasing sample points")
-        slopes = np.diff(vs) / np.diff(xs)
-        dips = np.diff(slopes)
-        if dips.size and float(np.min(dips)) < -1e-9:
-            raise ValueError(f"samples are not convex: slope dip {float(np.min(dips)):.3e}")
-        return cls(
-            breakpoints=xs[1:-1],
-            slopes=np.maximum.accumulate(slopes),
-            anchor_x=float(xs[0]),
-            anchor_value=float(vs[0]),
-        )
 
     def _raw(self, z: np.ndarray) -> np.ndarray:
         """Antiderivative of the slope profile, zero at the first breakpoint."""
@@ -273,8 +259,8 @@ class IntervalUnion:
 
 def superlevel(mu: AtomicMeasure1D, t: float) -> IntervalUnion:
     """{M mu > t} as an exact union of open intervals."""
-    if t <= 0:
-        raise ValueError("superlevel threshold must be positive")
+    if not (t > 0 and math.isfinite(t)):
+        raise ValueError(f"superlevel threshold must be positive and finite, got {t}")
     start, end, last = _LineRuns.of(mu).intervals(t)
     return IntervalUnion(tuple(zip(start[last].tolist(), end[last].tolist())))
 
@@ -298,8 +284,8 @@ def weak_one_one_check(mu: AtomicMeasure1D, t_grid: Sequence[float]) -> list[Wea
     trunc = mu.restrict(-2.0, 2.0)
     total, local_total = mu.total(), trunc.total()
     t_arr = np.array([float(t) for t in t_grid])
-    if np.any(t_arr <= 0):
-        raise ValueError("superlevel threshold must be positive")
+    if not np.all((t_arr > 0) & np.isfinite(t_arr)):
+        raise ValueError(f"superlevel thresholds must be positive and finite, got {t_arr.tolist()}")
     full, local = _LineRuns.of(mu), _LineRuns.of(trunc)
     levels = t_arr[:, None]
     columns = (t_arr, full.measure(levels), local.measure(levels), full.measure(levels, -1.0, 1.0))
@@ -347,8 +333,8 @@ def convex_taylor_check(f: PLConvex1D, h_grid: Sequence[float]) -> list[TaylorCh
             f"0 is not a subgradient at 0: slopes ({f.left_slope(0.0):.3e}, {f.right_slope(0.0):.3e})"
         )
     h = np.asarray(list(h_grid), dtype=float)
-    if np.any(h <= 0):
-        raise ValueError("h grid must be positive")
+    if not np.all((h > 0) & np.isfinite(h)):
+        raise ValueError(f"h grid must be positive and finite, got {h.tolist()}")
     mu = second_derivative_measure(f)
     m0 = maximal_function(mu, 0.0)
     vac = math.isinf(m0)

@@ -1,5 +1,5 @@
-"""Cone sup/inf-convolutions of derivative fields, touch sets, and the
-second-order Taylor remainder.
+"""Cone sup/inf-convolutions of derivative fields, their order, Lipschitz and
+idempotence checks, and the second-order Taylor remainder.
 
 The discrete envelopes are exact minima/maxima over valid source nodes:
 
@@ -29,7 +29,6 @@ import numpy as np
 
 from .core import GridSpec, SampledField, evaluate, loglog_fit, seeded_rng
 from .corpus import FunctionHandle
-from .paraboloid import ThetaField
 
 _CHUNK = 256
 
@@ -234,132 +233,17 @@ def envelope_idempotence_gap(pair: ConeEnvelopePair) -> float:
 
 
 @dataclass(frozen=True)
-class TouchSet:
-    """Evaluation points with opening <= A, minus points flagged by the kink detector."""
-
-    A: float
-    coords: np.ndarray  # (K, dim) accepted points
-    theta: np.ndarray  # (K,) their openings
-    excluded_coords: np.ndarray  # points with small opening rejected by the kink detector
-
-    @property
-    def count(self) -> int:
-        return self.coords.shape[0]
-
-
-def _kink_indicator(
-    f: FunctionHandle | SampledField, coords: np.ndarray, h: float, threshold: float
-) -> np.ndarray:
-    """True where one-sided difference quotients disagree by more than `threshold`."""
-
-    def ev(c: np.ndarray) -> np.ndarray:
-        vals, ok = evaluate(f, c)
-        return np.where(ok, vals, np.nan)
-
-    shape = f.shape
-    out = np.zeros(coords.shape[0], dtype=bool)
-    base = ev(coords)
-    for k in range(shape.dim):
-        e = np.zeros(shape.dim)
-        e[k] = h
-        fwd = (ev(coords + e) - base) / h
-        bwd = (base - ev(coords - e)) / h
-        jump = np.abs(fwd - bwd)
-        out |= np.where(np.isfinite(jump), jump > threshold, True)
-    return out
-
-
-def touch_set(theta: ThetaField, A: float) -> TouchSet:
-    """Filter the theta field to {opening <= A}, excluding gradient kinks: points
-    whose one-sided difference quotients at the grid step h differ by more than 10 h."""
-    h = theta.constraints.spacing
-    ok_level = theta.theta <= A
-    pts = theta.eval_coords[ok_level]
-    kinky = (
-        _kink_indicator(theta.source, pts, h, 10.0 * h)
-        if pts.shape[0]
-        else np.zeros(0, dtype=bool)
-    )
-    return TouchSet(
-        A=float(A),
-        coords=pts[~kinky],
-        theta=theta.theta[ok_level][~kinky],
-        excluded_coords=pts[kinky],
-    )
-
-
-@dataclass(frozen=True)
-class SlopeBoundReport:
-    """Per-point bound max_x |Df(x) - Df(x0)| / |x - x0| over r < 1/4 neighborhoods."""
-
-    ratios: np.ndarray
-    bound: float
-    ok: bool
-    samples_skipped: int
-
-
-def cone_touch_check(
-    f: FunctionHandle,
-    tset: TouchSet,
-    C_probe: float,
-    sample_count: int = 64,
-    seed: int = 0,
-) -> SlopeBoundReport:
-    """Check the gradient slope bound C_probe * A around every touch-set point,
-    at radii in [1/80, 1/4]."""
-    rng = seeded_rng(seed)
-    shape = f.shape
-    skipped = 0
-    ratios = np.zeros(tset.count)
-    for k in range(tset.count):
-        x0 = tset.coords[k]
-        radii = rng.uniform(0.0125, 0.25, size=sample_count)
-        dirs = rng.standard_normal((sample_count, shape.dim))
-        dirs /= shape.frob_norm_coords(dirs)[:, None]
-        pts = x0 + radii[:, None] * dirs
-        if f.gradient is not None:
-            g = f.gradient_at_coords(pts)
-            g0 = f.gradient_at_coords(x0)
-        else:
-            g = f.fd_gradient(shape.coords_to_matrix(pts))
-            g0 = f.fd_gradient(shape.coords_to_matrix(x0))
-        diff = np.sqrt(np.sum((g - g0) ** 2, axis=(-2, -1)))
-        ok = np.isfinite(diff)
-        skipped += int(np.sum(~ok))
-        ratios[k] = float(np.max(np.where(ok, diff / radii, 0.0))) if np.any(ok) else 0.0
-    bound = C_probe * tset.A
-    return SlopeBoundReport(
-        ratios=ratios,
-        bound=float(bound),
-        ok=bool(np.all(ratios <= bound + 1e-9)),
-        samples_skipped=skipped,
-    )
-
-
-@dataclass(frozen=True)
 class SandwichReport:
     global_order_violation: float
-    max_gap_on_touch_set: float
-    points_skipped: int
 
 
-def sandwich_check(pair: ConeEnvelopePair, tset: TouchSet | None = None) -> SandwichReport:
-    """Ordering w- <= source <= w+ at nodes, and the envelope gap on touch points."""
+def sandwich_check(pair: ConeEnvelopePair) -> SandwichReport:
+    """Ordering w- <= source <= w+ at nodes."""
     mask = pair.w_minus.mask & pair.w_plus.mask & pair.source.mask
     lo = pair.w_minus.values[mask]
     hi = pair.w_plus.values[mask]
     src = pair.source.values[mask]
-    violation = max(0.0, float(np.max(lo - src)), float(np.max(src - hi)))
-    gap = 0.0
-    skipped = 0
-    if tset is not None and tset.count:
-        lo_i, ok_lo = pair.w_minus.interpolate(tset.coords)
-        hi_i, ok_hi = pair.w_plus.interpolate(tset.coords)
-        ok = ok_lo & ok_hi
-        skipped = int(np.sum(~ok))
-        if np.any(ok):
-            gap = float(np.max(hi_i[ok] - lo_i[ok]))
-    return SandwichReport(violation, gap, skipped)
+    return SandwichReport(max(0.0, float(np.max(lo - src)), float(np.max(src - hi))))
 
 
 @dataclass(frozen=True)
@@ -418,6 +302,8 @@ def second_order_remainder(
         return vals
 
     x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"second_order_remainder needs a finite x0, got {x0.tolist()}")
     h = max(1e-4, 0.05 * float(np.min(radii_arr)))
     if isinstance(f, SampledField):
         # sub-cell steps would difference the interpolation kinks at grid nodes

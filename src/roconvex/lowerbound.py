@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .core import MatrixShape, ball_samples, seeded_rng
+from .core import MatrixShape
 from .corpus import FunctionHandle
 
 
@@ -31,18 +30,13 @@ def lemma_constant(n: int) -> int:
 
 @dataclass(frozen=True)
 class RadialMajorant:
-    """G(x) = g(|x - x0|) for a non-decreasing tabulated profile g.
-
-    `kind` is 'step' (right-edge lookup on the radius table; what the empirical
-    builder produces) or 'quadratic' (exact (A/2) t^2 with the table kept for
-    serialization).
-    """
+    """G(x) = g(|x - x0|) for a non-decreasing step profile g: a radius t reads
+    the value at the first table edge >= t (the right-edge lookup the empirical
+    builder tabulates for)."""
 
     x0: np.ndarray  # (dim,) coordinates
     radii: np.ndarray  # increasing table edges, radii[0] > 0
     values: np.ndarray  # non-decreasing, >= 0
-    kind: str = "step"
-    quadratic_coefficient: float = 0.0
 
     def __post_init__(self) -> None:
         radii = np.asarray(self.radii, dtype=float)
@@ -53,16 +47,12 @@ class RadialMajorant:
             raise ValueError("majorant table shape mismatch")
         if np.any(np.diff(values) < 0) or np.any(values < 0):
             raise ValueError("majorant profile must be non-negative and non-decreasing")
-        if self.kind not in ("step", "quadratic"):
-            raise ValueError(f"unknown majorant kind {self.kind!r}")
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(-1))
         object.__setattr__(self, "radii", radii)
         object.__setattr__(self, "values", values)
 
     def profile(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if self.kind == "quadratic":
-            return 0.5 * self.quadratic_coefficient * t * t
         if np.any(t > self.radii[-1] * (1.0 + 1e-9)):
             raise ValueError("majorant queried beyond its table")
         idx = np.searchsorted(self.radii, t * (1.0 - 1e-12), side="left")
@@ -75,18 +65,6 @@ class RadialMajorant:
 
     def table(self) -> list[tuple[float, float]]:
         return [(float(r), float(v)) for r, v in zip(self.radii, self.values)]
-
-
-def quadratic_majorant(x0: np.ndarray, A: float, radius: float) -> RadialMajorant:
-    """g(t) = (A/2) t^2, tabulated at 32 radii for serialization."""
-    radii = np.linspace(radius / 32, radius, 32)
-    return RadialMajorant(
-        x0=np.asarray(x0, dtype=float),
-        radii=radii,
-        values=0.5 * A * radii**2,
-        kind="quadratic",
-        quadratic_coefficient=float(A),
-    )
 
 
 def _tangent(f: FunctionHandle, x0: np.ndarray) -> tuple[float, np.ndarray]:
@@ -171,7 +149,7 @@ def empirical_majorant(
     np.maximum.at(binmax, idx, vals)
     binmax = np.maximum(binmax, 0.0)  # clamp: the profile must stay >= 0
     profile = np.maximum.accumulate(binmax)
-    return RadialMajorant(x0=x0, radii=edges, values=profile, kind="step")
+    return RadialMajorant(x0=x0, radii=edges, values=profile)
 
 
 @dataclass(frozen=True)
@@ -221,40 +199,3 @@ def lower_bound_certify(
         tangency_margin=float(tangency[k_bad]),
         passed=bool(slack[k] >= -tol),
     )
-
-
-def majorant_from_theta(
-    f: FunctionHandle,
-    x0: np.ndarray,
-    A: float,
-    certified_opening: float | None,
-) -> RadialMajorant:
-    """Quadratic majorant g(t) = (A/2) t^2 on the unit ball, gated on an opening certificate <= A."""
-    if certified_opening is None:
-        raise ValueError("a certified opening at x0 is required")
-    if certified_opening > A * (1.0 + 1e-9):
-        raise ValueError(f"certified opening {certified_opening} exceeds A = {A}")
-    return quadratic_majorant(np.asarray(x0, dtype=float), A, 1.0)
-
-
-def sup_growth_check(
-    f: FunctionHandle,
-    x0: np.ndarray,
-    A: float,
-    radii: Sequence[float],
-    sample_count: int = 2000,
-    seed: int = 0,
-) -> list[tuple[float, float, float]]:
-    """Sampled sup of |f~| on B_r(x0) against (1 + C) (A/2) r^2 per radius."""
-    shape = f.shape
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    rng = seeded_rng(seed)
-    C = float(lemma_constant(shape.cols))
-    rows = []
-    for r in radii:
-        pts = ball_samples(shape, x0, float(r), sample_count, rng)
-        vals, _, _ = recentered_values(f, x0, pts)
-        sup = float(np.max(np.abs(vals)))
-        bound = (1.0 + C) * 0.5 * A * r * r
-        rows.append((float(r), sup, bound))
-    return rows

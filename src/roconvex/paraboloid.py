@@ -147,6 +147,8 @@ class _TouchProblem:
 
     def __init__(self, f: FunctionHandle | SampledField, x0: np.ndarray, constraints: GridSpec):
         x0 = np.asarray(x0, dtype=float).reshape(-1)
+        if not np.isfinite(x0).all():
+            raise ValueError(f"the opening needs a finite x0, got {x0.tolist()}")
         coords, fy, d, q = _cloud(f, x0, constraints)
         vals, ok = evaluate(f, x0[None, :])
         if not ok[0]:

@@ -1,5 +1,5 @@
-"""First-order verification: rank-one/separate convexity, the Lipschitz bound,
-discrete subharmonicity, the symmetric-space operator, and mollification.
+"""First-order verification: rank-one/separate convexity, discrete
+subharmonicity, the symmetric-space operator, and mollification.
 
 All checks are sampling-based certificates: a nonpositive worst violation
 certifies the property at the sampled resolution, a positive one is a concrete
@@ -8,7 +8,6 @@ counterexample that replays deterministically under the same seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,7 +25,6 @@ from .core import (
     grid_spec,
     make_grid,
     random_directions,
-    seeded_rng,
     shifted,
 )
 from .corpus import FunctionHandle
@@ -191,49 +189,6 @@ def replay_violation(
     if not ok[0]:
         raise ValueError("witness segment is no longer admissible")
     return float(gap[0])
-
-
-@dataclass(frozen=True)
-class LipschitzReport:
-    lip_lhs: float
-    osc_rhs: float
-    ratio: float
-    ok: bool
-    pairs_used: int
-
-
-def lipschitz_estimate_check(
-    f: FunctionHandle,
-    x: np.ndarray,
-    r: float,
-    pair_count: int = 10_000,
-    seed: int = 0,
-) -> LipschitzReport:
-    """Sampled difference quotients on B_r(x) against n * osc(f, B_2r(x)) / r,
-    with B_2r(x) inside the unit ball."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    shape = f.shape
-    if float(shape.frob_norm_coords(x)) + 2.0 * r > 1.0 + 1e-12:
-        raise ValueError("B_2r(x) leaves the domain ball of radius 1.0")
-    rng = seeded_rng(seed)
-    p1 = ball_samples(shape, x, r, pair_count, rng)
-    p2 = ball_samples(shape, x, r, pair_count, rng)
-    v1 = f.value_at_coords(p1)
-    v2 = f.value_at_coords(p2)
-    gaps = shape.frob_norm_coords(p1 - p2)
-    use = gaps > 1e-12
-    quotients = np.abs(v1[use] - v2[use]) / gaps[use]
-    lip_lhs = float(np.max(quotients)) if quotients.size else 0.0
-
-    wide = ball_samples(shape, x, 2.0 * r, pair_count, rng)
-    vals = np.concatenate([f.value_at_coords(wide), v1, v2])
-    osc = float(np.max(vals) - np.min(vals))
-    osc_rhs = shape.cols * osc / r
-    if osc_rhs == 0.0:
-        ratio = 0.0 if lip_lhs == 0.0 else math.inf
-    else:
-        ratio = lip_lhs / osc_rhs
-    return LipschitzReport(lip_lhs, osc_rhs, ratio, lip_lhs <= osc_rhs + 1e-9, int(np.sum(use)))
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ def empirical_majorant(f, x0, samples):
     np.maximum.at(binmax, idx, vals)
     binmax = np.maximum(binmax, 0.0)
     profile = np.maximum.accumulate(binmax)
-    return RadialMajorant(x0=x0, radii=edges, values=profile, kind="step")
+    return RadialMajorant(x0=x0, radii=edges, values=profile)
 
 
 def random_directions(shape, count, rng):

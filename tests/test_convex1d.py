@@ -37,6 +37,14 @@ def test_pl_validation():
         PLConvex1D(np.array([1.0, 0.0]), np.array([0.0, 1.0, 2.0]))
     with pytest.raises(ValueError):
         PLConvex1D(np.array([0.0]), np.array([1.0]))
+    with pytest.raises(ValueError, match=r"breakpoints must be finite, got \[inf\]"):
+        PLConvex1D(np.array([math.inf]), np.array([-1.0, 1.0]))
+    with pytest.raises(ValueError, match=r"slopes must be finite, got \[-1.0, nan\]"):
+        PLConvex1D(np.array([0.0]), np.array([-1.0, math.nan]))
+    with pytest.raises(ValueError, match="anchor_x must be finite, got -inf"):
+        PLConvex1D(np.array([0.0]), np.array([-1.0, 1.0]), anchor_x=-math.inf)
+    with pytest.raises(ValueError, match="anchor_value must be finite, got nan"):
+        PLConvex1D(np.array([0.0]), np.array([-1.0, 1.0]), anchor_value=math.nan)
 
 
 def test_pl_evaluation_and_slopes():
@@ -47,15 +55,6 @@ def test_pl_evaluation_and_slopes():
     lin = PLConvex1D(np.zeros(0), np.array([2.0]), anchor_value=1.0)
     assert lin(3.0) == 7.0
     assert lin(-1.0) == -1.0
-
-
-def test_pl_from_samples_and_convexity_guard():
-    xs = np.linspace(-2.0, 2.0, 41)
-    f = PLConvex1D.from_samples(xs, np.abs(xs))
-    assert float(f(0.37)) == pytest.approx(0.37)
-    assert float(f(-1.9)) == pytest.approx(1.9)
-    with pytest.raises(ValueError, match="convex"):
-        PLConvex1D.from_samples(xs, -(xs**2))
 
 
 def test_second_derivative_measure_examples():
@@ -221,6 +220,20 @@ def test_taylor_chain_rejects_bad_normalization():
         convex_taylor_check(tilted, [0.5])
     with pytest.raises(ValueError, match="positive"):
         convex_taylor_check(ABS, [0.5, 0.0])
+    # NaN passes an `h <= 0` test, and an infinite step makes every bound inf
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="h grid must be positive and finite"):
+            convex_taylor_check(ABS, [0.5, bad])
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
+def test_superlevel_levels_must_be_positive_and_finite(t):
+    # NaN passes a `t <= 0` test, and its union would be silently empty
+    d0 = AtomicMeasure1D(np.array([0.0]), np.array([1.0]))
+    with pytest.raises(ValueError, match="superlevel threshold must be positive and finite"):
+        superlevel(d0, t)
+    with pytest.raises(ValueError, match="superlevel thresholds must be positive and finite"):
+        weak_one_one_check(d0, [1.0, t])
 
 
 def _taylor_reference(f, h_grid, tol=1e-10):
@@ -253,7 +266,9 @@ def test_taylor_chain_matches_per_h_reference():
     fs = [ABS] + [random_pl_convex(rng, atom_at_zero=(k % 2 == 0)) for k in range(40)]
     # windows of 8 and more atoms, where np.sum stops adding left to right
     xs = np.linspace(-2.0, 2.0, 41)
-    fs += [PLConvex1D.from_samples(xs, np.abs(xs) ** p) for p in (2, 3, 4)]
+    for p in (2, 3, 4):
+        vs = np.abs(xs) ** p
+        fs.append(PLConvex1D(xs[1:-1], np.diff(vs) / np.diff(xs), float(xs[0]), float(vs[0])))
     for f in fs:
         assert repr(convex_taylor_check(f, h_grid)) == repr(_taylor_reference(f, h_grid))
 

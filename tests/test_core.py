@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roconvex import convex1d, core, envelope, lowerbound, paraboloid, verify
+from roconvex import convex1d, core, envelope, paraboloid, verify
 from roconvex.core import (
     CapacityError,
     GridSpec,
@@ -412,21 +412,13 @@ def test_rank_one_directions():
 
 
 
-def _tiny_touch_set():
-    tf = paraboloid.theta_field(half_norm_sq(1.0), grid_spec(MatrixShape(2, 2), 1.0, 5), count=2, seed=1)
-    return envelope.touch_set(tf, 2.0)
-
-
 NEGATIVE_SEED_CALLS = {
     "SegmentSampler": lambda: verify.SegmentSampler(seed=-1),
-    "lipschitz_estimate_check": lambda: verify.lipschitz_estimate_check(neg_det(), np.zeros(4), 0.25, seed=-1),
     "l1_ball_containment": lambda: convex1d.l1_ball_containment(2, seed=-1),
     "fubini_tail_experiment": lambda: convex1d.fubini_tail_experiment(
         abs_entry(0, 0, MatrixShape(1, 2)), [19.0, 40.0], lines_per_direction=4, seed=-1
     ),
-    "sup_growth_check": lambda: lowerbound.sup_growth_check(neg_det(), np.zeros(4), 1.0, [0.5], seed=-1),
     "theta_field": lambda: paraboloid.theta_field(neg_det(), grid_spec(MatrixShape(2, 2), 1.0, 5), count=2, seed=-1),
-    "cone_touch_check": lambda: envelope.cone_touch_check(neg_det(), _tiny_touch_set(), 1.0, seed=-1),
     "second_order_remainder": lambda: envelope.second_order_remainder(neg_det(), np.zeros(4), [0.2], seed=-1),
 }
 

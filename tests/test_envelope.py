@@ -11,20 +11,15 @@ from roconvex.corpus import (
     constant,
     frob_norm,
     half_norm_sq,
-    linear,
-    neg_det,
 )
 from roconvex import envelope
 from roconvex.envelope import (
     cone_convolutions,
-    cone_touch_check,
     envelope_idempotence_gap,
     envelope_lipschitz_violation,
     sandwich_check,
     second_order_remainder,
-    touch_set,
 )
-from roconvex.paraboloid import theta_field
 
 S1 = MatrixShape(1, 1)
 S22 = MatrixShape(2, 2)
@@ -285,92 +280,6 @@ def test_empty_source_rejected():
         cone_convolutions(src, 0.0)
 
 
-def test_touch_set_levels():
-    spec = grid_spec(S22, 1.0, 9, "cube")
-    tf = theta_field(half_norm_sq(1.0), spec, count=40, seed=8)
-    all_in = touch_set(tf, 2.0)
-    assert all_in.count == 40
-    none_in = touch_set(tf, 0.5)
-    assert none_in.count == 0
-
-
-def test_touch_set_kink_detector_fires_on_the_hyperplane():
-    # 13-point grid: threshold 10 h = 5/3 sits below the slope jump 2 of |x_11|
-    from roconvex.paraboloid import ThetaField, theta_upper
-
-    spec = grid_spec(S22, 1.0, 13, "ball")
-    pts = np.array(
-        [
-            [0.0, 0.1, 0.1, 0.1],  # on the kink hyperplane
-            [0.4, 0.1, 0.0, -0.1],  # far from it
-        ]
-    )
-    touches = tuple(theta_upper(abs_entry(0, 0), p, spec) for p in pts)
-    tf = ThetaField(
-        source=abs_entry(0, 0),
-        constraints=spec,
-        region_radius=0.5,
-        eval_coords=pts,
-        theta=np.array([t.opening for t in touches]),
-        converged=np.array([True, True]),
-        touches=touches,
-        seed=0,
-    )
-    ts = touch_set(tf, 1e9)  # keep every level; only the kink detector filters
-    assert ts.excluded_coords.shape[0] == 1
-    assert ts.excluded_coords[0, 0] == 0.0
-    assert ts.count == 1 and ts.coords[0, 0] == 0.4
-
-
-def test_touch_set_level_excludes_near_kink_band():
-    spec = grid_spec(S22, 1.0, 13, "ball")
-    tf = theta_field(abs_entry(0, 0), spec, count=100, seed=8)
-    A = 4.0
-    ts = touch_set(tf, A)
-    assert 0 < ts.count < 100
-    # accepted points sit off the kink hyperplane by roughly 1/A
-    assert np.all(np.abs(ts.coords[:, 0]) >= 1.0 / A - spec.spacing)
-
-
-def test_cone_touch_quadratic_and_linear():
-    spec = grid_spec(S22, 1.0, 9, "cube")
-    tf = theta_field(half_norm_sq(1.0), spec, count=20, seed=3)
-    ts = touch_set(tf, 1.5)
-    rep = cone_touch_check(half_norm_sq(1.0), ts, C_probe=1.0, sample_count=32, seed=1)
-    assert rep.ok
-    assert np.allclose(rep.ratios, 1.0, atol=1e-9)
-    ell = linear(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    tfl = theta_field(ell, spec, count=10, seed=3)
-    tsl = touch_set(tfl, 0.5)
-    repl = cone_touch_check(ell, tsl, C_probe=1.0, sample_count=16, seed=1)
-    assert repl.ok and np.all(repl.ratios == 0.0)
-
-
-def test_cone_touch_neg_det_calibration():
-    spec = grid_spec(S22, 1.0, 9, "ball")
-    tf = theta_field(neg_det(), spec, count=30, seed=5)
-    level = float(np.quantile(tf.theta, 0.8))
-    ts = touch_set(tf, level)
-    assert ts.count > 0
-    rep = cone_touch_check(neg_det(), ts, C_probe=4.0, sample_count=64, seed=2)
-    # |D(-det)(x) - D(-det)(x0)| = |x - x0| exactly, so ratios are 1
-    assert np.allclose(rep.ratios, 1.0, atol=1e-9)
-    assert rep.ok
-
-
-def test_sandwich_gap_small_on_touch_set_with_large_L():
-    spec = grid_spec(S22, 0.75, 9, "cube")
-    fld = sample(half_norm_sq(1.0), spec)
-    comp = gradient_field(fld)[0]
-    pair = cone_convolutions(comp, 4.0)
-    tf = theta_field(half_norm_sq(1.0), grid_spec(S22, 1.0, 9, "cube"), count=15, seed=6)
-    ts = touch_set(tf, 1.5)
-    rep = sandwich_check(pair, ts)
-    h = spec.spacing
-    assert rep.global_order_violation <= 1e-12
-    assert rep.max_gap_on_touch_set <= 2.0 * 4.0 * h
-
-
 def test_remainder_quadratic_zero():
     prof = second_order_remainder(half_norm_sq(1.0), np.zeros(4), [0.5, 0.25, 0.125])
     assert np.all(prof.ratios <= 1e-12)
@@ -435,3 +344,10 @@ def test_remainder_radii_validation():
 def test_remainder_rejects_empty_or_non_positive_radii(radii):
     with pytest.raises(ValueError, match="radii must be non-empty, finite and positive"):
         second_order_remainder(frob_norm(), np.zeros(4), radii)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_remainder_rejects_non_finite_x0(bad):
+    x0 = np.array([0.1, bad, 0.0, 0.0])
+    with pytest.raises(ValueError, match=r"second_order_remainder needs a finite x0, got \[0.1, (nan|inf)"):
+        second_order_remainder(half_norm_sq(1.0), x0, [0.2, 0.1])

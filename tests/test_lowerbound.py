@@ -20,13 +20,17 @@ from roconvex.lowerbound import (
     empirical_majorant,
     lemma_constant,
     lower_bound_certify,
-    majorant_from_theta,
-    quadratic_majorant,
     recentered_values,
-    sup_growth_check,
 )
 
 S22 = MatrixShape(2, 2)
+
+
+def paraboloid_table(x0, A):
+    """(A/2) t^2 tabulated at 32 radii up to 1, as a step majorant: each step
+    reads the value at its right edge, so it dominates the paraboloid."""
+    radii = np.linspace(1.0 / 32, 1.0, 32)
+    return RadialMajorant(np.asarray(x0, dtype=float), radii, 0.5 * A * radii**2)
 
 
 def column_split(x):
@@ -130,12 +134,6 @@ def test_majorant_validation():
         g.profile(np.array([1.5]))
 
 
-def test_quadratic_majorant_profile():
-    g = quadratic_majorant(np.zeros(4), 1.0, 1.0)
-    ts = np.array([0.1, 0.5, 1.0])
-    assert np.allclose(g.profile(ts), 0.5 * ts * ts)
-
-
 def test_certificates_flagged_corpus_2x2():
     rng = np.random.default_rng(11)
     samples = ball_samples(S22, np.zeros(4), 1.0, 4000, rng)
@@ -158,12 +156,12 @@ def test_certificate_negative_control_fails():
     assert cert.min_slack < -0.1
 
 
-def test_certificate_explicit_negative_control_with_quadratic_majorant():
+def test_certificate_explicit_negative_control_with_paraboloid_table():
     # G = |x|^2/4 dominates -|x|^2/2 (tangency holds) yet the bound fails
     rng = np.random.default_rng(3)
     h = neg_half_norm_sq()
     samples = ball_samples(S22, np.zeros(4), 1.0, 2000, rng)
-    G = quadratic_majorant(np.zeros(4), 0.5, 1.0)
+    G = paraboloid_table(np.zeros(4), 0.5)
     cert = lower_bound_certify(h, np.zeros(4), G, samples)
     assert cert.constant == 1.0  # C(2)
     assert not cert.passed
@@ -173,7 +171,7 @@ def test_tangency_refusal_names_sample():
     rng = np.random.default_rng(4)
     h = half_norm_sq(2.0)  # grows faster than the A=1 paraboloid
     samples = ball_samples(S22, np.zeros(4), 1.0, 500, rng)
-    G = quadratic_majorant(np.zeros(4), 1.0, 1.0)
+    G = paraboloid_table(np.zeros(4), 1.0)
     with pytest.raises(TangencyError, match="sample"):
         lower_bound_certify(h, np.zeros(4), G, samples)
 
@@ -182,8 +180,8 @@ def test_monotone_in_majorant():
     rng = np.random.default_rng(5)
     h = neg_det()
     samples = ball_samples(S22, np.zeros(4), 1.0, 2000, rng)
-    small = quadratic_majorant(np.zeros(4), 1.0, 1.0)
-    large = quadratic_majorant(np.zeros(4), 2.0, 1.0)
+    small = paraboloid_table(np.zeros(4), 1.0)
+    large = paraboloid_table(np.zeros(4), 2.0)
     cert_small = lower_bound_certify(h, np.zeros(4), small, samples)
     cert_large = lower_bound_certify(h, np.zeros(4), large, samples)
     assert cert_large.min_slack >= cert_small.min_slack
@@ -212,26 +210,6 @@ def test_recentring_removes_value_and_slope():
     assert np.all(np.abs(vals) <= 1e-9)
 
 
-def test_majorant_from_theta_requires_certificate():
-    with pytest.raises(ValueError, match="certified"):
-        majorant_from_theta(half_norm_sq(1.0), np.zeros(4), 1.0, None)
-    with pytest.raises(ValueError, match="exceeds"):
-        majorant_from_theta(half_norm_sq(1.0), np.zeros(4), 1.0, 2.0)
-    g = majorant_from_theta(half_norm_sq(1.0), np.zeros(4), 1.0, 1.0)
-    assert g.kind == "quadratic"
-    assert g.profile(np.array([0.5]))[0] == pytest.approx(0.125)
-
-
-def test_sup_growth_quadratic_and_neg_det():
-    rows = sup_growth_check(half_norm_sq(1.0), np.zeros(4), 1.0, [0.5, 0.25, 0.125], 1000, 1)
-    for r, sup, bound in rows:
-        assert sup == pytest.approx(0.5 * r * r, rel=0.05)
-        assert sup <= bound
-    rows = sup_growth_check(neg_det(), np.zeros(4), 1.0, [0.5, 0.25, 0.125], 2000, 1)
-    for r, sup, bound in rows:
-        assert sup <= bound
-
-
 def test_empirical_majorant_is_monotone_table():
     rng = np.random.default_rng(8)
     samples = ball_samples(S22, np.zeros(4), 1.0, 1000, rng)
@@ -244,7 +222,7 @@ def test_empty_sample_set_is_rejected():
     empty = np.zeros((0, 4))
     with pytest.raises(ValueError, match="at least one sample"):
         empirical_majorant(neg_det(), np.zeros(4), empty)
-    G = quadratic_majorant(np.zeros(4), 1.0, 1.0)
+    G = paraboloid_table(np.zeros(4), 1.0)
     with pytest.raises(ValueError, match="at least one sample"):
         lower_bound_certify(neg_det(), np.zeros(4), G, empty)
 
@@ -256,7 +234,7 @@ def test_non_finite_samples_are_named(bad):
     samples[9, 0] = bad
     with pytest.raises(ValueError, match="empirical_majorant: sample 7 is not finite"):
         empirical_majorant(neg_det(), np.zeros(4), samples)
-    G = quadratic_majorant(np.zeros(4), 1.0, 1.0)
+    G = paraboloid_table(np.zeros(4), 1.0)
     with pytest.raises(ValueError, match="lower_bound_certify: sample 7 is not finite"):
         lower_bound_certify(neg_det(), np.zeros(4), G, samples)
 
@@ -264,7 +242,7 @@ def test_non_finite_samples_are_named(bad):
 def test_samples_all_at_x0_or_a_non_finite_x0_are_rejected():
     x0 = np.array([0.1, -0.2, 0.3, 0.0])
     at_x0 = np.tile(x0, (5, 1))
-    G = quadratic_majorant(x0, 1.0, 1.0)
+    G = paraboloid_table(x0, 1.0)
     with pytest.raises(ValueError, match="needs a sample off x0"):
         empirical_majorant(neg_det(), x0, at_x0)
     with pytest.raises(ValueError, match="needs a sample off x0"):
@@ -281,6 +259,6 @@ def test_symmetric_shapes_are_rejected_by_name():
     cause = "needs a general shape, and neg_det_2x2_sym has the symmetric shape 2x2"
     with pytest.raises(ValueError, match=f"empirical_majorant {cause}"):
         empirical_majorant(h, np.zeros(3), samples)
-    G = quadratic_majorant(np.zeros(3), 1.0, 1.0)
+    G = paraboloid_table(np.zeros(3), 1.0)
     with pytest.raises(ValueError, match=f"lower_bound_certify {cause}"):
         lower_bound_certify(h, np.zeros(3), G, samples)

@@ -312,6 +312,14 @@ def test_field_on_another_grid_is_rejected():
             call()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_theta_upper_rejects_non_finite_x0(bad):
+    # a NaN x0 drops every node from the cloud, which would name the wrong cause
+    x0 = np.array([0.1, bad, 0.0, 0.0])
+    with pytest.raises(ValueError, match=r"the opening needs a finite x0, got \[0.1, (nan|inf), 0.0, 0.0\]"):
+        theta_upper(half_norm_sq(1.0), x0, grid_spec(S22, 1.0, 9, "cube"))
+
+
 def _per_call_cloud(f, x0, constraints):
     """The constraint cloud rebuilt from the grid on every call: the reference for `_cloud`."""
     if isinstance(f, SampledField) and f.grid != constraints:

@@ -16,7 +16,6 @@ from roconvex.corpus import (
 )
 from roconvex.verify import (
     SegmentSampler,
-    lipschitz_estimate_check,
     mollify,
     rank_one_convexity_check,
     replay_violation,
@@ -126,28 +125,6 @@ def test_witness_replays_and_names_its_direction(f, domain):
         if np.array_equal(f.shape.matrix_to_coords(d.matrix), np.array(rep.witness.direction))
     }
     assert labels == {rep.witness.direction_label}
-
-
-def test_lipschitz_linear_and_constant():
-    shape = MatrixShape(2, 2)
-    ell = np.array([[1.0, 0.0], [0.0, 0.0]])
-    rep = lipschitz_estimate_check(linear(ell, shape), np.zeros(4), 0.25, pair_count=2000, seed=1)
-    assert rep.ok
-    assert rep.lip_lhs <= 1.0 + 1e-9
-    assert rep.osc_rhs == pytest.approx(2.0 * 4.0 * 0.25 / 0.25, rel=0.1)  # n * 4r|l| / r
-    repc = lipschitz_estimate_check(constant(2.0), np.zeros(4), 0.25, pair_count=500, seed=1)
-    assert repc.ok and repc.lip_lhs == 0.0 and repc.osc_rhs == 0.0
-
-
-def test_lipschitz_neg_det_dense_pairs():
-    rep = lipschitz_estimate_check(neg_det(), np.zeros(4), 0.25, pair_count=10_000, seed=2)
-    assert rep.ok
-    assert rep.lip_lhs > 0.0
-
-
-def test_lipschitz_domain_guard():
-    with pytest.raises(ValueError):
-        lipschitz_estimate_check(neg_det(), np.zeros(4), 0.6, pair_count=10, seed=0)
 
 
 def test_laplacian_quadratic_exact():
