@@ -92,6 +92,9 @@ class AtomicMeasure1D:
         mass = np.asarray(self.masses, dtype=float).reshape(-1)
         if loc.size != mass.size:
             raise ValueError("locations and masses must align")
+        for name, v in (("locations", loc), ("masses", mass)):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be finite, got {v.tolist()}")
         if loc.size and np.any(np.diff(loc) <= 0):
             raise ValueError("locations must be strictly increasing")
         if np.any(mass < 0):

@@ -31,6 +31,7 @@ from .core import GridSpec, SampledField, evaluate, loglog_fit, seeded_rng
 from .corpus import FunctionHandle
 
 _CHUNK = 256
+OUTPUT_RADIUS_FRACTION = 2.0 / 3.0  # the envelopes' inner ball: the 3/4 -> 1/2 domain shrink
 
 
 @dataclass(frozen=True)
@@ -154,26 +155,20 @@ def _envelope_pass(
     return w_lo, w_hi
 
 
-def cone_convolutions(
-    source: SampledField,
-    L: float,
-    output_radius: float | None = None,
-) -> ConeEnvelopePair:
+def cone_convolutions(source: SampledField, L: float) -> ConeEnvelopePair:
     """Exact discrete cone envelopes of `source`, evaluated on the inner ball.
 
     Every output node pairs with the valid source nodes within osc(source)/L
-    of it, and each chunk of pairs serves both envelopes. `output_radius`
-    defaults to two thirds of the grid radius (the 3/4 -> 1/2 domain shrink).
+    of it, and each chunk of pairs serves both envelopes. The inner ball has
+    OUTPUT_RADIUS_FRACTION of the grid radius.
     """
     _check_slope(L)
     spec = source.grid
     if not np.any(source.mask):
         raise ValueError("source field has no valid nodes")
-    if output_radius is None:
-        output_radius = spec.radius * (2.0 / 3.0)
     coords = source.node_coords()
     dist_center = spec.shape.frob_norm_coords(coords - spec.center.coords)
-    out_mask = source.mask & (dist_center <= output_radius * (1.0 + 1e-12))
+    out_mask = source.mask & (dist_center <= spec.radius * OUTPUT_RADIUS_FRACTION * (1.0 + 1e-12))
     if not np.any(out_mask):
         raise ValueError("output region contains no valid nodes")
     src_vals = source.values[source.mask]

@@ -172,12 +172,18 @@ def lower_bound_certify(
 ) -> LowerBoundCertificate:
     """Certify f~ >= -C G over the samples, C = lemma_constant(cols), after checking f~ <= G.
 
-    The recentering f~ = f - f(x0) - Df(x0)(x - x0) is applied internally;
-    a tangency violation raises TangencyError naming the violating sample.
+    The recentering f~ = f - f(x0) - Df(x0)(x - x0) is applied internally, at
+    the majorant's own x0; a tangency violation raises TangencyError naming
+    the violating sample.
     """
     shape = f.shape
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     pts = _checked_samples(f, x0, samples, "lower_bound_certify")
+    if not np.array_equal(x0, majorant.x0):
+        raise ValueError(
+            f"lower_bound_certify needs the majorant's centre, got x0 = {x0.tolist()} "
+            f"against majorant.x0 = {majorant.x0.tolist()}"
+        )
     C = float(lemma_constant(shape.cols))
     vals, _, _ = recentered_values(f, x0, pts)
     g_vals = majorant.evaluate(shape, pts)

@@ -58,14 +58,11 @@ class ParaboloidTouch:
 class ThetaField:
     """Least openings at sampled evaluation points against a fixed constraint grid."""
 
-    source: object
-    constraints: GridSpec
     region_radius: float
     eval_coords: np.ndarray
     theta: np.ndarray
     converged: np.ndarray
     touches: tuple[ParaboloidTouch, ...]
-    seed: int
 
     @property
     def count(self) -> int:
@@ -89,41 +86,26 @@ class TailReport:
 def _cloud(
     f: FunctionHandle | SampledField, x0: np.ndarray, constraints: GridSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The masked constraint nodes y, f(y), the flattened matrices y - x0, and |y - x0|^2.
+    """The masked constraint nodes y, f(y), the flattened matrices d = y - x0, and |d|^2.
 
     The nodes and their matrices come from the grid's shared cloud; only the
-    offsets from x0 are computed per call, by `_offsets`, whose order of
-    addition gives each row the same bits whatever the cloud's size. A field
-    supplies its own node values, so it must be sampled on `constraints`.
+    offsets from x0 are computed per call. Flattened matrices, not storage
+    coordinates, so |d|^2 is the Frobenius norm. It adds the squares column by
+    column, ((d_0^2 + d_1^2) + d_2^2) + d_3^2: the order np.sum(d * d, axis=1)
+    takes over fewer than 8 columns. Each row's sum reads only that row, so a
+    row gets the same bits whatever the cloud's size. A field supplies its own
+    node values, so it must be sampled on `constraints`.
     """
     if isinstance(f, SampledField) and f.grid != constraints:
         raise ValueError("field constraints must use the field's own grid")
     coords, mats = make_grid(constraints).cloud
     fy = f.valid_values() if isinstance(f, SampledField) else f.value_at_coords(coords)
-    return (coords, fy) + _offsets(mats, x0, constraints.shape)
-
-
-def _offsets(mats: np.ndarray, x0: np.ndarray, shape: MatrixShape) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets d = y - x0 of flattened matrices (K, rows*cols) and |d|^2 per row.
-
-    Flattened matrices, not storage coordinates, so |d|^2 is the Frobenius norm.
-    It adds the squares column by column, ((d_0^2 + d_1^2) + d_2^2) + d_3^2:
-    the order np.sum(d * d, axis=1) takes over fewer than 8 columns. Each row's
-    sum reads only that row, so a row gets the same bits whatever K is.
-    """
-    d = mats - shape.coords_to_matrix(x0).reshape(-1)
+    d = mats - constraints.shape.coords_to_matrix(x0).reshape(-1)
     sq = d * d
     q = sq[:, 0].copy()
     for j in range(1, sq.shape[1]):
         q += sq[:, j]
-    return d, q
-
-
-def _constraint_rows(
-    fy: np.ndarray, fx0: float, d: np.ndarray, q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """c_y and B_y of the given cloud rows, element-wise, so any subset of rows keeps its bits."""
-    return 2.0 * (fy - fx0) / q, 2.0 * d / q[:, None]
+    return coords, fy, d, q
 
 
 @functools.cache
@@ -137,13 +119,11 @@ def _slope_map(shape: MatrixShape) -> np.ndarray:
     return P
 
 
-def _on_node(constraints: GridSpec) -> float:
-    """|y - x0|^2 up to which a node y counts as x0 itself and leaves the cloud."""
-    return (1e-9 * constraints.spacing) ** 2
-
-
 class _TouchProblem:
-    """Constraint data for one evaluation point: c_y and b_y with a(p) = max(0, max(c - B p))."""
+    """Constraint data for one evaluation point: c_y and b_y with a(p) = max(0, max(c - B p)).
+
+    The one builder of an opening's rows: the solver and the certificate replay both read them.
+    """
 
     def __init__(self, f: FunctionHandle | SampledField, x0: np.ndarray, constraints: GridSpec):
         x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -153,7 +133,7 @@ class _TouchProblem:
         vals, ok = evaluate(f, x0[None, :])
         if not ok[0]:
             raise ValueError("x0 is not interpolable on the constraint grid")
-        keep = q > _on_node(constraints)
+        keep = q > (1e-9 * constraints.spacing) ** 2
         if not np.all(keep):  # x0 sits on a node; drop it
             coords, fy, d, q = coords[keep], fy[keep], d[keep], q[keep]
         if d.shape[0] == 0:
@@ -161,7 +141,8 @@ class _TouchProblem:
         self.x0 = x0
         self.fx0 = float(vals[0])
         self.coords = coords
-        self.c, self.B = _constraint_rows(fy, self.fx0, d, q)
+        # Element-wise, so any subset of rows keeps its bits.
+        self.c, self.B = 2.0 * (fy - self.fx0) / q, 2.0 * d / q[:, None]
         self.P = _slope_map(constraints.shape)
 
     def scores(self, p: np.ndarray) -> np.ndarray:
@@ -300,41 +281,25 @@ def replay_lower_bound(
     Checks first that the weights are dual feasible: every support point is a
     constraint node, lam >= 0, sum lam <= 1 (the rest weighs the row t >= 0),
     and sum lam_y B_y = 0 up to DUAL_RTOL. Raises ValueError when one fails.
-    Only the support rows of c and B are computed, with the arithmetic of
-    `_TouchProblem`, so the replay repeats the solver's bits.
+    The rows of c and B are those the solver built for the opening at x0, found
+    by exact equality of their nodes, so the replay repeats the solver's bits.
     """
-    if isinstance(f, SampledField) and f.grid != constraints:
-        raise ValueError("field constraints must use the field's own grid")
-    x0 = np.asarray(touch.x0, dtype=float)
-    vals, ok = evaluate(f, x0[None, :])
-    if not ok[0]:
-        raise ValueError("x0 is not interpolable on the constraint grid")
-    shape, n = constraints.shape, constraints.points_per_axis
-    grid = make_grid(constraints)
-    points = np.asarray(touch.support, dtype=float).reshape(-1, shape.dim)
-    # A node's lattice index follows from its coordinates; the node must lie in
-    # the clip region, hold exactly that point, and not be x0.
-    lo = constraints.center.coords - constraints.radius
-    index = np.rint((points - lo) / constraints.spacing)
-    inside = np.all((index >= 0) & (index < n), axis=1)
-    strides = n ** np.arange(shape.dim - 1, -1, -1)  # C order
-    nodes = np.where(inside[:, None], index, 0).astype(int) @ strides
-    coords = grid.coords[nodes]
-    mats = shape.coords_to_matrix(coords).reshape(nodes.size, shape.rows * shape.cols)
-    d, q = _offsets(mats, x0, shape)
-    hit = inside & grid.mask[nodes] & np.all(coords == points, axis=1) & (q > _on_node(constraints))
-    if not np.all(hit):
-        point = points[int(np.argmin(hit))]
+    prob = _TouchProblem(f, np.asarray(touch.x0), constraints)
+    points = np.asarray(touch.support, dtype=float).reshape(-1, prob.coords.shape[1])
+    hit = np.all(points[:, None, :] == prob.coords, axis=2)  # (k, K): k <= 5 support points
+    found = np.any(hit, axis=1)
+    if not np.all(found):
+        point = points[int(np.argmin(found))]
         raise ValueError(f"support point {point.tolist()} is not a constraint node")
+    rows = np.argmax(hit, axis=1)
     w = touch.weights
     if np.any(w < 0.0) or np.sum(w) > 1.0 + 1e-12:
         raise ValueError("certificate weights are not a sub-probability vector")
-    fy = f.values[nodes] if isinstance(f, SampledField) else f.value_at_coords(coords)
-    c, B = _constraint_rows(fy, float(vals[0]), d, q)
+    B = prob.B[rows]
     residual = float(np.max(np.abs(w @ B), initial=0.0))
     if residual > DUAL_RTOL * max(1.0, float(np.max(np.abs(B), initial=0.0))):
         raise ValueError(f"certificate weights leave sum lam B = {residual:.3e}, not 0")
-    return float(w @ c)
+    return float(w @ prob.c[rows])
 
 
 def touch_feasibility_gap(
@@ -374,14 +339,11 @@ def theta_field(
     theta = np.array([t.opening for t in touches])
     converged = np.array([t.converged for t in touches])
     return ThetaField(
-        source=f,
-        constraints=constraints,
         region_radius=float(region_radius),
         eval_coords=pts,
         theta=theta,
         converged=converged,
         touches=tuple(touches),
-        seed=seed,
     )
 
 

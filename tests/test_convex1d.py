@@ -47,6 +47,24 @@ def test_pl_validation():
         PLConvex1D(np.array([0.0]), np.array([-1.0, 1.0]), anchor_value=math.nan)
 
 
+def test_atomic_measure_validation():
+    with pytest.raises(ValueError, match="align"):
+        AtomicMeasure1D(np.array([0.0, 1.0]), np.array([1.0]))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        AtomicMeasure1D(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="non-negative"):
+        AtomicMeasure1D(np.array([0.0]), np.array([-1.0]))
+    # NaN passes the order and sign tests, and an inf location only warns in np.diff
+    with pytest.raises(ValueError, match=r"locations must be finite, got \[nan\]"):
+        AtomicMeasure1D(np.array([math.nan]), np.array([1.0]))
+    with pytest.raises(ValueError, match=r"locations must be finite, got \[0.0, inf\]"):
+        AtomicMeasure1D(np.array([0.0, math.inf]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match=r"masses must be finite, got \[inf\]"):
+        AtomicMeasure1D(np.array([0.0]), np.array([math.inf]))
+    with pytest.raises(ValueError, match=r"masses must be finite, got \[1.0, nan\]"):
+        AtomicMeasure1D(np.array([0.0, 1.0]), np.array([1.0, math.nan]))
+
+
 def test_pl_evaluation_and_slopes():
     assert np.array_equal(ABS(np.array([-2.0, -1.0, 0.0, 0.5, 2.0])), [2.0, 1.0, 0.0, 0.5, 2.0])
     assert ABS.left_slope(0.0) == -1.0

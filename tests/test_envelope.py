@@ -48,7 +48,7 @@ def test_lipschitz_source_untouched_when_L_dominates():
 
 def test_small_L_flattens_and_matches_double_loop():
     src = abs_field()
-    pair = cone_convolutions(src, 0.5, output_radius=0.75)
+    pair = cone_convolutions(src, 0.5)
     coords = src.node_coords().ravel()
     yv = src.valid_coords().ravel()
     fv = src.valid_values()
@@ -137,32 +137,35 @@ def _single_node(spec):
     return SampledField(spec, np.full(mask.size, -0.6), mask)
 
 
+# The envelopes are output on the inner ball of 2/3 the grid radius.
 SYM_CUBE = grid_spec(S22_SYM, 0.7, 7, "cube")
 WHOLE_GRID = grid_spec(S22, 0.75, 5, "cube")
-SYM_BALL = grid_spec(S22_SYM, 0.7, 9, "ball")
+DIP_BALL = grid_spec(S22, 0.75, 9, "ball")
+SYM_BALL = grid_spec(S22_SYM, 0.7, 13, "ball")
 
 
 @pytest.mark.parametrize(
-    "make, spec, L, output_radius",
+    "make, spec, L",
     [
         # Radius 0.7 makes the coordinates inexact, so the summation order shows.
-        (_frob_gradient, grid_spec(S22, 0.7, 7, "ball"), 0.9, None),
-        # Frobenius radius 1.4 covers the whole cube: 343 output nodes, two chunks.
-        (_frob_gradient, SYM_CUBE, 0.9, 1.4),
+        (_frob_gradient, grid_spec(S22, 0.7, 7, "ball"), 0.9),
+        # The symmetric weights (1, sqrt 2, 1) on all 31 nodes of the inner ellipsoid.
+        (_frob_gradient, SYM_CUBE, 0.9),
         # osc/L is about two lattice steps, so most source nodes fall outside the stencil.
-        (_random, grid_spec(S22, 0.7, 7, "cube"), 4.0, None),
-        (_random, grid_spec(S22, 0.7, 7, "ball"), 4.0, None),
-        (_random, grid_spec(S1, 0.75, 9, "cube"), 4.0, 0.75),
+        (_random, grid_spec(S22, 0.7, 7, "cube"), 4.0),
+        (_random, grid_spec(S22, 0.7, 7, "ball"), 4.0),
+        (_random, grid_spec(S1, 0.75, 9, "cube"), 4.0),
         # osc = 0: the stencil is the zero offset alone.
-        (_constant, grid_spec(S22, 0.7, 5, "cube"), 0.9, None),
+        (_constant, grid_spec(S22, 0.7, 5, "cube"), 0.9),
         # osc/L = 40 reaches past every node of the grid.
-        (_random, WHOLE_GRID, 0.05, 1.5),
-        # osc/L = 1 = 2.67 h: output nodes 2 h to 2.65 h from the dip take it as their minimiser.
-        (_dip, grid_spec(S22, 0.75, 5, "cube"), 1.0, 1.0),
+        (_random, WHOLE_GRID, 0.05),
+        # osc/L = 1/2 = 2.67 h: output nodes 2 h to 2.65 h from the dip take it as
+        # their minimiser; the 297 rows make a full chunk and a partial one of 41.
+        (_dip, DIP_BALL, 2.0),
         # Slots on masked nodes inside the grid read the sentinel; the 189 rows
-        # make a chunk of 170 and a partial one of 19.
-        (_random, SYM_BALL, 2.5, 0.7),
-        (_single_node, grid_spec(S22, 0.7, 5, "ball"), 0.9, None),
+        # make a chunk of 181 and a partial one of 8.
+        (_random, SYM_BALL, 2.5),
+        (_single_node, grid_spec(S22, 0.7, 5, "ball"), 0.9),
     ],
     ids=[
         "2x2_ball",
@@ -177,12 +180,12 @@ SYM_BALL = grid_spec(S22_SYM, 0.7, 9, "ball")
         "single_valid_node",
     ],
 )
-def test_multidim_envelopes_match_pairwise_reference(make, spec, L, output_radius):
+def test_multidim_envelopes_match_pairwise_reference(make, spec, L):
     """Envelopes, Lipschitz violations and the idempotence gap equal a full
     pairwise scan bit for bit."""
     src = make(spec)
     w = spec.shape.frob_weights().tolist()
-    pair = cone_convolutions(src, L, output_radius=output_radius)
+    pair = cone_convolutions(src, L)
     out = pair.w_minus.mask
     assert np.array_equal(out, pair.w_plus.mask)
     dist = _ref_dist(src.node_coords()[out], src.valid_coords(), w)
@@ -204,7 +207,7 @@ def test_multidim_envelopes_match_pairwise_reference(make, spec, L, output_radiu
 
 
 def test_reference_cases_reach_the_stencil_edges():
-    out = cone_convolutions(_frob_gradient(SYM_CUBE), 0.9, 1.4).w_minus.mask
+    out = cone_convolutions(_dip(DIP_BALL), 2.0).w_minus.mask
     assert int(np.sum(out)) > envelope._CHUNK
     n, dim = WHOLE_GRID.points_per_axis, WHOLE_GRID.shape.dim
     radius = np.ptp(_random(WHOLE_GRID).valid_values()) / 0.05
@@ -213,7 +216,7 @@ def test_reference_cases_reach_the_stencil_edges():
     # sym_ball_sentinels: stencil slots land on masked nodes inside the grid,
     # and the last chunk is partial.
     src = _random(SYM_BALL)
-    rows = np.flatnonzero(cone_convolutions(src, 2.5, 0.7).w_minus.mask)
+    rows = np.flatnonzero(cone_convolutions(src, 2.5).w_minus.mask)
     radius = np.ptp(src.valid_values()) / 2.5
     at = np.stack(np.unravel_index(rows, src.nd_shape), axis=-1)[:, None, :]
     at = at + envelope._lattice_offsets(SYM_BALL, radius)
@@ -264,7 +267,7 @@ def test_spike_keeps_exact_order():
     mid = values.size // 2
     values[mid] -= 1.0  # artificial downward spike
     spiked = SampledField(src.grid, values, src.mask)
-    pair = cone_convolutions(spiked, 2.0, output_radius=0.75)
+    pair = cone_convolutions(spiked, 2.0)
     rep = sandwich_check(pair)
     assert rep.global_order_violation <= 1e-12
     # the spike survives in w- at its node and widens by the cone slope

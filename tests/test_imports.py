@@ -1,5 +1,6 @@
 """Every module under src/roconvex (but the package's __init__, which re-exports)
-and every test module uses each name it imports."""
+and every test module uses each name it imports, and every module under
+src/roconvex reads each private name it defines at module level."""
 
 import ast
 from pathlib import Path
@@ -7,10 +8,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    [p for p in (ROOT / "src" / "roconvex").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py")),
-)
+SOURCES = sorted(p for p in (ROOT / "src" / "roconvex").glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SOURCES + list((ROOT / "tests").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +33,38 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_privates(source: str) -> list[str]:
+    """The _private functions, classes and constants a module defines at top
+    level and never reads outside their own definition, in definition order."""
+    tree = ast.parse(source)
+    defined = []
+    read = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            names = []
+        defined += [n for n in names if n.startswith("_") and not n.startswith("__")]
+        loads = (n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+        read.update(n for n in loads if n not in names)
+    return [name for name in defined if name not in read]
+
+
+def test_the_check_sees_an_unread_private_name():
+    source = (
+        "_USED = 1\n_UNUSED: int = 2\n"
+        "def _recursive(n):\n    return _recursive(n - 1) + _USED\n"
+        "class _Helper:\n    pass\n"
+        "def public():\n    return _Helper()\n"
+    )
+    assert unread_privates(source) == ["_UNUSED", "_recursive"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_module_reads_every_private_name_it_defines(path):
+    assert unread_privates(path.read_text()) == []

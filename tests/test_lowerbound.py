@@ -252,6 +252,17 @@ def test_samples_all_at_x0_or_a_non_finite_x0_are_rejected():
         empirical_majorant(neg_det(), np.array([0.0, np.nan, 0.0, 0.0]), samples)
 
 
+@pytest.mark.parametrize("h", [neg_half_norm_sq(), half_norm_sq(1.0)], ids=lambda h: h.name)
+def test_certify_rejects_an_x0_off_the_majorant_centre(h):
+    # Off-centre, G measures distance from the wrong point: it would certify the
+    # control, and blame an innocent sample for the convex quadratic's tangency.
+    samples = ball_samples(S22, np.zeros(4), 1.0, 200, np.random.default_rng(2))
+    G = empirical_majorant(h, np.zeros(4), samples)
+    cause = r"majorant's centre, got x0 = \[0.3, 0.3, 0.3, 0.3\] against majorant.x0 = \[0.0, 0.0, 0.0, 0.0\]"
+    with pytest.raises(ValueError, match=cause):
+        lower_bound_certify(h, np.full(4, 0.3), G, samples)
+
+
 def test_symmetric_shapes_are_rejected_by_name():
     # the column split of a symmetric matrix is not symmetric, so neither function takes one
     h = neg_det_sym()

@@ -314,10 +314,16 @@ def test_field_on_another_grid_is_rejected():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_theta_upper_rejects_non_finite_x0(bad):
-    # a NaN x0 drops every node from the cloud, which would name the wrong cause
+    # a NaN x0 drops every node from the cloud, which would name the wrong cause;
+    # the replay builds the same rows, so it names the same cause
+    spec = grid_spec(S22, 1.0, 9, "cube")
     x0 = np.array([0.1, bad, 0.0, 0.0])
-    with pytest.raises(ValueError, match=r"the opening needs a finite x0, got \[0.1, (nan|inf), 0.0, 0.0\]"):
-        theta_upper(half_norm_sq(1.0), x0, grid_spec(S22, 1.0, 9, "cube"))
+    cause = r"the opening needs a finite x0, got \[0.1, (nan|inf), 0.0, 0.0\]"
+    with pytest.raises(ValueError, match=cause):
+        theta_upper(half_norm_sq(1.0), x0, spec)
+    touch = theta_upper(neg_det(), np.array([0.1, -0.2, 0.05, 0.3]), spec)
+    with pytest.raises(ValueError, match=cause):
+        replay_lower_bound(neg_det(), replace(touch, x0=tuple(x0)), spec)
 
 
 def _per_call_cloud(f, x0, constraints):
