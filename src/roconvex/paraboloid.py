@@ -86,25 +86,28 @@ class TailReport:
 def _cloud(
     f: FunctionHandle | SampledField, x0: np.ndarray, constraints: GridSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The masked constraint nodes y, f(y), the flattened matrices d = y - x0, and |d|^2.
+    """The masked constraint nodes y (K, dim), f(y), the offsets d = y - x0 of their
+    flattened matrices transposed, (rows*cols, K), and |d|^2.
 
-    The nodes and their matrices come from the grid's shared cloud; only the
-    offsets from x0 are computed per call. Flattened matrices, not storage
-    coordinates, so |d|^2 is the Frobenius norm. It adds the squares column by
-    column, ((d_0^2 + d_1^2) + d_2^2) + d_3^2: the order np.sum(d * d, axis=1)
-    takes over fewer than 8 columns. Each row's sum reads only that row, so a
-    row gets the same bits whatever the cloud's size. A field supplies its own
-    node values, so it must be sampled on `constraints`.
+    The nodes and the transposed matrices come from the grid's shared cloud;
+    only the offsets from x0 are computed per call, one contiguous row per
+    matrix entry. Flattened matrices, not storage coordinates, so |d|^2 is the
+    Frobenius norm. It adds the squares entry by entry, ((d_0^2 + d_1^2) +
+    d_2^2) + d_3^2: the order np.sum(d * d, axis=1) takes over fewer than 8
+    columns of the (K, rows*cols) layout. Every operation is element-wise in
+    the node, so a node's offsets and |d|^2 get the same bits in either layout
+    and at any cloud size. A field supplies its own node values, so it must be
+    sampled on `constraints`.
     """
     if isinstance(f, SampledField) and f.grid != constraints:
         raise ValueError("field constraints must use the field's own grid")
-    coords, mats = make_grid(constraints).cloud
+    coords, _, mats_t = make_grid(constraints).cloud
     fy = f.valid_values() if isinstance(f, SampledField) else f.value_at_coords(coords)
-    d = mats - constraints.shape.coords_to_matrix(x0).reshape(-1)
+    d = mats_t - constraints.shape.coords_to_matrix(x0).reshape(-1, 1)
     sq = d * d
-    q = sq[:, 0].copy()
-    for j in range(1, sq.shape[1]):
-        q += sq[:, j]
+    q = sq[0]
+    for row in sq[1:]:
+        q += row
     return coords, fy, d, q
 
 
@@ -135,14 +138,19 @@ class _TouchProblem:
             raise ValueError("x0 is not interpolable on the constraint grid")
         keep = q > (1e-9 * constraints.spacing) ** 2
         if not np.all(keep):  # x0 sits on a node; drop it
-            coords, fy, d, q = coords[keep], fy[keep], d[keep], q[keep]
-        if d.shape[0] == 0:
+            coords, fy, d, q = coords[keep], fy[keep], d[:, keep], q[keep]
+        if q.shape[0] == 0:
             raise ValueError("constraint cloud is empty after removing x0")
         self.x0 = x0
         self.fx0 = float(vals[0])
         self.coords = coords
-        # Element-wise, so any subset of rows keeps its bits.
-        self.c, self.B = 2.0 * (fy - self.fx0) / q, 2.0 * d / q[:, None]
+        # Element-wise, so any subset of rows keeps its bits. B is formed in the
+        # cloud's (rows*cols, K) layout and copied once to C-order rows: the
+        # matrix-vector products over B read rows, and their bits follow the layout.
+        self.c = 2.0 * (fy - self.fx0) / q
+        d *= 2.0
+        d /= q
+        self.B = d.T.copy()
         self.P = _slope_map(constraints.shape)
 
     def scores(self, p: np.ndarray) -> np.ndarray:
@@ -163,7 +171,10 @@ def _solve_dual(prob: _TouchProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray
     n, k = prob.B.shape[0], prob.P.shape[1]
     A = np.empty((n + 1, k))  # row j is column j of the LP without its last entry 1
     A[0] = 0.0
-    np.matmul(prob.B, prob.P, out=A[1:])
+    if prob.P.shape[0] == k:  # a square slope map is the identity: every general shape
+        A[1:] = prob.B
+    else:
+        np.matmul(prob.B, prob.P, out=A[1:])
     c = np.empty(n + 1)
     c[0] = 0.0
     c[1:] = prob.c
@@ -182,7 +193,8 @@ def _solve_dual(prob: _TouchProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray
         if not r[j] > span_tol:
             raise ValueError("constraint cloud does not span the slope space")
         basis[row] = j
-        M[:, row] = np.append(A[j], 1.0)
+        M[:k, row] = A[j]
+        M[k, row] = 1.0
     pivots = k
     degenerate = 0
     # lam solves M lam = e_k and pi solves M^T pi = c_B, as one stack of
@@ -190,12 +202,17 @@ def _solve_dual(prob: _TouchProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray
     systems = np.empty((2, k + 1, k + 1))
     rhs = np.zeros((2, k + 1, 1))
     rhs[0, k, 0] = 1.0
+    d = np.empty(n + 1)  # reduced costs
+    col = np.empty(k + 1)  # the entering column
+    col[k] = 1.0
     while True:
         systems[0] = M
         systems[1] = M.T
         rhs[1, :, 0] = c[basis]
         lam, pi = np.linalg.solve(systems, rhs)[:, :, 0]
-        d = c - A @ pi[:k] - pi[k]
+        np.matmul(A, pi[:k], out=d)
+        np.subtract(c, d, out=d)
+        d -= pi[k]
         d[basis] = 0.0
         bland = degenerate >= BLAND_AFTER
         j = int(np.argmax(d > tol)) if bland else int(np.argmax(d))
@@ -203,7 +220,7 @@ def _solve_dual(prob: _TouchProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray
             break
         if pivots >= MAX_PIVOTS:
             raise RuntimeError(f"opening LP at x0 = {prob.x0.tolist()} exceeded {MAX_PIVOTS} pivots")
-        col = np.append(A[j], 1.0)
+        col[:k] = A[j]
         u = np.linalg.solve(M, col).tolist()
         # Ratio test on k + 1 <= 5 floats. The last row of every column is 1,
         # so sum(u) = 1 and some u_i > 0; min and max keep the first extremum.
@@ -307,7 +324,8 @@ def touch_feasibility_gap(
 ) -> float:
     """max_y f(y) - P(y); <= 0 up to roundoff by construction."""
     _, fy, d, q = _cloud(f, np.asarray(touch.x0), constraints)
-    pvals = touch.value_at_x0 + d @ touch.slope.reshape(-1) + 0.5 * touch.opening * q
+    # d @ slope over C-order rows, the layout whose bits the artifacts hold
+    pvals = touch.value_at_x0 + d.T.copy() @ touch.slope.reshape(-1) + 0.5 * touch.opening * q
     return float(np.max(fy - pvals))
 
 

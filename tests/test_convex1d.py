@@ -311,6 +311,12 @@ def test_l1_ball_dimensions():
     assert math.sqrt(2.0) - 1e-3 <= rep2.max_ratio <= math.sqrt(2.0) + 1e-12
 
 
+@pytest.mark.parametrize("n", [0, -1, 2.5, True, "3", None])
+def test_l1_ball_rejects_bad_dimension_by_name(n):
+    with pytest.raises(ValueError, match=r"dimension must be an integer >= 1, got "):
+        l1_ball_containment(n)
+
+
 def test_fubini_tail_abs_first_coordinate():
     h = abs_entry(0, 0, S12)
     t_grid = np.exp(np.linspace(np.log(7.0), np.log(80.0), 8))

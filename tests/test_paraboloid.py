@@ -335,7 +335,7 @@ def _per_call_cloud(f, x0, constraints):
     coords = grid.coords[grid.mask]
     fy = f.valid_values() if isinstance(f, SampledField) else f.value_at_coords(coords)
     d = (shape.coords_to_matrix(coords) - shape.coords_to_matrix(x0)).reshape(coords.shape[0], -1)
-    return coords, fy, d, np.sum(d * d, axis=1)
+    return coords, fy, d.T, np.sum(d * d, axis=1)  # offsets in `_cloud`'s (rows*cols, K) layout
 
 
 def _per_pivot_solve_dual(prob):
@@ -449,13 +449,16 @@ def _assert_matches_references(monkeypatch, name, points, clip, field):
         ("frob_norm", 13, "ball", True),
         ("frob_norm", 5, "cube", False),
         ("abs_x11", 11, "ball", False),
+        ("abs_det_2x2", 13, "ball", False),
     ],
 )
 def test_shared_cloud_matches_per_call_cloud_bitwise(monkeypatch, name, points, clip, field):
     h, spec, _ = _assert_matches_references(monkeypatch, name, points, clip, field)
     grid = make_grid(spec)
-    coords, mats = grid.cloud
+    coords, mats, mats_t = grid.cloud
     assert grid.cloud is make_grid(spec).cloud
+    assert not mats_t.flags.writeable and mats_t.flags.c_contiguous
+    assert mats_t.tobytes() == np.ascontiguousarray(mats.T).tobytes()
     assert not coords.flags.writeable and not mats.flags.writeable
     assert mats.shape == (grid.coords[grid.mask].shape[0], h.shape.rows * h.shape.cols)
     assert np.shares_memory(mats, coords) == (not h.shape.symmetric)
