@@ -423,7 +423,7 @@ def run_appendix(cfg: ExperimentConfig) -> StageRecord:
     )
 
     # ell^1 geometry
-    l1 = convex1d.l1_ball_containment(4, seed=cfg.seed)
+    l1 = convex1d.l1_ball_containment(4)
     checks["l1_ratio_bounded"] = l1.ok
     checks["l1_witness_attains_bound"] = abs(l1.witness_ratio - 2.0) <= 1e-12
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -23,8 +24,6 @@ from .corpus import FunctionHandle
 
 LINE_RESOLUTION = 0.05  # step of the per-line fit grid on [-3, 3] in the tail experiment
 LINE_CONVEXITY_TOL = 1e-9  # largest secant-slope dip a fitted line may show
-L1_DRAWS = 100_000  # random unit vectors in l1_ball_containment
-L1_BLOCK = 8_192  # rows per block of those draws: bounds the check's memory, not its result
 
 
 @dataclass(frozen=True)
@@ -362,46 +361,33 @@ def convex_taylor_check(f: PLConvex1D, h_grid: Sequence[float]) -> list[TaylorCh
 
 @dataclass(frozen=True)
 class L1BallReport:
-    max_ratio: float
-    bound: float
-    witness: np.ndarray
+    max_ratio: float  # max |x|_1 / |x|_2 over x != 0, attained by the witness
+    bound: float  # sqrt(n)
+    witness: np.ndarray  # the flat foot point (1/n, ..., 1/n) of the facet x_1 + ... + x_n = 1
     witness_ratio: float
-
-    @property
-    def ok(self) -> bool:
-        return self.max_ratio <= self.bound + 1e-12
+    ok: bool  # the witness lies on its facet and n |witness|^2 <= 1, decided in exact arithmetic
 
 
-def l1_ball_containment(n: int, seed: int = 0) -> L1BallReport:
-    """max |x|_1 / |x|_2 over 100,000 random unit vectors, with the flat witness included.
+def l1_ball_containment(n: int) -> L1BallReport:
+    """The ball inside the ell^1 ball, as an exact statement on the hull's facets.
 
-    The bound sqrt(n) is the containment radius: the hull of {±h e_j} holds the
-    ball of radius h / sqrt(n), and membership is |x|_1 <= h. The draws come in
-    blocks of L1_BLOCK rows from one `seeded_rng(seed)` stream, so they are the
-    rows of a single (100,000, n) draw; a running maximum keeps the first row
-    that attains it, and the flat witness is compared last, so the report equals
-    that of the single draw, ties included.
+    The hull of {±h e_j} is {|x|_1 <= h}. Its 2^n facets s.x = h, s in {±1}^n,
+    have foot points h s / n at distance h / sqrt(n) from 0, so the ball of
+    radius rho lies inside iff n rho^2 <= h^2: max |x|_1 / |x|_2 = sqrt(n). With
+    h = 1 the flat foot point is the witness; it attains the bound, and the
+    report checks it in rational arithmetic, with no slack.
     """
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
         raise ValueError(f"dimension must be an integer >= 1, got {n!r}")
-    rng = seeded_rng(seed)
-    flat = np.full(n, 1.0 / math.sqrt(n))
-    best, witness = -math.inf, flat
-    for lo in range(0, L1_DRAWS, L1_BLOCK):
-        x = rng.standard_normal((min(L1_BLOCK, L1_DRAWS - lo), n))
-        x /= np.linalg.norm(x, axis=1)[:, None]
-        ratios = np.sum(np.abs(x), axis=1)
-        k = int(np.argmax(ratios))
-        if ratios[k] > best:
-            best, witness = float(ratios[k]), x[k].copy()
-    flat_ratio = float(np.sum(np.abs(flat[None, :]), axis=1)[0])  # as a row of a block
-    if flat_ratio > best:
-        best, witness = flat_ratio, flat
+    foot = [Fraction(1, n)] * n
+    rho_sq = sum(v * v for v in foot)
+    ratio = math.sqrt(sum(foot) ** 2 / rho_sq)
     return L1BallReport(
-        max_ratio=best,
+        max_ratio=ratio,
         bound=math.sqrt(n),
-        witness=witness,
-        witness_ratio=float(np.sum(np.abs(flat))),
+        witness=np.array(foot, dtype=float),
+        witness_ratio=ratio,
+        ok=sum(foot) == 1 and n * rho_sq <= 1,
     )
 
 

@@ -312,23 +312,20 @@ class Grid:
         return self.spec.shape.coords_to_matrix(self.coords)
 
     @functools.cached_property
-    def cloud(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The masked nodes (K, dim), their flattened matrices (K, rows*cols), and
-        those matrices transposed, (rows*cols, K) in C order; all read-only.
+    def cloud(self) -> tuple[np.ndarray, np.ndarray]:
+        """The masked nodes (K, dim) and their flattened matrices transposed,
+        (rows*cols, K) in C order; both read-only.
 
-        Built on first use; for general shapes the matrices are a view of the
-        nodes. The transposed copy holds one contiguous row of K nodes per
-        matrix entry, so the opening path's element-wise offsets run along
-        rows. A copy moves values, not bits: every node reads the same entries
-        in either layout.
+        Built on first use. The transposed matrices hold one contiguous row of
+        K nodes per matrix entry, so the opening path's element-wise offsets
+        run along rows. A copy moves values, not bits: every node reads the
+        same entries in either layout.
         """
         coords = self.coords[self.mask]
         coords.flags.writeable = False
-        mats = self.spec.shape.coords_to_matrix(coords).reshape(coords.shape[0], -1)
-        mats.flags.writeable = False
-        mats_t = np.ascontiguousarray(mats.T)
+        mats_t = np.ascontiguousarray(self.spec.shape.coords_to_matrix(coords).reshape(coords.shape[0], -1).T)
         mats_t.flags.writeable = False
-        return coords, mats, mats_t
+        return coords, mats_t
 
 
 @functools.lru_cache(maxsize=8)

@@ -86,8 +86,9 @@ class TailReport:
 def _cloud(
     f: FunctionHandle | SampledField, x0: np.ndarray, constraints: GridSpec
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The masked constraint nodes y (K, dim), f(y), the offsets d = y - x0 of their
-    flattened matrices transposed, (rows*cols, K), and |d|^2.
+    """The grid's node set for an opening at x0: the masked constraint nodes y
+    (K, dim), f(y), the offsets d = y - x0 of their flattened matrices
+    transposed, (rows*cols, K), and |d|^2.
 
     The nodes and the transposed matrices come from the grid's shared cloud;
     only the offsets from x0 are computed per call, one contiguous row per
@@ -101,7 +102,7 @@ def _cloud(
     """
     if isinstance(f, SampledField) and f.grid != constraints:
         raise ValueError("field constraints must use the field's own grid")
-    coords, _, mats_t = make_grid(constraints).cloud
+    coords, mats_t = make_grid(constraints).cloud
     fy = f.valid_values() if isinstance(f, SampledField) else f.value_at_coords(coords)
     d = mats_t - constraints.shape.coords_to_matrix(x0).reshape(-1, 1)
     sq = d * d
@@ -126,23 +127,20 @@ class _TouchProblem:
     """Constraint data for one evaluation point: c_y and b_y with a(p) = max(0, max(c - B p)).
 
     The one builder of an opening's rows: the solver and the certificate replay both read them.
+    It takes a node set in the form `_cloud` returns, (nodes y, f(y), offsets d = y - x0 in the
+    (rows*cols, K) layout, |d|^2), with x0, f(x0), the matrix shape and the radius within which a
+    node counts as x0 itself; the node source supplies all of them. `on_grid` is the grid's source.
     """
 
-    def __init__(self, f: FunctionHandle | SampledField, x0: np.ndarray, constraints: GridSpec):
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        if not np.isfinite(x0).all():
-            raise ValueError(f"the opening needs a finite x0, got {x0.tolist()}")
-        coords, fy, d, q = _cloud(f, x0, constraints)
-        vals, ok = evaluate(f, x0[None, :])
-        if not ok[0]:
-            raise ValueError("x0 is not interpolable on the constraint grid")
-        keep = q > (1e-9 * constraints.spacing) ** 2
+    def __init__(self, x0: np.ndarray, fx0: float, cloud: tuple[np.ndarray, ...], shape: MatrixShape, cut: float):
+        coords, fy, d, q = cloud
+        keep = q > cut**2
         if not np.all(keep):  # x0 sits on a node; drop it
             coords, fy, d, q = coords[keep], fy[keep], d[:, keep], q[keep]
         if q.shape[0] == 0:
             raise ValueError("constraint cloud is empty after removing x0")
         self.x0 = x0
-        self.fx0 = float(vals[0])
+        self.fx0 = fx0
         self.coords = coords
         # Element-wise, so any subset of rows keeps its bits. B is formed in the
         # cloud's (rows*cols, K) layout and copied once to C-order rows: the
@@ -151,7 +149,19 @@ class _TouchProblem:
         d *= 2.0
         d /= q
         self.B = d.T.copy()
-        self.P = _slope_map(constraints.shape)
+        self.P = _slope_map(shape)
+
+    @classmethod
+    def on_grid(cls, f: FunctionHandle | SampledField, x0: np.ndarray, constraints: GridSpec) -> _TouchProblem:
+        """The problem over the nodes of the constraint grid, less x0 when it is one of them."""
+        x0 = np.asarray(x0, dtype=float).reshape(-1)
+        if not np.isfinite(x0).all():
+            raise ValueError(f"the opening needs a finite x0, got {x0.tolist()}")
+        cloud = _cloud(f, x0, constraints)
+        vals, ok = evaluate(f, x0[None, :])
+        if not ok[0]:
+            raise ValueError("x0 is not interpolable on the constraint grid")
+        return cls(x0, float(vals[0]), cloud, constraints.shape, 1e-9 * constraints.spacing)
 
     def scores(self, p: np.ndarray) -> np.ndarray:
         return self.c - self.B @ p
@@ -256,7 +266,7 @@ def theta_upper(
     other cloud node lies in the open half-space behind x0, so tilting the slope
     makes every constraint slack.
     """
-    prob = _TouchProblem(f, x0, constraints)
+    prob = _TouchProblem.on_grid(f, x0, constraints)
     p, rows, weights, pivots = _solve_dual(prob)
     lower_bound = float(weights @ prob.c[rows])
     # Store the opening exactly as the certificate replay recomputes it.
@@ -286,7 +296,7 @@ def replay_opening(
     f: FunctionHandle | SampledField, touch: ParaboloidTouch, constraints: GridSpec
 ) -> float:
     """Re-evaluate the constraint maximum at the certified slope."""
-    prob = _TouchProblem(f, np.asarray(touch.x0), constraints)
+    prob = _TouchProblem.on_grid(f, touch.x0, constraints)
     return max(0.0, prob.objective(touch.slope.reshape(-1)))
 
 
@@ -301,7 +311,7 @@ def replay_lower_bound(
     The rows of c and B are those the solver built for the opening at x0, found
     by exact equality of their nodes, so the replay repeats the solver's bits.
     """
-    prob = _TouchProblem(f, np.asarray(touch.x0), constraints)
+    prob = _TouchProblem.on_grid(f, touch.x0, constraints)
     points = np.asarray(touch.support, dtype=float).reshape(-1, prob.coords.shape[1])
     hit = np.all(points[:, None, :] == prob.coords, axis=2)  # (k, K): k <= 5 support points
     found = np.any(hit, axis=1)

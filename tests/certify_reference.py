@@ -2,8 +2,7 @@
 vectorisation: the majorant build with each sample kept beside its column
 split, segment checks built one direction object at a time, the tail
 experiment one line at a time, with one merged interval union per line and
-level, and the appendix's l1-ball check as one (100,001, n) block of rows
-with the flat witness appended. The tests compare the library against these
+level. The tests compare the library against these
 for exact equality; nothing in `src` calls them.
 """
 
@@ -20,7 +19,6 @@ from roconvex.convex1d import (
     FubiniTailReport,
     InclusionProbe,
     IntervalUnion,
-    L1BallReport,
     WeakOneOneRow,
     osc_on_cube,
 )
@@ -30,7 +28,6 @@ from roconvex.core import (
     ball_samples,
     coordinate_directions,
     cube_samples,
-    seeded_rng,
 )
 from roconvex.lowerbound import RadialMajorant, recentered_values
 from roconvex.verify import ConvexityReport, SegmentSample, _midpoint_gaps, _region
@@ -283,19 +280,3 @@ def _inclusion_probes(f, t_arr, s_grid, resolution, probe_count, rng, convexity_
             probes.append(InclusionProbe(float(t), tuple(map(float, x0)), False, axis_ok, hull_ok, worst))
     return probes
 
-
-def l1_ball_containment(n, seed=0):
-    """All 100,000 draws and the flat witness in one array; argmax keeps the first maximum."""
-    rng = seeded_rng(seed)
-    x = rng.standard_normal((100_000, n))
-    x /= np.linalg.norm(x, axis=1)[:, None]
-    witness = np.full(n, 1.0 / math.sqrt(n))
-    x = np.concatenate([x, witness[None, :]], axis=0)
-    ratios = np.sum(np.abs(x), axis=1)
-    k = int(np.argmax(ratios))
-    return L1BallReport(
-        max_ratio=float(ratios[k]),
-        bound=math.sqrt(n),
-        witness=x[k],
-        witness_ratio=float(np.sum(np.abs(witness))),
-    )

@@ -150,7 +150,7 @@ def test_criterion_05_convex_taylor_chain():
 
 
 def test_criterion_06_l1_geometry():
-    rep = l1_ball_containment(4, seed=99)
+    rep = l1_ball_containment(4)
     ok = rep.max_ratio <= 2.0 + 1e-12 and rep.witness_ratio == pytest.approx(2.0, abs=1e-12)
     _report(6, f"l1/l2 ratio on R^4 bounded by 2 (max {rep.max_ratio:.12f}), witness attains it", ok)
 

@@ -1,13 +1,11 @@
 """The certify path against its one-object-at-a-time references, for exact equality.
 
 `certify_reference` keeps the majorant build, the segment checks, the tail
-experiment, the superlevel union and maximal function of one measure, and the
-one-block l1-ball check, as they were before their vectorisation or blocking.
+experiment, and the superlevel union and maximal function of one measure, as
+they were before their vectorisation.
 Every output here must match it bit for bit: tables by `tobytes()`, reports
 and unions by `repr`, which spells each float exactly.
 """
-
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,26 +117,3 @@ def test_weak_one_one_rows_match_reference_bitwise():
     with pytest.raises(ValueError, match="positive"):
         weak_one_one_check(mu, [1.0, 0.0])
 
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-@pytest.mark.parametrize("seed", range(5))
-def test_l1_ball_report_matches_one_block_reference_bitwise(n, seed):
-    # n = 1: every draw is +-1, so each ties the flat witness and the first draw wins
-    got, want = convex1d.l1_ball_containment(n, seed), ref.l1_ball_containment(n, seed)
-    assert repr(got.max_ratio) == repr(want.max_ratio)
-    assert repr(got.witness_ratio) == repr(want.witness_ratio)
-    assert got.bound == want.bound
-    assert got.witness.tobytes() == want.witness.tobytes()
-    assert got.witness.flags.owndata  # the report keeps no block of draws alive
-
-
-def test_l1_ball_check_peak_memory():
-    # numpy reports its buffers to tracemalloc; the one-block draw peaked at 7.63 MiB
-    convex1d.l1_ball_containment(4, seed=0)  # imports and caches outside the measurement
-    tracemalloc.start()
-    try:
-        convex1d.l1_ball_containment(4, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 2**20

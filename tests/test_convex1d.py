@@ -303,11 +303,11 @@ def test_taylor_chain_random_pl():
 
 
 def test_l1_ball_dimensions():
-    assert l1_ball_containment(1, seed=0).max_ratio == pytest.approx(1.0)
-    rep = l1_ball_containment(4, seed=1)
+    assert l1_ball_containment(1).max_ratio == pytest.approx(1.0)
+    rep = l1_ball_containment(4)
     assert rep.ok
     assert rep.witness_ratio == pytest.approx(2.0)
-    rep2 = l1_ball_containment(2, seed=2)
+    rep2 = l1_ball_containment(2)
     assert math.sqrt(2.0) - 1e-3 <= rep2.max_ratio <= math.sqrt(2.0) + 1e-12
 
 

@@ -414,7 +414,6 @@ def test_rank_one_directions():
 
 NEGATIVE_SEED_CALLS = {
     "SegmentSampler": lambda: verify.SegmentSampler(seed=-1),
-    "l1_ball_containment": lambda: convex1d.l1_ball_containment(2, seed=-1),
     "fubini_tail_experiment": lambda: convex1d.fubini_tail_experiment(
         abs_entry(0, 0, MatrixShape(1, 2)), [19.0, 40.0], lines_per_direction=4, seed=-1
     ),

@@ -95,7 +95,7 @@ def test_abs_matches_bruteforce_oracle_1d():
     h = frob_norm(S1)
     for x0 in (0.5, 0.2, -0.35):
         touch = theta_upper(h, np.array([x0]), spec1())
-        oracle = _highs_opening(paraboloid._TouchProblem(h, np.array([x0]), spec1()))
+        oracle = _highs_opening(paraboloid._TouchProblem.on_grid(h, np.array([x0]), spec1()))
         assert touch.opening == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
 
@@ -108,7 +108,7 @@ def test_polyhedral_matches_oracle_2d():
     spec = grid_spec(S12, 1.0, 13, "cube")
     for x0 in (np.array([0.4, 0.1]), np.array([-0.2, -0.5]), np.array([0.05, 0.0])):
         touch = theta_upper(h, x0, spec)
-        oracle = _highs_opening(paraboloid._TouchProblem(h, x0, spec))
+        oracle = _highs_opening(paraboloid._TouchProblem.on_grid(h, x0, spec))
         assert touch.opening == pytest.approx(oracle, rel=1e-12, abs=1e-12)
 
 
@@ -243,7 +243,7 @@ def test_openings_match_highs_oracle(name):
     rng = np.random.default_rng(7)
     for x0 in ball_samples(h.shape, spec.center.coords, 0.5, 4, rng):
         touch = theta_upper(h, x0, spec)
-        oracle = _highs_opening(paraboloid._TouchProblem(h, x0, spec))
+        oracle = _highs_opening(paraboloid._TouchProblem.on_grid(h, x0, spec))
         assert touch.opening == pytest.approx(oracle, rel=1e-12, abs=1e-12)
         assert touch.converged
         assert touch.opening - touch.lower_bound <= GAP_RTOL * max(1.0, touch.opening)
@@ -381,7 +381,7 @@ def _per_pivot_solve_dual(prob):
 
 def _per_point_scan_replay(f, touch, constraints):
     """`replay_lower_bound` over a full `_TouchProblem`, one node scan per support point."""
-    prob = paraboloid._TouchProblem(f, np.asarray(touch.x0), constraints)
+    prob = paraboloid._TouchProblem.on_grid(f, touch.x0, constraints)
     rows = []
     for point in touch.support:
         hit = np.flatnonzero(np.all(prob.coords == point, axis=1))
@@ -444,7 +444,7 @@ def _assert_matches_references(monkeypatch, name, points, clip, field):
         ("max_linear_1x2", 9, "ball", True),
         ("neg_det_2x2", 13, "ball", False),
         ("neg_det_2x2", 7, "cube", True),
-        ("neg_det_2x2_sym", 13, "ball", False),  # matrices are a copy, not a view
+        ("neg_det_2x2_sym", 13, "ball", False),
         ("neg_det_2x2_sym", 9, "cube", True),
         ("frob_norm", 13, "ball", True),
         ("frob_norm", 5, "cube", False),
@@ -455,13 +455,13 @@ def _assert_matches_references(monkeypatch, name, points, clip, field):
 def test_shared_cloud_matches_per_call_cloud_bitwise(monkeypatch, name, points, clip, field):
     h, spec, _ = _assert_matches_references(monkeypatch, name, points, clip, field)
     grid = make_grid(spec)
-    coords, mats, mats_t = grid.cloud
+    coords, mats_t = grid.cloud
     assert grid.cloud is make_grid(spec).cloud
     assert not mats_t.flags.writeable and mats_t.flags.c_contiguous
+    mats = h.shape.coords_to_matrix(coords).reshape(coords.shape[0], -1)
     assert mats_t.tobytes() == np.ascontiguousarray(mats.T).tobytes()
-    assert not coords.flags.writeable and not mats.flags.writeable
+    assert not coords.flags.writeable
     assert mats.shape == (grid.coords[grid.mask].shape[0], h.shape.rows * h.shape.cols)
-    assert np.shares_memory(mats, coords) == (not h.shape.symmetric)
 
 
 @pytest.mark.parametrize(
@@ -500,3 +500,48 @@ def test_replay_lower_bound_rejects_what_the_node_scan_rejects(name, field):
             with pytest.raises(ValueError, match="is not a constraint node"):
                 replay(f, tampered, spec)
     assert replay_lower_bound(f, touch, spec) == _per_point_scan_replay(f, touch, spec) == touch.lower_bound
+
+
+def _sub_problem(full, f, spec, r):
+    """The opening's problem over the rows of the grid's `_cloud` within r of x0,
+    and which rows of `full`, the problem over the whole grid, those are."""
+    coords, fy, d, q = paraboloid._cloud(f, full.x0, spec)
+    near = q <= r * r
+    cut = 1e-9 * spec.spacing
+    cloud = (coords[near], fy[near], d[:, near], q[near])
+    return paraboloid._TouchProblem(full.x0, full.fx0, cloud, spec.shape, cut), near[q > cut**2]
+
+
+@pytest.mark.parametrize(
+    "name, points, clip, field",
+    [
+        ("max_linear_1x2", 13, "cube", False),
+        ("neg_det_2x2", 9, "ball", True),
+        ("neg_det_2x2_sym", 9, "cube", False),
+        ("abs_x11", 11, "ball", False),
+    ],
+)
+def test_sub_cloud_rows_keep_their_bits(name, points, clip, field):
+    h = _handle(name)
+    spec = grid_spec(h.shape, 1.0, points, clip)
+    f = sample(h, spec) if field else h
+    for x0 in _test_points(h, spec):
+        full = paraboloid._TouchProblem.on_grid(f, x0, spec)
+        sub, rows = _sub_problem(full, f, spec, 0.5)
+        assert 0 < rows.sum() < rows.size
+        assert sub.coords.tobytes() == full.coords[rows].tobytes()
+        assert sub.c.tobytes() == full.c[rows].tobytes()
+        assert sub.B.tobytes() == full.B[rows].tobytes()
+
+
+@pytest.mark.parametrize("name, points, clip", [("max_linear_1x2", 13, "cube"), ("abs_x11", 11, "ball")])
+def test_sub_cloud_openings_match_highs_oracle(name, points, clip):
+    pytest.importorskip("scipy")
+    h = _handle(name)
+    spec = grid_spec(h.shape, 1.0, points, clip)
+    for x0 in _test_points(h, spec):
+        sub, _ = _sub_problem(paraboloid._TouchProblem.on_grid(h, x0, spec), h, spec, 0.5)
+        p, rows, weights, _ = paraboloid._solve_dual(sub)
+        opening = max(0.0, sub.objective(p))
+        assert opening == pytest.approx(_highs_opening(sub), rel=1e-12, abs=1e-12)
+        assert paraboloid._certified(opening, float(weights @ sub.c[rows]))
