@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import convex1d, envelope, fieldio, lowerbound, paraboloid, verify
-from .core import MatrixShape, ball_samples, grid_spec, gradient_field, sample
+from .core import MatrixShape, ball_samples, grid_spec, gradient_field, sample, seeded_rng
 from .corpus import FunctionHandle, abs_entry, corpus, get_handle
 
 ANALYTIC_TOL = 1e-9  # verdict tolerance of the analytic convexity and operator checks
@@ -320,7 +320,7 @@ def run_envelope(cfg: ExperimentConfig) -> StageRecord:
 
 def run_lemma(cfg: ExperimentConfig) -> StageRecord:
     h = _handle(cfg)
-    rng = np.random.default_rng(cfg.seed)
+    rng = seeded_rng(cfg.seed)
     x0 = np.zeros(h.shape.dim)
     samples = ball_samples(h.shape, x0, cfg.radius, cfg.sample_count, rng)
     majorant = lowerbound.empirical_majorant(h, x0, samples)
@@ -339,7 +339,7 @@ def run_lemma(cfg: ExperimentConfig) -> StageRecord:
 
 
 def run_appendix(cfg: ExperimentConfig) -> StageRecord:
-    rng = np.random.default_rng(cfg.seed)
+    rng = seeded_rng(cfg.seed)
     out = Path(cfg.out_dir) / "appendix"
     artifacts = []
     checks: dict[str, bool] = {}

@@ -453,6 +453,8 @@ def fubini_tail_experiment(
         raise ValueError(f"fubini_tail_experiment needs lines_per_direction >= 1, got {lines_per_direction}")
     if probe_count < 0:
         raise ValueError(f"fubini_tail_experiment needs probe_count >= 0, got {probe_count}")
+    if f.gradient is None:  # the probes recentre f at its exact gradient
+        raise ValueError(f"fubini_tail_experiment needs an exact gradient, and handle {f.name!r} has none")
     n = shape.cols
     s_grid = np.linspace(-3.0, 3.0, 2 * round(3.0 / LINE_RESOLUTION) + 1)
 
@@ -505,34 +507,29 @@ def _inclusion_probes(
 ) -> list[InclusionProbe]:
     """At probes off the tail set, check the axis chain and the hull paraboloid bound.
 
-    A level's probe_count x n axis lines are fitted as one array per axis; a
-    handle without a gradient takes its slopes from those same line values.
+    A level's probe_count x n axis lines are fitted as one array per axis, and
+    each probe is recentred at the handle's exact gradient.
     """
     tol = 1e-7  # slack of the axis and hull bounds
     n = f.shape.cols
     h_values = np.arange(resolution, 1.0, resolution)
     # Points stay stacked as (H, k, n), so `@` multiplies one (k, n) block per h.
     axis_z = h_values[:, None, None] * np.concatenate([np.eye(n), -np.eye(n)])[None]
-    rows = np.arange(probe_count)
     probes = []
     for t in t_arr:
         cap = (2.0 * t * h_values * h_values)[:, None]
         pts = rng.uniform(-1.0, 1.0, size=(probe_count, n))
         in_tail = np.zeros(probe_count, dtype=bool)
-        slopes = np.zeros((probe_count, n))
         for i in range(n):
             offsets = pts.copy()
             offsets[:, i] = 0.0
             vals = _line_values(f, offsets, i, s_grid)
             in_tail |= _LineRuns.fit(vals, offsets, i, s_grid, convexity_tol).maximal(pts[:, i]) > t
-            if f.gradient is None:
-                idx = np.searchsorted(s_grid, pts[:, i]) - 1
-                slopes[:, i] = (vals[rows, idx + 1] - vals[rows, idx]) / resolution
-        for x0, tail, fd_slopes in zip(pts, in_tail, slopes):
+        for x0, tail in zip(pts, in_tail):
             if tail:
                 probes.append(InclusionProbe(float(t), tuple(map(float, x0)), True, True, True, 0.0))
                 continue
-            g = f.gradient_at_coords(x0).reshape(-1) if f.gradient is not None else fd_slopes
+            g = f.gradient_at_coords(x0).reshape(-1)
             f0 = float(f.value_at_coords(x0[None, :])[0])
             axis_vals = f.value_at_coords(x0 + axis_z) - f0 - axis_z @ g
             axis_ok = not (np.any(axis_vals < -tol) or np.any(axis_vals > cap + tol))

@@ -308,9 +308,6 @@ class Grid:
     def node_count(self) -> int:
         return self.coords.shape[0]
 
-    def matrices(self) -> np.ndarray:
-        return self.spec.shape.coords_to_matrix(self.coords)
-
     @functools.cached_property
     def cloud(self) -> tuple[np.ndarray, np.ndarray]:
         """The masked nodes (K, dim) and their flattened matrices transposed,
@@ -451,8 +448,8 @@ class SampledField:
 def evaluate(f: FunctionHandle | SampledField, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Values of a handle or a field at coordinates (K, dim), with a validity mask.
 
-    A field is interpolated and `ok` marks the queries it can answer; a handle
-    answers every query.
+    The one way for code that takes either: a field is interpolated and `ok`
+    marks the queries it can answer; a handle answers every query.
     """
     if isinstance(f, SampledField):
         return f.interpolate(coords)
@@ -464,14 +461,13 @@ def sample(f: FunctionHandle, spec: GridSpec) -> SampledField:
     """Evaluate `f` at all valid grid nodes of `spec`."""
     grid = make_grid(spec)
     values = np.full(grid.node_count, np.nan)
-    mats = grid.matrices()[grid.mask]
+    coords = grid.coords[grid.mask]
     # The check below names the node, so numpy warnings would only repeat it.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals = np.asarray(f.value(mats), dtype=float)
+        vals = np.asarray(f.value_at_coords(coords), dtype=float)
     if not np.all(np.isfinite(vals)):
         k = int(np.flatnonzero(~np.isfinite(vals))[0])
-        where = grid.coords[grid.mask][k]
-        raise ValueError(f"non-finite value of {getattr(f, 'name', 'function')} at node {where}")
+        raise ValueError(f"non-finite value of {f.name} at node {coords[k]}")
     values[grid.mask] = vals
     return SampledField(spec, values, grid.mask)
 
@@ -521,6 +517,8 @@ def ball_samples(
     """Uniform samples (count, dim) from the Frobenius ball, by rejection from the cube."""
     if not (radius > 0.0 and math.isfinite(radius)):
         raise ValueError(f"ball radius must be positive and finite, got {radius}")
+    if count < 0:
+        raise ValueError(f"ball_samples needs count >= 0, got {count}")
     center = np.asarray(center, dtype=float).reshape(-1)
     out = np.empty((count, shape.dim))
     have = 0

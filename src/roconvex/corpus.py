@@ -26,16 +26,17 @@ class ConvexityFlags:
 
 @dataclass(frozen=True)
 class FunctionHandle:
-    """An analytic corpus entry: evaluator, optional exact gradient, known flags."""
+    """An analytic corpus entry: evaluator, optional exact gradient, known flags.
+
+    A handle is evaluated through `value_at_coords` (`value` is its raw evaluator
+    on matrices). Code that needs Df reads `gradient` and nothing else.
+    """
 
     name: str
     shape: MatrixShape
     value: Callable[[np.ndarray], np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray] | None = None
     flags: ConvexityFlags = field(default_factory=ConvexityFlags)
-
-    def __call__(self, mats: np.ndarray) -> np.ndarray:
-        return self.value(np.asarray(mats, dtype=float))
 
     def value_at_coords(self, coords: np.ndarray) -> np.ndarray:
         return self.value(self.shape.coords_to_matrix(coords))

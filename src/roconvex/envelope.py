@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import GridSpec, SampledField, evaluate, loglog_fit, seeded_rng
+from .core import GridSpec, SampledField, loglog_fit, seeded_rng
 from .corpus import FunctionHandle
 
 _CHUNK = 256
@@ -264,17 +264,17 @@ class RemainderProfile:
 
 
 def second_order_remainder(
-    f: FunctionHandle | SampledField,
+    f: FunctionHandle,
     x0: np.ndarray,
     radii: Sequence[float],
     seed: int = 0,
 ) -> RemainderProfile:
-    """Assemble a symmetrized difference Hessian at x0 and profile the Taylor remainder
-    along the +-axis directions and 32 random unit directions.
-
-    For sampled fields the radii must stay above the grid resolution; analytic
-    handles may be probed at any radius.
+    """Assemble a symmetrized difference Hessian of the handle's exact gradient at x0
+    and profile the Taylor remainder along the +-axis directions and 32 random
+    unit directions.
     """
+    if isinstance(f, SampledField):
+        raise ValueError("second_order_remainder needs a handle with an exact gradient, not a SampledField")
     radii_arr = np.asarray(list(radii), dtype=float)
     if radii_arr.size == 0 or not np.all(np.isfinite(radii_arr) & (radii_arr > 0)):
         raise ValueError(f"radii must be non-empty, finite and positive, got {radii_arr.tolist()}")
@@ -283,61 +283,33 @@ def second_order_remainder(
     shape = f.shape
     if shape.symmetric:
         raise ValueError("second_order_remainder supports general m-by-n shapes")
-    if isinstance(f, SampledField):
-        if np.min(radii_arr) < f.grid.spacing:
-            raise ValueError("radii below the grid resolution are not admissible for fields")
-        grad_ev = None
-    else:
-        grad_ev = f.gradient_at_coords if f.gradient is not None else None
-
-    def ev(c: np.ndarray) -> np.ndarray:
-        vals, ok = evaluate(f, c)
-        if not np.all(ok):
-            raise ValueError("remainder probe left the valid field region")
-        return vals
-
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"second_order_remainder needs a finite x0, got {x0.tolist()}")
     h = max(1e-4, 0.05 * float(np.min(radii_arr)))
-    if isinstance(f, SampledField):
-        # sub-cell steps would difference the interpolation kinks at grid nodes
-        h = max(h, f.grid.spacing)
 
-    def grad_flat(c: np.ndarray) -> np.ndarray:
-        if grad_ev is not None:
-            return grad_ev(c).reshape(c.shape[:-1] + (shape.dim,))
-        # central differences of the evaluator, coordinate by coordinate
-        out = np.zeros(c.shape[:-1] + (shape.dim,))
-        for k in range(shape.dim):
-            e = np.zeros(shape.dim)
-            e[k] = h
-            out[..., k] = (ev(c + e) - ev(c - e)) / (2.0 * h)
-        return out
+    def grad(c: np.ndarray) -> np.ndarray:  # fails by name on a handle without a gradient
+        return f.gradient_at_coords(c[None, :]).reshape(-1)
 
-    g0 = grad_flat(x0[None, :])[0]
+    g0 = grad(x0)
+    eye = np.eye(shape.dim)
     hess = np.zeros((shape.dim, shape.dim))
     for k in range(shape.dim):
-        e = np.zeros(shape.dim)
-        e[k] = h
-        gp = grad_flat((x0 + e)[None, :])[0]
-        gm = grad_flat((x0 - e)[None, :])[0]
-        hess[:, k] = (gp - gm) / (2.0 * h)
+        hess[:, k] = (grad(x0 + h * eye[k]) - grad(x0 - h * eye[k])) / (2.0 * h)
     asymmetry = float(np.max(np.abs(hess - hess.T)))
     hess = 0.5 * (hess + hess.T)
 
     rng = seeded_rng(seed)
     dirs = rng.standard_normal((32, shape.dim))
     dirs /= shape.frob_norm_coords(dirs)[:, None]
-    eye = np.eye(shape.dim)
     dirs = np.concatenate([eye, -eye, dirs], axis=0)
 
-    f0 = float(ev(x0[None, :])[0])
+    f0 = float(f.value_at_coords(x0[None, :])[0])
     ratios = np.zeros(radii_arr.size)
     for i, r in enumerate(radii_arr):
         z = r * dirs
         pts = x0 + z
-        vals = ev(pts)
+        vals = f.value_at_coords(pts)
         lin = z @ g0
         quad = 0.5 * np.einsum("ki,ij,kj->k", z, hess, z)
         rem = np.abs(vals - f0 - lin - quad)

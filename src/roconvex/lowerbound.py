@@ -68,17 +68,14 @@ class RadialMajorant:
 
 
 def _tangent(f: FunctionHandle, x0: np.ndarray) -> tuple[float, np.ndarray]:
-    """f(x0) and Df(x0) as a matrix; the gradient is exact when available."""
-    f0 = float(f.value_at_coords(x0[None, :])[0])
-    if f.gradient is not None:
-        return f0, f.gradient_at_coords(x0)
-    return f0, f.fd_gradient(f.shape.coords_to_matrix(x0))
+    """f(x0) and the exact Df(x0) as a matrix; a handle without a gradient fails by name."""
+    return float(f.value_at_coords(x0[None, :])[0]), f.gradient_at_coords(x0)
 
 
 def recentered_values(
     f: FunctionHandle, x0: np.ndarray, coords: np.ndarray
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """Values of f(x) - f(x0) - Df(x0).(x - x0); the gradient is exact when available."""
+    """Values of f(x) - f(x0) - Df(x0).(x - x0), with the handle's exact gradient."""
     shape = f.shape
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     f0, g0 = _tangent(f, x0)

@@ -377,6 +377,8 @@ def theta_field(
 
 def tail_experiment(theta: ThetaField, f_sup: float) -> TailReport:
     """Estimated measure of {opening > f_sup * t} inside the evaluation ball, per t in TAIL_T_GRID."""
+    if not (f_sup > 0.0 and math.isfinite(f_sup)):  # a NaN scale would make every level empty
+        raise ValueError(f"tail_experiment needs a positive, finite f_sup, got {f_sup}")
     t_arr = TAIL_T_GRID
     vol = ball_volume(theta.eval_coords.shape[1], theta.region_radius)
     fractions = np.array([float(np.mean(theta.theta > f_sup * t)) for t in t_arr])

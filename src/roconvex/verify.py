@@ -25,6 +25,7 @@ from .core import (
     grid_spec,
     make_grid,
     random_directions,
+    seeded_rng,
     shifted,
 )
 from .corpus import FunctionHandle
@@ -105,7 +106,7 @@ def _segment_check(
     shape = region.shape
     radius = region.radius
     draw = ball_samples if region.clip == "ball" else cube_samples
-    rng = np.random.default_rng(sampler.seed)
+    rng = seeded_rng(sampler.seed)
 
     # One block of rows per direction: two deterministic center probes at half and
     # quarter radius, which catch unit-scale concavity regardless of the random
@@ -149,7 +150,7 @@ def rank_one_convexity_check(
 ) -> ConvexityReport:
     """Midpoint convexity along rank-one segments; positive violations are counterexamples."""
     shape = f.shape
-    rng = np.random.default_rng(sampler.seed + 1)
+    rng = seeded_rng(sampler.seed + 1)
     fixed = coordinate_directions(shape)
     a, b = random_directions(shape, sampler.direction_count, rng)
     matrices = np.concatenate([[d.matrix for d in fixed], a[:, :, None] * b[:, None, :]])

@@ -249,20 +249,15 @@ def _inclusion_probes(f, t_arr, s_grid, resolution, probe_count, rng, convexity_
         pts = rng.uniform(-1.0, 1.0, size=(probe_count, n))
         for x0 in pts:
             maxima = []
-            slopes = np.zeros(n)
             for i in range(n):
                 offset = x0.copy()
                 offset[i] = 0.0
                 mu = line_measure(f, offset, i, s_grid, convexity_tol)
                 maxima.append(maximal_function(mu, float(x0[i])))
-                if f.gradient is None:
-                    vals = line_values(f, offset, i, s_grid)
-                    idx = int(np.searchsorted(s_grid, x0[i])) - 1
-                    slopes[i] = (vals[idx + 1] - vals[idx]) / resolution
             if any(m > t for m in maxima):
                 probes.append(InclusionProbe(float(t), tuple(map(float, x0)), True, True, True, 0.0))
                 continue
-            g = f.gradient_at_coords(x0).reshape(-1) if f.gradient is not None else slopes
+            g = f.gradient_at_coords(x0).reshape(-1)
             f0 = float(f.value_at_coords(x0[None, :])[0])
             axis_vals = f.value_at_coords(x0 + axis_z) - f0 - axis_z @ g
             axis_ok = not (np.any(axis_vals < -tol) or np.any(axis_vals > cap + tol))

@@ -14,7 +14,7 @@ import certify_reference as ref
 from roconvex import convex1d, lowerbound, verify
 from roconvex.convex1d import AtomicMeasure1D, _LineRuns, maximal_function, superlevel, weak_one_one_check
 from roconvex.core import MatrixShape, ball_samples, grid_spec
-from roconvex.corpus import FunctionHandle, abs_entry, corpus, frob_norm, half_norm_sq
+from roconvex.corpus import abs_entry, corpus, frob_norm, half_norm_sq
 
 GENERAL = [h for h in corpus() if not h.shape.symmetric]
 S12 = MatrixShape(1, 2)
@@ -50,11 +50,9 @@ def test_segment_reports_match_reference_bitwise(clip, seed):
 
 TAIL_CASES = [
     (abs_entry(0, 0, S12), TAIL_T, 48, 6),
-    # no gradient: the probes take their slopes from the fitted lines
-    (FunctionHandle("abs_x11_nograd", S12, abs_entry(0, 0, S12).value), TAIL_T, 16, 6),
     # an atom at every interior grid point, so long runs and merged unions
     (half_norm_sq(1.0, S12), [19.0, 40.0, 80.0, 191.0], 8, 2),
-    (FunctionHandle("frob_norm_nograd", S12, frob_norm(S12).value), [19.0, 40.0, 80.0], 12, 4),
+    (frob_norm(S12), [19.0, 40.0, 80.0], 12, 4),
     (abs_entry(0, 1, MatrixShape(1, 3)), [19.0, 40.0, 80.0], 12, 4),
 ]
 

@@ -67,6 +67,8 @@ def test_config_file_roundtrip(tmp_path):
         (["tail", "--config", "{retired}"], "unknown config keys: ['t_min']"),
         (["theta", "--threads", "0"], "threads must be >= 1, got 0"),
         (["lemma", "--samples", "0"], "empirical_majorant needs at least one sample, got 0"),
+        # named before numpy's allocation rejects it with a message that names no input
+        (["lemma", "--samples", "-1"], "ball_samples needs count >= 0, got -1"),
         (["appendix", "--config", "{no_lines}"], "fubini_tail_experiment needs lines_per_direction >= 1, got 0"),
         (["all", "--threads", "0"], "threads must be >= 1, got 0"),
         # every norm of a cube draw overflows, so rejection sampling would never accept one
@@ -101,6 +103,7 @@ def test_config_file_roundtrip(tmp_path):
         "retired_key",
         "zero_threads",
         "zero_samples",
+        "negative_samples",
         "zero_lines",
         "all_zero_threads",
         "huge_radius",

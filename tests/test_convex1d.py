@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certify_reference import line_measure, line_values
+from certify_reference import line_measure
 from roconvex.core import MatrixShape
 from roconvex.corpus import FunctionHandle, abs_entry, half_norm_sq, linear
 from roconvex.convex1d import (
@@ -359,20 +359,15 @@ def _probes_reference(f, t_arr, s_grid, resolution, probe_count, rng, convexity_
         pts = rng.uniform(-1.0, 1.0, size=(probe_count, n))
         for x0 in pts:
             maxima = []
-            slopes = np.zeros(n)
             for i in range(n):
                 offset = x0.copy()
                 offset[i] = 0.0
                 mu = line_measure(f, offset, i, s_grid, convexity_tol)
                 maxima.append(maximal_function(mu, float(x0[i])))
-                if f.gradient is None:
-                    vals = line_values(f, offset, i, s_grid)
-                    idx = int(np.searchsorted(s_grid, x0[i])) - 1
-                    slopes[i] = (vals[idx + 1] - vals[idx]) / resolution
             if any(m > t for m in maxima):
                 probes.append(InclusionProbe(float(t), tuple(map(float, x0)), True, True, True, 0.0))
                 continue
-            g = f.gradient_at_coords(x0).reshape(-1) if f.gradient is not None else slopes
+            g = f.gradient_at_coords(x0).reshape(-1)
             f0 = float(f.value_at_coords(x0[None, :])[0])
 
             def recentered(z):
@@ -406,13 +401,11 @@ ABS_X11 = abs_entry(0, 0, S12)
     "f, t_values",
     [
         (ABS_X11, [7.0, 20.0, 80.0]),
-        # no gradient: the slopes come from the fitted lines
-        (FunctionHandle("abs_x11_nograd", S12, ABS_X11.value), [7.0, 20.0, 80.0]),
         # affine along both axes, so never in the tail set, and the hull bound
         # fails at small t
-        (FunctionHandle("uv", S12, lambda x: x[..., 0, 0] * x[..., 0, 1]), [0.02, 0.1, 0.5]),
+        (FunctionHandle("uv", S12, lambda x: x[..., 0, 0] * x[..., 0, 1], lambda x: x[..., ::-1]), [0.02, 0.1, 0.5]),
     ],
-    ids=["abs_x11", "abs_x11_nograd", "uv_nograd"],
+    ids=["abs_x11", "uv"],
 )
 def test_inclusion_probes_match_per_h_reference(f, t_values):
     args = (f, np.array(t_values), np.linspace(-3.0, 3.0, 121), 0.05, 6)
@@ -446,7 +439,7 @@ def test_fubini_rejects_negative_probe_count():
 
 def test_fubini_rejects_nonconvex_restrictions():
     shape = MatrixShape(1, 2)
-    h = FunctionHandle("cave", shape, lambda x: -0.5 * np.sum(x * x, axis=(-2, -1)))
+    h = FunctionHandle("cave", shape, lambda x: -0.5 * np.sum(x * x, axis=(-2, -1)), lambda x: -x)
     with pytest.raises(ValueError, match="not convex"):
         fubini_tail_experiment(h, [19.0, 200.0], lines_per_direction=4, seed=0)
 

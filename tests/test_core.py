@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roconvex import convex1d, core, envelope, paraboloid, verify
+from roconvex import convex1d, core, envelope, lowerbound, paraboloid, verify
 from roconvex.core import (
     CapacityError,
     GridSpec,
@@ -245,6 +245,49 @@ def test_corpus_gradients_match_finite_differences():
             assert float(np.median(np.max(mism, axis=(-2, -1)))) < 1e-7, h.name
         else:
             assert float(np.max(mism)) < 1e-7, h.name
+
+
+UV_NO_GRADIENT = FunctionHandle("uv_nograd", MatrixShape(1, 2), lambda x: x[..., 0, 0] * x[..., 0, 1])
+UV_SPEC = grid_spec(MatrixShape(1, 2), 1.0, 5)
+UV_POINTS = np.array([[0.5, -0.25], [-0.3, 0.6]])
+UV_MAJORANT = lowerbound.RadialMajorant(np.zeros(2), np.array([1.0]), np.array([1.0]))
+# Code that needs Df reads the handle's exact gradient and fails by name without
+# one (None: a value-only consumer, which takes the handle as it is).
+GRADIENT_CALLS = {
+    "empirical_majorant": (
+        lambda f: lowerbound.empirical_majorant(f, np.zeros(2), UV_POINTS),
+        "handle 'uv_nograd' has no exact gradient",
+    ),
+    "lower_bound_certify": (
+        lambda f: lowerbound.lower_bound_certify(f, np.zeros(2), UV_MAJORANT, UV_POINTS),
+        "handle 'uv_nograd' has no exact gradient",
+    ),
+    "fubini_tail_experiment": (
+        lambda f: convex1d.fubini_tail_experiment(f, [40.0, 80.0], lines_per_direction=4),
+        "fubini_tail_experiment needs an exact gradient, and handle 'uv_nograd' has none",
+    ),
+    "second_order_remainder": (
+        lambda f: envelope.second_order_remainder(f, np.zeros(2), [0.2, 0.1]),
+        "handle 'uv_nograd' has no exact gradient",
+    ),
+    "second_order_remainder_field": (
+        lambda f: envelope.second_order_remainder(sample(f, UV_SPEC), np.zeros(2), [0.6, 0.5]),
+        "second_order_remainder needs a handle with an exact gradient, not a SampledField",
+    ),
+    "sample": (lambda f: sample(f, UV_SPEC), None),
+    "rank_one_convexity_check": (lambda f: verify.rank_one_convexity_check(f, UV_SPEC), None),
+    "theta_upper": (lambda f: paraboloid.theta_upper(f, np.zeros(2), UV_SPEC), None),
+}
+
+
+@pytest.mark.parametrize("name", GRADIENT_CALLS)
+def test_only_df_consumers_need_a_gradient(name):
+    call, cause = GRADIENT_CALLS[name]
+    if cause is None:
+        call(UV_NO_GRADIENT)
+    else:
+        with pytest.raises(ValueError, match=cause):
+            call(UV_NO_GRADIENT)
 
 
 def test_interpolation_exact_for_multilinear():

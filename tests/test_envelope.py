@@ -323,18 +323,6 @@ def test_remainder_kink_flagged():
     assert prof.ratios[-1] > 1.0
 
 
-def test_remainder_field_resolution_guard():
-    spec = grid_spec(S22, 1.0, 9, "cube")
-    fld = sample(half_norm_sq(1.0), spec)
-    with pytest.raises(ValueError, match="resolution"):
-        second_order_remainder(fld, np.zeros(4), [0.5, 0.1])
-    prof = second_order_remainder(fld, np.zeros(4), [0.6, 0.5, 0.4])
-    # field probes interpolate, so ratios bottom out at the O(h^2 / r^2) floor
-    h = spec.spacing
-    assert np.all(np.diag(prof.hessian) == 1.0)
-    assert np.all(prof.ratios <= 2.0 * h * h / prof.radii**2)
-
-
 def test_remainder_radii_validation():
     with pytest.raises(ValueError, match="decreasing"):
         second_order_remainder(half_norm_sq(1.0), np.zeros(4), [0.1, 0.2])

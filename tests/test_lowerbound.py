@@ -105,7 +105,7 @@ def test_majorant_build_points_match_column_split_loop(shape):
         seen.append(x.copy())
         return np.sum(np.abs(x - 0.1), axis=(-2, -1))
 
-    f = FunctionHandle("abs_shifted", shape, value)
+    f = FunctionHandle("abs_shifted", shape, value, lambda x: np.sign(x - 0.1))
     rng = np.random.default_rng(7)
     x0 = rng.uniform(-0.2, 0.2, shape.dim)
     samples = ball_samples(shape, x0, 1.0, 300, rng)

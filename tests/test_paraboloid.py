@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -203,6 +204,13 @@ def test_tail_empty_for_quadratic():
     assert np.all(rep.measure == 0.0)
     assert rep.fitted_epsilon is None  # fewer than 3 nonzero measures: fit refused
     assert rep.nonzero_count == 0
+
+
+@pytest.mark.parametrize("f_sup", [0.0, -1.0, math.nan, math.inf])
+def test_tail_rejects_a_scale_that_is_not_positive_and_finite(f_sup):
+    tf = theta_field(half_norm_sq(1.0), grid_spec(S22, 1.0, 5, "cube"), count=2, seed=4)
+    with pytest.raises(ValueError, match=f"tail_experiment needs a positive, finite f_sup, got {f_sup}"):
+        tail_experiment(tf, f_sup)
 
 
 def test_tail_measures_non_increasing_and_fit():
