@@ -6,6 +6,8 @@ per-line tail experiment on product cubes.
 Piecewise-linear representatives make every object here exactly computable:
 second derivatives are finite sums of atoms, the maximal function is a maximum
 over O(k^2) atom runs, and superlevel sets are finite unions of open intervals.
+PL convex functions are zero at the origin, and every atom-run set, of one
+measure or of lines fitted on the fixed LINE_GRID, comes from one padded builder.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -22,24 +23,23 @@ import numpy as np
 from .core import loglog_fit, seeded_rng
 from .corpus import FunctionHandle
 
-LINE_RESOLUTION = 0.05  # step of the per-line fit grid on [-3, 3] in the tail experiment
+LINE_RESOLUTION = 0.05  # step of LINE_GRID and of the inclusion probes' h values
 LINE_CONVEXITY_TOL = 1e-9  # largest secant-slope dip a fitted line may show
+LINE_GRID = np.linspace(-3.0, 3.0, 2 * round(3.0 / LINE_RESOLUTION) + 1)  # every line's fit grid
+LINE_GRID.flags.writeable = False
 
 
 @dataclass(frozen=True)
 class PLConvex1D:
-    """Piecewise-linear convex function: breakpoints, interval slopes, one anchor value."""
+    """Piecewise-linear convex function with f(0) = 0: breakpoints and interval slopes."""
 
     breakpoints: np.ndarray  # strictly increasing, possibly empty
     slopes: np.ndarray  # len(breakpoints) + 1, non-decreasing
-    anchor_x: float = 0.0
-    anchor_value: float = 0.0
 
     def __post_init__(self) -> None:
         bp = np.asarray(self.breakpoints, dtype=float).reshape(-1)
         sl = np.asarray(self.slopes, dtype=float).reshape(-1)
-        given = (("breakpoints", bp), ("slopes", sl), ("anchor_x", self.anchor_x), ("anchor_value", self.anchor_value))
-        for name, v in given:
+        for name, v in (("breakpoints", bp), ("slopes", sl)):
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} must be finite, got {np.asarray(v).tolist()}")
         if sl.size != bp.size + 1:
@@ -70,16 +70,19 @@ class PLConvex1D:
     def __call__(self, x: np.ndarray | float) -> np.ndarray | float:
         scalar = np.isscalar(x)
         xq = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = self.anchor_value + self._raw(xq) - self._raw(np.array([self.anchor_x]))[0]
+        vals = 0.0 + self._raw(xq) - self._raw(np.array([0.0]))[0]  # 0.0 + turns -0.0 into 0.0
         return float(vals[0]) if scalar else vals
 
     def left_slope(self, x: float) -> float:
-        idx = int(np.searchsorted(self.breakpoints, x, side="left"))
-        return float(self.slopes[idx])
+        return self._slope(x, "left")
 
     def right_slope(self, x: float) -> float:
-        idx = int(np.searchsorted(self.breakpoints, x, side="right"))
-        return float(self.slopes[idx])
+        return self._slope(x, "right")
+
+    def _slope(self, x: float, side: str) -> float:
+        if not math.isfinite(x):
+            raise ValueError(f"{side}_slope needs a finite point, got {x}")
+        return float(self.slopes[int(np.searchsorted(self.breakpoints, x, side=side))])
 
 
 @dataclass(frozen=True)
@@ -122,16 +125,6 @@ class AtomicMeasure1D:
         sel = (self.locations >= a) & (self.locations <= b)
         return AtomicMeasure1D(self.locations[sel], self.masses[sel])
 
-    @cached_property
-    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All contiguous atom runs as (left_loc, right_loc, mass); O(k^2) of them."""
-        i, j = np.triu_indices(self.count)
-        prefix = np.concatenate([[0.0], np.cumsum(self.masses)])
-        runs = self.locations[i], self.locations[j], prefix[j + 1] - prefix[i]
-        for arr in runs:
-            arr.flags.writeable = False
-        return runs
-
 
 def second_derivative_measure(f: PLConvex1D) -> AtomicMeasure1D:
     """One atom per breakpoint, mass = slope jump; zero jumps are dropped."""
@@ -142,8 +135,8 @@ def second_derivative_measure(f: PLConvex1D) -> AtomicMeasure1D:
 
 @dataclass(frozen=True)
 class _LineRuns:
-    """Every contiguous atom run of one atomic measure per line, as (lines, runs)
-    arrays padded past each line's own runs (`valid` false there)."""
+    """Every contiguous atom run of one atomic measure per line, built by `padded`, as
+    (lines, runs) arrays padded past each line's own runs (`valid` false there)."""
 
     left: np.ndarray
     right: np.ndarray
@@ -151,20 +144,26 @@ class _LineRuns:
     valid: np.ndarray
 
     @classmethod
-    def of(cls, mu: AtomicMeasure1D) -> _LineRuns:
-        """The one line of a measure."""
-        left, right, mass = mu.runs
-        return cls(left[None], right[None], mass[None], np.ones((1, mass.size), dtype=bool))
+    def padded(cls, loc: np.ndarray, mass: np.ndarray, count: np.ndarray) -> _LineRuns:
+        """The runs of one measure per row of (lines, atoms) arrays: row k holds
+        its count[k] atoms left to right, and is zero-padded past them."""
+        prefix = np.zeros((len(mass), mass.shape[1] + 1))
+        np.cumsum(mass, axis=1, out=prefix[:, 1:])
+        i, j = np.triu_indices(mass.shape[1])
+        return cls(loc[:, i], loc[:, j], prefix[:, j + 1] - prefix[:, i], j < count[:, None])
 
     @classmethod
-    def fit(
-        cls, vals: np.ndarray, offsets: np.ndarray, direction: int, s_grid: np.ndarray, tol: float
-    ) -> _LineRuns:
-        """The PL fit of each row of `vals` on `s_grid`: one atom per slope jump
-        above the row's roundoff floor; a slope dip below -tol names its line."""
-        slopes = np.diff(vals, axis=1) / np.diff(s_grid)
+    def of(cls, mu: AtomicMeasure1D) -> _LineRuns:
+        """The one line of a measure."""
+        return cls.padded(mu.locations[None], mu.masses[None], np.array([mu.count]))
+
+    @classmethod
+    def fit(cls, vals: np.ndarray, offsets: np.ndarray, direction: int) -> _LineRuns:
+        """The PL fit of each row of `vals` on LINE_GRID: one atom per slope jump above
+        the row's roundoff floor; a slope dip below -LINE_CONVEXITY_TOL names its line."""
+        slopes = np.diff(vals, axis=1) / np.diff(LINE_GRID)
         dips = np.diff(slopes, axis=1)
-        bent = np.min(dips, axis=1, initial=math.inf) < -tol
+        bent = np.min(dips, axis=1, initial=math.inf) < -LINE_CONVEXITY_TOL
         if np.any(bent):
             k = int(np.argmax(bent))
             raise ValueError(
@@ -177,11 +176,8 @@ class _LineRuns:
         count = np.sum(keep, axis=1)
         atoms = int(np.max(count, initial=0))
         first = np.argsort(~keep, axis=1, kind="stable")[:, :atoms]  # kept atoms, left to right
-        prefix = np.zeros((len(vals), atoms + 1))
-        np.cumsum(np.take_along_axis(np.where(keep, jumps, 0.0), first, axis=1), axis=1, out=prefix[:, 1:])
-        loc = s_grid[1:-1][first]
-        i, j = np.triu_indices(atoms)
-        return cls(loc[:, i], loc[:, j], prefix[:, j + 1] - prefix[:, i], j < count[:, None])
+        mass = np.take_along_axis(np.where(keep, jumps, 0.0), first, axis=1)
+        return cls.padded(LINE_GRID[1:-1][first], mass, count)
 
     def intervals(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """{M mu > t} per line, exactly: (start, end, last) over the runs sorted by
@@ -230,6 +226,8 @@ class _LineRuns:
 
 def maximal_function(mu: AtomicMeasure1D, x: float) -> float:
     """sup over open intervals I containing x of mu(I)/|I|, exactly; +inf at atoms."""
+    if not math.isfinite(x):
+        raise ValueError(f"maximal_function needs a finite point, got {x}")
     return float(_LineRuns.of(mu).maximal(np.array([float(x)]))[0])
 
 
@@ -326,13 +324,11 @@ class TaylorChainRow:
 def convex_taylor_check(f: PLConvex1D, h_grid: Sequence[float]) -> list[TaylorChainRow]:
     """The chain 0 <= f(h) <= f''[0,h] h <= M f''(0) h^2 and its mirror, per h.
 
-    Requires the normalization f(0) = 0 with 0 in the subdifferential at 0.
-    The interval masses use closed endpoints; an atom exactly at 0 makes the
-    maximal bound infinite and the final inequality vacuous (flagged).
+    Every PLConvex1D has f(0) = 0; this also requires 0 in the subdifferential
+    at 0. The interval masses use closed endpoints; an atom exactly at 0 makes
+    the maximal bound infinite and the final inequality vacuous (flagged).
     """
     tol = 1e-10  # roundoff slack
-    if abs(f(0.0)) > tol:
-        raise ValueError(f"normalization f(0) = 0 violated: f(0) = {f(0.0):.3e}")
     if f.left_slope(0.0) > tol or f.right_slope(0.0) < -tol:
         raise ValueError(
             f"0 is not a subgradient at 0: slopes ({f.left_slope(0.0):.3e}, {f.right_slope(0.0):.3e})"
@@ -421,10 +417,10 @@ class FubiniTailReport:
     inclusion: tuple[InclusionProbe, ...]
 
 
-def _line_values(f: FunctionHandle, offsets: np.ndarray, direction: int, s_grid: np.ndarray) -> np.ndarray:
-    """f along the axis `direction` through each offset row: one (lines, S) array."""
-    coords = np.repeat(offsets[:, None, :], s_grid.size, axis=1)
-    coords[:, :, direction] = offsets[:, direction, None] + s_grid
+def _line_values(f: FunctionHandle, offsets: np.ndarray, direction: int) -> np.ndarray:
+    """f on LINE_GRID along the axis `direction` through each offset row: one (lines, S) array."""
+    coords = np.repeat(offsets[:, None, :], LINE_GRID.size, axis=1)
+    coords[:, :, direction] = offsets[:, direction, None] + LINE_GRID
     return f.value_at_coords(coords)
 
 
@@ -438,8 +434,8 @@ def fubini_tail_experiment(
     """Per-line superlevel tail of axis restrictions over the unit cube.
 
     For each axis direction and sampled offsets in the perpendicular slice of
-    the unit cube, the restriction is fitted piecewise-linearly on [-3, 3] at
-    step LINE_RESOLUTION, its second-derivative measure extracted, and the superlevel
+    the unit cube, the restriction is fitted piecewise-linearly on LINE_GRID,
+    its second-derivative measure extracted, and the superlevel
     set {M f_y'' > t} cap [-1, 1] computed exactly. Aggregates estimate the
     tail-set measure; probes outside the tail set verify the axis Taylor bound
     0 <= f~(h e_i) <= 2 t h^2 and the paraboloid bound of opening 4 n t on the
@@ -456,7 +452,6 @@ def fubini_tail_experiment(
     if f.gradient is None:  # the probes recentre f at its exact gradient
         raise ValueError(f"fubini_tail_experiment needs an exact gradient, and handle {f.name!r} has none")
     n = shape.cols
-    s_grid = np.linspace(-3.0, 3.0, 2 * round(3.0 / LINE_RESOLUTION) + 1)
 
     osc = osc_on_cube(f, 3.0)
     threshold = 2.0 * osc
@@ -474,8 +469,7 @@ def fubini_tail_experiment(
     for i in range(n):
         offsets = rng.uniform(-1.0, 1.0, size=(lines_per_direction, n))
         offsets[:, i] = 0.0
-        vals = _line_values(f, offsets, i, s_grid)
-        line_runs.append(_LineRuns.fit(vals, offsets, i, s_grid, LINE_CONVEXITY_TOL))
+        line_runs.append(_LineRuns.fit(_line_values(f, offsets, i), offsets, i))
 
     measures = np.zeros(t_arr.size)
     for j, t in enumerate(t_arr):
@@ -483,9 +477,7 @@ def fubini_tail_experiment(
             measures[j] += float(np.mean(runs.measure(float(t), -1.0, 1.0))) * cross_volume
 
     fit = loglog_fit(t_arr, measures, 3)
-    inclusion = _inclusion_probes(
-        f, t_arr, s_grid, LINE_RESOLUTION, probe_count, rng, LINE_CONVEXITY_TOL
-    )
+    inclusion = _inclusion_probes(f, t_arr, probe_count, rng)
     return FubiniTailReport(
         t_grid=t_arr,
         measures=measures,
@@ -497,13 +489,7 @@ def fubini_tail_experiment(
 
 
 def _inclusion_probes(
-    f: FunctionHandle,
-    t_arr: np.ndarray,
-    s_grid: np.ndarray,
-    resolution: float,
-    probe_count: int,
-    rng: np.random.Generator,
-    convexity_tol: float,
+    f: FunctionHandle, t_arr: np.ndarray, probe_count: int, rng: np.random.Generator
 ) -> list[InclusionProbe]:
     """At probes off the tail set, check the axis chain and the hull paraboloid bound.
 
@@ -512,7 +498,7 @@ def _inclusion_probes(
     """
     tol = 1e-7  # slack of the axis and hull bounds
     n = f.shape.cols
-    h_values = np.arange(resolution, 1.0, resolution)
+    h_values = np.arange(LINE_RESOLUTION, 1.0, LINE_RESOLUTION)
     # Points stay stacked as (H, k, n), so `@` multiplies one (k, n) block per h.
     axis_z = h_values[:, None, None] * np.concatenate([np.eye(n), -np.eye(n)])[None]
     probes = []
@@ -523,8 +509,7 @@ def _inclusion_probes(
         for i in range(n):
             offsets = pts.copy()
             offsets[:, i] = 0.0
-            vals = _line_values(f, offsets, i, s_grid)
-            in_tail |= _LineRuns.fit(vals, offsets, i, s_grid, convexity_tol).maximal(pts[:, i]) > t
+            in_tail |= _LineRuns.fit(_line_values(f, offsets, i), offsets, i).maximal(pts[:, i]) > t
         for x0, tail in zip(pts, in_tail):
             if tail:
                 probes.append(InclusionProbe(float(t), tuple(map(float, x0)), True, True, True, 0.0))
@@ -572,4 +557,4 @@ def random_pl_convex(rng: np.random.Generator, atom_at_zero: bool = False) -> PL
     else:
         s0 = -mass_left  # the interval containing 0 gets slope exactly 0
     slopes = np.concatenate([[s0], s0 + np.cumsum(jumps)])
-    return PLConvex1D(breakpoints=bp, slopes=slopes, anchor_x=0.0, anchor_value=0.0)
+    return PLConvex1D(breakpoints=bp, slopes=slopes)

@@ -91,6 +91,8 @@ def _checked_samples(f: FunctionHandle, x0: np.ndarray, samples: np.ndarray, who
         shape = f"{f.shape.rows}x{f.shape.cols}"
         raise ValueError(f"{who} needs a general shape, and {f.name} has the symmetric shape {shape}")
     pts = np.asarray(samples, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != f.shape.dim:
+        raise ValueError(f"{who} needs samples of shape (K, {f.shape.dim}), got {pts.shape}")
     if pts.shape[0] == 0:
         raise ValueError(f"{who} needs at least one sample, got 0")
     if not np.all(np.isfinite(x0)):

@@ -2,8 +2,8 @@
 vectorisation: the majorant build with each sample kept beside its column
 split, segment checks built one direction object at a time, the tail
 experiment one line at a time, with one merged interval union per line and
-level. The tests compare the library against these
-for exact equality; nothing in `src` calls them.
+level, each from the reference's own atom runs (`_runs`). The tests compare the
+library against these for exact equality; nothing in `src` calls them.
 """
 
 from __future__ import annotations
@@ -132,11 +132,17 @@ def separate_convexity_check(f, domain, sampler):
     return _segment_check(f, domain, sampler, directions, "separate_convexity_check")
 
 
+def _runs(mu):
+    i, j = np.triu_indices(mu.count)
+    prefix = np.concatenate([[0.0], np.cumsum(mu.masses)])
+    return mu.locations[i], mu.locations[j], prefix[j + 1] - prefix[i]
+
+
 def maximal_function(mu, x):
     at = np.abs(mu.locations - x) == 0.0
     if np.any(at & (mu.masses > 0)):
         return math.inf
-    left, right, mass = mu.runs
+    left, right, mass = _runs(mu)
     span = np.maximum(right, x) - np.minimum(left, x)
     good = span > 0
     return float(np.max(mass[good] / span[good], initial=0.0))
@@ -160,7 +166,7 @@ def _merge(starts, ends):
 
 
 def superlevel(mu, t):
-    left, right, mass = mu.runs
+    left, right, mass = _runs(mu)
     if mass.size == 0:
         return IntervalUnion(())
     ell = mass / t

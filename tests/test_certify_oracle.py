@@ -76,7 +76,7 @@ def test_line_runs_match_superlevel_and_maximal_function():
     jumps = np.where(rng.random((200, 119)) < density, rng.uniform(0.0, 3.0, (200, 119)), 0.0)
     slopes = np.concatenate([np.full((200, 1), -2.0), -2.0 + np.cumsum(jumps, axis=1)], axis=1)
     vals = np.concatenate([np.zeros((200, 1)), np.cumsum(slopes * 0.05, axis=1)], axis=1)
-    runs = _LineRuns.fit(vals, np.zeros((200, 1)), 0, s_grid, 1e-9)
+    runs = _LineRuns.fit(vals, np.zeros((200, 1)), 0)
     measures = []
     for row in vals:
         v_slopes = np.diff(row) / np.diff(s_grid)
@@ -95,6 +95,33 @@ def test_line_runs_match_superlevel_and_maximal_function():
     want = [ref.maximal_function(mu, float(xk)) for mu, xk in zip(measures, x)]
     assert runs.maximal(x).tobytes() == np.array(want).tobytes()
     assert [maximal_function(mu, float(xk)) for mu, xk in zip(measures, x)] == want
+
+
+def test_padded_measures_match_their_own_runs_and_reference():
+    # several measures of 0 to 6 atoms in one padded run set, each row zero-padded
+    rng = np.random.default_rng(11)
+    measures = [AtomicMeasure1D(np.zeros(0), np.zeros(0))]
+    for k in (1, 3, 6, 2, 5):
+        locs = np.sort(rng.uniform(-2.0, 2.0, size=k))
+        measures.append(AtomicMeasure1D(locs, rng.uniform(0.1, 3.0, size=k)))
+    count = np.array([mu.count for mu in measures])
+    loc, mass = np.zeros((len(measures), 6)), np.zeros((len(measures), 6))
+    for row, mu in enumerate(measures):
+        loc[row, : mu.count], mass[row, : mu.count] = mu.locations, mu.masses
+    runs = _LineRuns.padded(loc, mass, count)
+    singles = [_LineRuns.of(mu) for mu in measures]
+    for t in (0.5, 2.0, 7.0):
+        unions = [ref.superlevel(mu, t) for mu in measures]
+        for lo, hi in ((-np.inf, np.inf), (-1.0, 1.0)):
+            got = runs.measure(t, lo, hi).tobytes()
+            assert got == np.concatenate([one.measure(t, lo, hi) for one in singles]).tobytes()
+            assert got == np.array([u.intersect(lo, hi).measure for u in unions]).tobytes()
+    x = rng.uniform(-2.5, 2.5, len(measures))
+    x[2] = measures[2].locations[1]  # a point on an atom
+    got = runs.maximal(x).tobytes()
+    assert got == np.concatenate([one.maximal(x[k : k + 1]) for k, one in enumerate(singles)]).tobytes()
+    assert got == np.array([ref.maximal_function(mu, float(xk)) for mu, xk in zip(measures, x)]).tobytes()
+    assert np.isinf(runs.maximal(x)[2])
 
 
 def test_maximal_function_ignores_zero_mass_atoms():

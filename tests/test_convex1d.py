@@ -41,10 +41,6 @@ def test_pl_validation():
         PLConvex1D(np.array([math.inf]), np.array([-1.0, 1.0]))
     with pytest.raises(ValueError, match=r"slopes must be finite, got \[-1.0, nan\]"):
         PLConvex1D(np.array([0.0]), np.array([-1.0, math.nan]))
-    with pytest.raises(ValueError, match="anchor_x must be finite, got -inf"):
-        PLConvex1D(np.array([0.0]), np.array([-1.0, 1.0]), anchor_x=-math.inf)
-    with pytest.raises(ValueError, match="anchor_value must be finite, got nan"):
-        PLConvex1D(np.array([0.0]), np.array([-1.0, 1.0]), anchor_value=math.nan)
 
 
 def test_atomic_measure_validation():
@@ -70,9 +66,10 @@ def test_pl_evaluation_and_slopes():
     assert ABS.left_slope(0.0) == -1.0
     assert ABS.right_slope(0.0) == 1.0
     assert ABS.left_slope(0.5) == ABS.right_slope(0.5) == 1.0
-    lin = PLConvex1D(np.zeros(0), np.array([2.0]), anchor_value=1.0)
-    assert lin(3.0) == 7.0
-    assert lin(-1.0) == -1.0
+    lin = PLConvex1D(np.zeros(0), np.array([2.0]))
+    assert lin(0.0) == 0.0
+    assert lin(3.0) == 6.0
+    assert lin(-1.0) == -2.0
 
 
 def test_second_derivative_measure_examples():
@@ -111,6 +108,18 @@ def test_maximal_function_examples():
     # a zero-mass atom at x: every interval around x has mass 0
     zero = AtomicMeasure1D(np.array([0.0]), np.array([0.0]))
     assert maximal_function(zero, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "minus_inf"])
+def test_non_finite_points_are_named(x):
+    # unchecked, M mu(nan) and M mu(inf) read 0.0, and a NaN point read the last slope
+    d0 = AtomicMeasure1D(np.array([0.0]), np.array([1.0]))
+    with pytest.raises(ValueError, match=f"maximal_function needs a finite point, got {x}"):
+        maximal_function(d0, x)
+    with pytest.raises(ValueError, match=f"left_slope needs a finite point, got {x}"):
+        ABS.left_slope(x)
+    with pytest.raises(ValueError, match=f"right_slope needs a finite point, got {x}"):
+        ABS.right_slope(x)
 
 
 def test_maximal_function_against_dense_interval_oracle():
@@ -230,9 +239,6 @@ def test_taylor_chain_zero_slope_line():
 
 
 def test_taylor_chain_rejects_bad_normalization():
-    shifted_value = PLConvex1D(np.array([0.0]), np.array([-1.0, 1.0]), anchor_value=1.0)
-    with pytest.raises(ValueError, match="normalization"):
-        convex_taylor_check(shifted_value, [0.5])
     tilted = PLConvex1D(np.array([0.5]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="subgradient"):
         convex_taylor_check(tilted, [0.5])
@@ -286,7 +292,7 @@ def test_taylor_chain_matches_per_h_reference():
     xs = np.linspace(-2.0, 2.0, 41)
     for p in (2, 3, 4):
         vs = np.abs(xs) ** p
-        fs.append(PLConvex1D(xs[1:-1], np.diff(vs) / np.diff(xs), float(xs[0]), float(vs[0])))
+        fs.append(PLConvex1D(xs[1:-1], np.diff(vs) / np.diff(xs)))  # 0 is a node of xs, so f(0) = 0
     for f in fs:
         assert repr(convex_taylor_check(f, h_grid)) == repr(_taylor_reference(f, h_grid))
 
@@ -408,8 +414,8 @@ ABS_X11 = abs_entry(0, 0, S12)
     ids=["abs_x11", "uv"],
 )
 def test_inclusion_probes_match_per_h_reference(f, t_values):
+    probes = _inclusion_probes(f, np.array(t_values), 6, np.random.default_rng(7))
     args = (f, np.array(t_values), np.linspace(-3.0, 3.0, 121), 0.05, 6)
-    probes = _inclusion_probes(*args, np.random.default_rng(7), 1e-9)
     assert repr(probes) == repr(_probes_reference(*args, np.random.default_rng(7), 1e-9))
     outside = [p for p in probes if not p.in_tail_set]
     assert outside

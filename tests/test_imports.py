@@ -1,10 +1,13 @@
 """Every module under src/roconvex (but the package's __init__, which re-exports)
-and every test module uses each name it imports, and every module under
-src/roconvex reads each private name it defines at module level."""
+and every test module uses each name it imports, every module under
+src/roconvex reads each private name it defines at module level, and every
+module-level array under src/roconvex is read-only."""
 
 import ast
+import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,3 +71,11 @@ def test_the_check_sees_an_unread_private_name():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_module_reads_every_private_name_it_defines(path):
     assert unread_privates(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_module_level_arrays_are_read_only(path):
+    # a shared grid written through by one caller would silently change every later fit
+    module = importlib.import_module(f"roconvex.{path.stem}")
+    writable = [name for name, v in vars(module).items() if isinstance(v, np.ndarray) and v.flags.writeable]
+    assert writable == []

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,6 +227,17 @@ def test_empty_sample_set_is_rejected():
     G = paraboloid_table(np.zeros(4), 1.0)
     with pytest.raises(ValueError, match="at least one sample"):
         lower_bound_certify(neg_det(), np.zeros(4), G, empty)
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (4,)], ids=["three_coordinates", "flat"])
+def test_sample_shape_is_named(shape):
+    # unchecked, numpy fails first: a broadcast error for (5, 3), an IndexError for (4,)
+    samples = np.full(shape, 0.1)
+    cause = re.escape(f"needs samples of shape (K, 4), got {shape}")
+    with pytest.raises(ValueError, match=f"empirical_majorant {cause}"):
+        empirical_majorant(neg_det(), np.zeros(4), samples)
+    with pytest.raises(ValueError, match=f"lower_bound_certify {cause}"):
+        lower_bound_certify(neg_det(), np.zeros(4), paraboloid_table(np.zeros(4), 1.0), samples)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
