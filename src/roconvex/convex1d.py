@@ -8,13 +8,19 @@ second derivatives are finite sums of atoms, the maximal function is a maximum
 over O(k^2) atom runs, and superlevel sets are finite unions of open intervals.
 PL convex functions are zero at the origin, and every atom-run set, of one
 measure or of lines fitted on the fixed LINE_GRID, comes from one padded builder.
+
+The weak (1,1) and Taylor checks are tables: weak_one_one_table and
+convex_taylor_table check many measures or functions together on padded arrays
+and return one (objects, levels) array per row field. weak_one_one_check and
+convex_taylor_check are their one-object calls. Interval masses keep np.sum's
+rounding, so a table row has the bits of the same object checked alone.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -54,23 +60,12 @@ class PLConvex1D:
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "slopes", sl)
 
-    def _raw(self, z: np.ndarray) -> np.ndarray:
-        """Antiderivative of the slope profile, zero at the first breakpoint."""
-        bp = self.breakpoints
-        sl = self.slopes
-        if bp.size == 0:
-            return sl[0] * z
-        node_vals = np.concatenate([[0.0], np.cumsum(sl[1:-1] * np.diff(bp))]) if bp.size > 1 else np.array([0.0])
-        idx = np.searchsorted(bp, z, side="right")
-        below = sl[0] * (z - bp[0])
-        left_bp = np.clip(idx - 1, 0, bp.size - 1)
-        above = node_vals[left_bp] + sl[idx] * (z - bp[left_bp])
-        return np.where(idx == 0, below, above)
-
     def __call__(self, x: np.ndarray | float) -> np.ndarray | float:
         scalar = np.isscalar(x)
         xq = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = 0.0 + self._raw(xq) - self._raw(np.array([0.0]))[0]  # 0.0 + turns -0.0 into 0.0
+        if not np.all(np.isfinite(xq)):
+            raise ValueError(f"PLConvex1D needs a finite point, got {float(xq[~np.isfinite(xq)][0])}")
+        vals = _pl_values(*_pl_rows([self]), xq.reshape(1, -1)).reshape(xq.shape)
         return float(vals[0]) if scalar else vals
 
     def left_slope(self, x: float) -> float:
@@ -126,6 +121,65 @@ class AtomicMeasure1D:
         return AtomicMeasure1D(self.locations[sel], self.masses[sel])
 
 
+def _packed(rows: Sequence[np.ndarray], width: int = 0) -> np.ndarray:
+    """1-D arrays as the rows of one array, each zero-padded to the longest (or `width`)."""
+    count = np.array([r.size for r in rows], dtype=np.intp)
+    out = np.zeros((len(rows), max(width, int(np.max(count, initial=0)))))
+    out[np.arange(out.shape[1]) < count[:, None]] = np.concatenate([np.zeros(0), *rows])
+    return out
+
+
+def _kept(keep: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """How many entries of each row `keep` holds, then each array's kept entries
+    moved to the front of their row, in order, and zero-padded."""
+    first = np.argsort(~keep, axis=1, kind="stable")
+    return np.sum(keep, axis=1), *(np.take_along_axis(np.where(keep, a, 0.0), first, axis=1) for a in arrays)
+
+
+def _window_sums(values: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """np.sum(values[k, start[k, w]:stop[k, w]]) for each row k and window w, with
+    np.sum's own rounding: it adds 8 or more terms pairwise, not left to right, so
+    the windows of each length are gathered as the rows of one array and summed."""
+    rows = np.broadcast_to(np.arange(len(values))[:, None], start.shape)
+    length = stop - start
+    out = np.zeros(length.shape)
+    for n in np.unique(length[length > 0]).tolist():
+        sel = length == n
+        out[sel] = np.sum(values[rows[sel][:, None], start[sel][:, None] + np.arange(n)], axis=1)
+    return out
+
+
+def _pl_rows(functions: Sequence[PLConvex1D]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Breakpoints (F, K) and slopes (F, K + 1) of PL functions, zero-padded past each
+    row's own, and the breakpoint counts. K >= 1, so a row without breakpoints
+    reads the padding breakpoint 0.0."""
+    bp = _packed([f.breakpoints for f in functions], 1)
+    sl = _packed([f.slopes for f in functions], bp.shape[1] + 1)
+    return bp, sl, np.array([f.breakpoints.size for f in functions], dtype=np.intp)
+
+
+def _pl_values(bp: np.ndarray, sl: np.ndarray, count: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """f_k(z[k]) of each row's function, as `_pl_rows` packs them: the antiderivative
+    of the slope profile, zero at the first breakpoint, minus its value at 0. Left
+    of the first breakpoint the antiderivative reads 0.0 + s_0 (z - b_0), which
+    differs from s_0 (z - b_0) only in the sign of a zero, and the final 0.0 +
+    makes every zero +0.0."""
+    z = np.concatenate([np.zeros((len(z), 1)), z], axis=1)  # column 0 is the origin
+    valid = np.arange(bp.shape[1]) < count[:, None]
+    idx = np.sum(valid[:, None, :] & (bp[:, None, :] <= z[:, :, None]), axis=2)  # breakpoints <= z
+    left = np.maximum(idx - 1, 0)
+    node = np.zeros(bp.shape)
+    np.cumsum(sl[:, 1:-1] * np.diff(bp, axis=1), axis=1, out=node[:, 1:])
+    raw = np.take_along_axis(node, left, 1)
+    raw += np.take_along_axis(sl, idx, 1) * (z - np.take_along_axis(bp, left, 1))
+    return 0.0 + raw[:, 1:] - raw[:, :1]  # 0.0 + turns -0.0 into 0.0
+
+
+def _rows(row: type, table: dict[str, np.ndarray]) -> list:
+    """The first object of a table as one `row` per level, from the columns named as its fields."""
+    return [row(*vals) for vals in zip(*(table[f.name][0].tolist() for f in fields(row)))]
+
+
 def second_derivative_measure(f: PLConvex1D) -> AtomicMeasure1D:
     """One atom per breakpoint, mass = slope jump; zero jumps are dropped."""
     jumps = np.diff(f.slopes)
@@ -146,7 +200,10 @@ class _LineRuns:
     @classmethod
     def padded(cls, loc: np.ndarray, mass: np.ndarray, count: np.ndarray) -> _LineRuns:
         """The runs of one measure per row of (lines, atoms) arrays: row k holds
-        its count[k] atoms left to right, and is zero-padded past them."""
+        its count[k] atoms left to right, and is zero-padded past them. Columns
+        past every row's count are dropped."""
+        width = int(np.max(count, initial=0))
+        loc, mass = loc[:, :width], mass[:, :width]
         prefix = np.zeros((len(mass), mass.shape[1] + 1))
         np.cumsum(mass, axis=1, out=prefix[:, 1:])
         i, j = np.triu_indices(mass.shape[1])
@@ -173,11 +230,8 @@ class _LineRuns:
         # roundoff floor: secant slopes of affine restrictions jitter at ~1e-16
         floor = 1e-12 * np.fmax(1.0, np.max(np.abs(slopes), axis=1))
         keep = jumps > floor[:, None]
-        count = np.sum(keep, axis=1)
-        atoms = int(np.max(count, initial=0))
-        first = np.argsort(~keep, axis=1, kind="stable")[:, :atoms]  # kept atoms, left to right
-        mass = np.take_along_axis(np.where(keep, jumps, 0.0), first, axis=1)
-        return cls.padded(LINE_GRID[1:-1][first], mass, count)
+        count, loc, mass = _kept(keep, np.broadcast_to(LINE_GRID[1:-1], keep.shape), jumps)
+        return cls.padded(loc, mass, count)
 
     def intervals(self, t: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """{M mu > t} per line, exactly: (start, end, last) over the runs sorted by
@@ -201,9 +255,12 @@ class _LineRuns:
         first = np.maximum.accumulate(np.where(opens, np.arange(s.shape[1]), 0), axis=1)
         return np.take_along_axis(s, first, axis=1), end, last
 
-    def measure(self, t: float | np.ndarray, lo: float = -math.inf, hi: float = math.inf) -> np.ndarray:
+    def measure(
+        self, t: float | np.ndarray, lo: float | np.ndarray = -math.inf, hi: float | np.ndarray = math.inf
+    ) -> np.ndarray:
         """|{M mu > t} cap [lo, hi]| per line: its intervals clipped, then summed
-        left to right from 0, as IntervalUnion.intersect(lo, hi).measure adds them."""
+        left to right from 0, as IntervalUnion.intersect(lo, hi).measure adds them.
+        Like t, lo and hi may be (lines, 1) columns, one bound per line."""
         start, end, last = self.intervals(t)
         a, b = np.maximum(start, lo), np.minimum(end, hi)
         lengths = np.zeros((len(a), a.shape[1] + 1))  # a leading 0: each sum starts from 0
@@ -280,33 +337,51 @@ class WeakOneOneRow:
     window_measure: float  # |{M mu > t} cap [-1,1]|
 
 
-def weak_one_one_check(mu: AtomicMeasure1D, t_grid: Sequence[float]) -> list[WeakOneOneRow]:
+def weak_one_one_table(measures: Sequence[AtomicMeasure1D], t_grid: Sequence[float]) -> dict[str, np.ndarray]:
     """The maximal-function distribution bound with explicit constant 2, plus the
-    localized variant through the [-2,2] truncation. All levels are computed at
-    once, one line per level."""
-    trunc = mu.restrict(-2.0, 2.0)
-    total, local_total = mu.total(), trunc.total()
+    localized variant through the [-2,2] truncation, for every measure and level at
+    once: one (measures, levels) array per WeakOneOneRow field.
+
+    The measures, their truncations and the measures again (clipped to [-1, 1])
+    are one padded run set, measured one level at a time: a line per measure
+    and level would hold levels times the memory.
+    """
     t_arr = np.array([float(t) for t in t_grid])
     if not np.all((t_arr > 0) & np.isfinite(t_arr)):
         raise ValueError(f"superlevel thresholds must be positive and finite, got {t_arr.tolist()}")
-    full, local = _LineRuns.of(mu), _LineRuns.of(trunc)
-    levels = t_arr[:, None]
-    columns = (t_arr, full.measure(levels), local.measure(levels), full.measure(levels, -1.0, 1.0))
-    rows = []
-    for t, measure, local_measure, window_measure in zip(*(c.tolist() for c in columns)):
-        rows.append(
-            WeakOneOneRow(
-                t=t,
-                measure=measure,
-                bound=2.0 * total / t,
-                ok=measure <= 2.0 * total / t + 1e-12,
-                local_measure=local_measure,
-                local_bound=2.0 * local_total / t,
-                local_ok=local_measure <= 2.0 * local_total / t + 1e-12,
-                window_measure=window_measure,
-            )
-        )
-    return rows
+    for k, mu in enumerate(measures):
+        if not isinstance(mu, AtomicMeasure1D):
+            raise TypeError(f"measure {k} must be an AtomicMeasure1D, got {type(mu).__name__}")
+    count = np.array([mu.count for mu in measures], dtype=np.intp)
+    loc, mass = _packed([mu.locations for mu in measures]), _packed([mu.masses for mu in measures])
+    inside = (np.arange(loc.shape[1]) < count[:, None]) & (loc >= -2.0) & (loc <= 2.0)
+    local_count, local_loc, local_mass = _kept(inside, loc, mass)
+    n, levels = len(count), t_arr.size
+    sets = ((loc, local_loc, loc), (mass, local_mass, mass), (count, local_count, count))
+    runs = _LineRuns.padded(*(np.concatenate(s) for s in sets))
+    lo = np.repeat([-math.inf, -math.inf, -1.0], n)[:, None]
+    hi = np.repeat([math.inf, math.inf, 1.0], n)[:, None]
+    measured = np.array([runs.measure(t, lo, hi) for t in t_arr.tolist()]).reshape(levels, 3, n)
+    measure, local_measure, window_measure = measured.transpose(1, 2, 0)
+    stop = np.concatenate([count, local_count])[:, None]
+    totals = _window_sums(np.concatenate([mass, local_mass]), np.zeros_like(stop), stop)
+    total, local_total = totals.reshape(2, n, 1)
+    bound, local_bound = 2.0 * total / t_arr, 2.0 * local_total / t_arr
+    return {
+        "t": np.broadcast_to(t_arr, (n, levels)),
+        "measure": measure,
+        "bound": bound,
+        "ok": measure <= bound + 1e-12,
+        "local_measure": local_measure,
+        "local_bound": local_bound,
+        "local_ok": local_measure <= local_bound + 1e-12,
+        "window_measure": window_measure,
+    }
+
+
+def weak_one_one_check(mu: AtomicMeasure1D, t_grid: Sequence[float]) -> list[WeakOneOneRow]:
+    """The rows of weak_one_one_table for the one measure mu."""
+    return _rows(WeakOneOneRow, weak_one_one_table([mu], t_grid))
 
 
 @dataclass(frozen=True)
@@ -321,38 +396,61 @@ class TaylorChainRow:
     vacuous: bool
 
 
-def convex_taylor_check(f: PLConvex1D, h_grid: Sequence[float]) -> list[TaylorChainRow]:
-    """The chain 0 <= f(h) <= f''[0,h] h <= M f''(0) h^2 and its mirror, per h.
+def convex_taylor_table(functions: Sequence[PLConvex1D], h_grid: Sequence[float]) -> dict[str, np.ndarray]:
+    """The chain 0 <= f(h) <= f''[0,h] h <= M f''(0) h^2 and its mirror, for every
+    function and h at once: one (functions, h) array per TaylorChainRow field.
 
     Every PLConvex1D has f(0) = 0; this also requires 0 in the subdifferential
     at 0. The interval masses use closed endpoints; an atom exactly at 0 makes
     the maximal bound infinite and the final inequality vacuous (flagged).
     """
     tol = 1e-10  # roundoff slack
-    if f.left_slope(0.0) > tol or f.right_slope(0.0) < -tol:
-        raise ValueError(
-            f"0 is not a subgradient at 0: slopes ({f.left_slope(0.0):.3e}, {f.right_slope(0.0):.3e})"
-        )
     h = np.asarray(list(h_grid), dtype=float)
     if not np.all((h > 0) & np.isfinite(h)):
         raise ValueError(f"h grid must be positive and finite, got {h.tolist()}")
-    mu = second_derivative_measure(f)
-    m0 = maximal_function(mu, 0.0)
-    vac = math.isinf(m0)
-    loc, mass = mu.locations, mu.masses
-    # The atoms in [0, h] and in [-h, 0] are contiguous runs; each distinct run
-    # is summed once by np.sum, as mass_closed sums it.
-    lo0, hi0 = np.searchsorted(loc, 0.0, "left"), np.searchsorted(loc, 0.0, "right")
-    plus = np.array([np.sum(mass[lo0:j]) for j in range(lo0, loc.size + 1)])
-    minus = np.array([np.sum(mass[i:hi0]) for i in range(hi0 + 1)])
-    jp = plus[np.searchsorted(loc, h, "right") - lo0] * h
-    jm = minus[np.searchsorted(loc, -h, "left")] * h
-    fp, fm = f(h), f(-h)
-    top = np.full(h.size, math.inf) if vac else m0 * h * h  # vacuous: inf bounds everything
+    for k, f in enumerate(functions):
+        if not isinstance(f, PLConvex1D):
+            raise TypeError(f"function {k} must be a PLConvex1D, got {type(f).__name__}")
+    bp, sl, count = _pl_rows(functions)
+    valid = np.arange(bp.shape[1]) < count[:, None]
+    left = np.take_along_axis(sl, np.sum(valid & (bp < 0.0), axis=1)[:, None], 1)[:, 0]
+    right = np.take_along_axis(sl, np.sum(valid & (bp <= 0.0), axis=1)[:, None], 1)[:, 0]
+    bent = (left > tol) | (right < -tol)
+    if np.any(bent):
+        k = int(np.argmax(bent))
+        raise ValueError(f"function {k}: 0 is not a subgradient at 0: slopes ({left[k]:.3e}, {right[k]:.3e})")
+    # f'' as one padded row of atoms per function: its positive slope jumps
+    jumps = np.diff(sl, axis=1)
+    atoms, loc, mass = _kept(valid & (jumps > 0), bp, jumps)
+    m0 = _LineRuns.padded(loc, mass, atoms).maximal(np.zeros(len(atoms)))
+    # The atoms in [0, h] and in [-h, 0] are contiguous windows of each row: the
+    # columns (h..., -h...) hold the windows [0, h], then [-h, 0].
+    a = np.where(np.arange(loc.shape[1]) < atoms[:, None], loc, math.inf)[:, None, :]  # padding sorts last
+    hh = np.broadcast_to(np.concatenate([h, -h]), (len(atoms), 2 * h.size))
+    plus = np.arange(2 * h.size) < h.size
+    start = np.where(plus, np.sum(a < 0.0, axis=2), np.sum(a < hh[:, :, None], axis=2))
+    stop = np.where(plus, np.sum(a <= hh[:, :, None], axis=2), np.sum(a <= 0.0, axis=2))
+    jp, jm = np.split(_window_sums(mass, start, stop) * np.abs(hh), 2, axis=1)
+    fp, fm = np.split(_pl_values(bp, sl, count, hh), 2, axis=1)
+    top = m0[:, None] * h * h  # inf when vacuous: inf bounds everything
     ok = (fp >= -tol) & (fm >= -tol) & (fp <= jp + tol) & (fm <= jm + tol)
     ok &= (jp <= top + tol) & (jm <= top + tol)
-    cols = (h, fp, jp, fm, jm, top, ok)
-    return [TaylorChainRow(*row, vac) for row in zip(*(c.tolist() for c in cols))]
+    shape = ok.shape
+    return {
+        "h": np.broadcast_to(h, shape),
+        "f_plus": fp,
+        "bound_mid_plus": jp,
+        "f_minus": fm,
+        "bound_mid_minus": jm,
+        "bound_max": top,
+        "ok": ok,
+        "vacuous": np.broadcast_to(np.isinf(m0)[:, None], shape),
+    }
+
+
+def convex_taylor_check(f: PLConvex1D, h_grid: Sequence[float]) -> list[TaylorChainRow]:
+    """The rows of convex_taylor_table for the one function f."""
+    return _rows(TaylorChainRow, convex_taylor_table([f], h_grid))
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,8 @@ def _checked_samples(f: FunctionHandle, x0: np.ndarray, samples: np.ndarray, who
     if f.shape.symmetric:  # the column split leaves the symmetric space
         shape = f"{f.shape.rows}x{f.shape.cols}"
         raise ValueError(f"{who} needs a general shape, and {f.name} has the symmetric shape {shape}")
+    if x0.shape != (f.shape.dim,):
+        raise ValueError(f"{who} needs x0 of shape ({f.shape.dim},), got {x0.shape}")
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != f.shape.dim:
         raise ValueError(f"{who} needs samples of shape (K, {f.shape.dim}), got {pts.shape}")

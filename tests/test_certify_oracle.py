@@ -12,7 +12,16 @@ import pytest
 
 import certify_reference as ref
 from roconvex import convex1d, lowerbound, verify
-from roconvex.convex1d import AtomicMeasure1D, _LineRuns, maximal_function, superlevel, weak_one_one_check
+from roconvex.convex1d import (
+    AtomicMeasure1D,
+    WeakOneOneRow,
+    _LineRuns,
+    _rows,
+    maximal_function,
+    superlevel,
+    weak_one_one_check,
+    weak_one_one_table,
+)
 from roconvex.core import MatrixShape, ball_samples, grid_spec
 from roconvex.corpus import abs_entry, corpus, frob_norm, half_norm_sq
 
@@ -141,4 +150,27 @@ def test_weak_one_one_rows_match_reference_bitwise():
         assert repr(weak_one_one_check(mu, t_grid)) == repr(ref.weak_one_one_check(mu, t_grid))
     with pytest.raises(ValueError, match="positive"):
         weak_one_one_check(mu, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_weak_one_one_table_rows_match_reference_bitwise(seed):
+    # one table: the empty measure, one-atom measures, atoms outside [-2, 2] that
+    # the truncation drops (one at 2.0, which it keeps), and random measures
+    rng = np.random.default_rng(seed)
+    t_grid = np.exp(np.linspace(np.log(0.5), np.log(5.0), 9))
+    measures = [
+        AtomicMeasure1D(np.zeros(0), np.zeros(0)),
+        AtomicMeasure1D(np.array([0.0]), np.array([1.0])),
+        AtomicMeasure1D(np.array([2.5]), np.array([0.7])),
+        AtomicMeasure1D(np.array([-2.5, -1.0, 0.5, 2.0, 2.2]), np.array([1.0, 0.5, 2.0, 0.3, 1.5])),
+    ]
+    for _ in range(30):
+        locs = np.unique(rng.uniform(-3.0, 3.0, size=int(rng.integers(0, 7))))
+        measures.append(AtomicMeasure1D(locs, rng.uniform(0.1, 3.0, size=locs.size)))
+    table = weak_one_one_table(measures, t_grid)
+    assert all(column.shape == (len(measures), t_grid.size) for column in table.values())
+    for k, mu in enumerate(measures):
+        rows = _rows(WeakOneOneRow, {name: column[k : k + 1] for name, column in table.items()})
+        assert repr(rows) == repr(ref.weak_one_one_check(mu, t_grid))
+    assert table["local_bound"][2].tolist() == [0.0] * t_grid.size  # its one atom is dropped
 

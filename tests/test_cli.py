@@ -12,7 +12,7 @@ import pytest
 import roconvex
 from roconvex import cli
 from roconvex.cli import ExperimentConfig, list_corpus, load_config, main, run
-from roconvex.fieldio import read_field, write_field
+from roconvex.fieldio import read_field, sha256_file, write_field
 from roconvex.core import MAX_POINTS_PER_AXIS, MatrixPoint, MatrixShape, SampledField, grid_spec, make_grid, sample
 from roconvex.corpus import neg_det, neg_det_sym
 
@@ -344,6 +344,15 @@ def test_all_writes_one_manifest_and_every_stage_summary(tmp_path):
         assert read.keys() == set(cli.READS[name]), label
         assert all(read[k] == manifest.config[k] for k in read.keys() & set(cli.READS["all"])), label
         assert read.get("function", "") == function
+
+
+def test_appendix_random_checks_keep_their_bytes(tmp_path):
+    # the seed-42 weak (1,1) and Taylor tables, as one check per measure and function wrote them
+    cli.run_appendix(ExperimentConfig(experiment="appendix", seed=42, out_dir=str(tmp_path), lines_per_direction=16))
+    assert {name: sha256_file(tmp_path / "appendix" / name) for name in ("weak11.csv", "taylor.csv")} == {
+        "weak11.csv": "90baad72c7aa755d811cb7dec9cdc6ee0f21094e67382f38252e6a18f16298f8",
+        "taylor.csv": "ce5ce3ada9c713bf8f88486848029c76d08aa6a046b042ae511e33f4befbe094",
+    }
 
 
 def test_field_csv_roundtrip(tmp_path):

@@ -14,7 +14,9 @@ from roconvex.convex1d import (
     PLConvex1D,
     TaylorChainRow,
     _inclusion_probes,
+    _rows,
     convex_taylor_check,
+    convex_taylor_table,
     fubini_tail_experiment,
     l1_ball_containment,
     maximal_function,
@@ -23,6 +25,7 @@ from roconvex.convex1d import (
     second_derivative_measure,
     superlevel,
     weak_one_one_check,
+    weak_one_one_table,
 )
 
 S12 = MatrixShape(1, 2)
@@ -120,6 +123,10 @@ def test_non_finite_points_are_named(x):
         ABS.left_slope(x)
     with pytest.raises(ValueError, match=f"right_slope needs a finite point, got {x}"):
         ABS.right_slope(x)
+    with pytest.raises(ValueError, match=f"PLConvex1D needs a finite point, got {x}"):
+        ABS(x)
+    with pytest.raises(ValueError, match=f"PLConvex1D needs a finite point, got {x}"):
+        ABS(np.array([0.5, x, 1.0]))
 
 
 def test_maximal_function_against_dense_interval_oracle():
@@ -260,6 +267,22 @@ def test_superlevel_levels_must_be_positive_and_finite(t):
         weak_one_one_check(d0, [1.0, t])
 
 
+def _pl_reference(f, x):
+    """f(x) from one searchsorted over f's own breakpoints: the antiderivative of the
+    slope profile, zero at the first breakpoint, minus its value at 0."""
+
+    def raw(z):
+        bp, sl = f.breakpoints, f.slopes
+        if bp.size == 0:
+            return sl[0] * z
+        node_vals = np.concatenate([[0.0], np.cumsum(sl[1:-1] * np.diff(bp))])
+        i = int(np.searchsorted(bp, z, side="right"))
+        left = max(i - 1, 0)
+        return sl[0] * (z - bp[0]) if i == 0 else node_vals[left] + sl[i] * (z - bp[left])
+
+    return float(0.0 + raw(x) - raw(0.0))
+
+
 def _taylor_reference(f, h_grid, tol=1e-10):
     """The chain one h at a time, with mass_closed per window."""
     mu = second_derivative_measure(f)
@@ -267,8 +290,8 @@ def _taylor_reference(f, h_grid, tol=1e-10):
     rows = []
     for h in h_grid:
         h = float(h)
-        fp = float(f(h))
-        fm = float(f(-h))
+        fp = _pl_reference(f, h)
+        fm = _pl_reference(f, -h)
         jp = mu.mass_closed(0.0, h) * h
         jm = mu.mass_closed(-h, 0.0) * h
         vac = math.isinf(m0)
@@ -295,6 +318,49 @@ def test_taylor_chain_matches_per_h_reference():
         fs.append(PLConvex1D(xs[1:-1], np.diff(vs) / np.diff(xs)))  # 0 is a node of xs, so f(0) = 0
     for f in fs:
         assert repr(convex_taylor_check(f, h_grid)) == repr(_taylor_reference(f, h_grid))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_taylor_table_rows_match_per_h_reference(seed):
+    # one table: |x| (an atom at 0, so its rows are vacuous), a line, functions of
+    # 1, 7 and 39 breakpoints, one flat at slope -0.0 on [-2, 0] (f(-h) must read
+    # +0.0), and random functions
+    rng = np.random.default_rng(seed)
+    h_grid = np.linspace(0.05, 1.0, 20)
+    xs = np.linspace(-2.0, 2.0, 41)
+    fs = [
+        ABS,
+        PLConvex1D(np.zeros(0), np.array([0.0])),
+        PLConvex1D(np.array([0.5]), np.array([0.0, 1.0])),
+        PLConvex1D(np.linspace(-1.5, 1.5, 7), np.array([-2.0, -1.5, -1.0, -0.25, 0.25, 1.0, 1.5, 2.0])),
+        PLConvex1D(xs[1:-1], np.diff(np.abs(xs) ** 3) / np.diff(xs)),
+        PLConvex1D(np.array([-2.0, -1.0, 0.0]), np.array([-1.0, -0.0, -0.0, 1.0])),
+    ]
+    fs += [random_pl_convex(rng, atom_at_zero=(k % 2 == 0)) for k in range(20)]
+    table = convex_taylor_table(fs, h_grid)
+    assert all(column.shape == (len(fs), h_grid.size) for column in table.values())
+    for k, f in enumerate(fs):
+        rows = _rows(TaylorChainRow, {name: column[k : k + 1] for name, column in table.items()})
+        assert repr(rows) == repr(_taylor_reference(f, h_grid))
+    assert table["vacuous"][0].all() and table["vacuous"][3].all() and not table["vacuous"][2].any()
+
+
+def test_tables_name_a_bad_object_by_index():
+    d0 = AtomicMeasure1D(np.array([0.0]), np.array([1.0]))
+    with pytest.raises(TypeError, match="measure 1 must be an AtomicMeasure1D, got PLConvex1D"):
+        weak_one_one_table([d0, ABS], [1.0])
+    with pytest.raises(ValueError, match="superlevel thresholds must be positive and finite"):
+        weak_one_one_table([d0, d0], [1.0, math.nan])
+    tilted = PLConvex1D(np.array([0.5]), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match=r"function 2: 0 is not a subgradient at 0: slopes \(1.000e\+00, 1.000e\+00\)"):
+        convex_taylor_table([ABS, ABS, tilted], [0.5])
+    with pytest.raises(TypeError, match="function 1 must be a PLConvex1D, got AtomicMeasure1D"):
+        convex_taylor_table([ABS, d0], [0.5])
+    with pytest.raises(ValueError, match="h grid must be positive and finite"):
+        convex_taylor_table([ABS, ABS], [0.5, -1.0])
+    # no objects: (0, levels) columns
+    assert all(c.shape == (0, 2) for c in weak_one_one_table([], [1.0, 2.0]).values())
+    assert all(c.shape == (0, 3) for c in convex_taylor_table([], [0.25, 0.5, 1.0]).values())
 
 
 def test_taylor_chain_random_pl():

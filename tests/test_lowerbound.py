@@ -265,6 +265,16 @@ def test_samples_all_at_x0_or_a_non_finite_x0_are_rejected():
         empirical_majorant(neg_det(), np.array([0.0, np.nan, 0.0, 0.0]), samples)
 
 
+def test_x0_of_the_wrong_size_is_named():
+    # unchecked, a (3,) x0 against (K, 4) samples failed in numpy's broadcasting
+    samples = ball_samples(S22, np.zeros(4), 1.0, 20, np.random.default_rng(2))
+    with pytest.raises(ValueError, match=r"empirical_majorant needs x0 of shape \(4,\), got \(3,\)"):
+        empirical_majorant(neg_det(), np.zeros(3), samples)
+    G = paraboloid_table(np.zeros(4), 1.0)
+    with pytest.raises(ValueError, match=r"lower_bound_certify needs x0 of shape \(4,\), got \(5,\)"):
+        lower_bound_certify(neg_det(), np.zeros(5), G, samples)
+
+
 @pytest.mark.parametrize("h", [neg_half_norm_sq(), half_norm_sq(1.0)], ids=lambda h: h.name)
 def test_certify_rejects_an_x0_off_the_majorant_centre(h):
     # Off-centre, G measures distance from the wrong point: it would certify the
