@@ -5,14 +5,12 @@ from .convex1d import (
     IntervalUnion,
     PLConvex1D,
     convex_taylor_check,
-    convex_taylor_table,
     fubini_tail_experiment,
     l1_ball_containment,
     maximal_function,
     second_derivative_measure,
     superlevel,
     weak_one_one_check,
-    weak_one_one_table,
 )
 from .core import (
     CapacityError,

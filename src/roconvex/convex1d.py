@@ -9,18 +9,18 @@ over O(k^2) atom runs, and superlevel sets are finite unions of open intervals.
 PL convex functions are zero at the origin, and every atom-run set, of one
 measure or of lines fitted on the fixed LINE_GRID, comes from one padded builder.
 
-The weak (1,1) and Taylor checks are tables: weak_one_one_table and
-convex_taylor_table check many measures or functions together on padded arrays
-and return one (objects, levels) array per row field. weak_one_one_check and
-convex_taylor_check are their one-object calls. Interval masses keep np.sum's
-rounding, so a table row has the bits of the same object checked alone.
+Each of the weak (1,1) and Taylor checks is one batched function:
+weak_one_one_check and convex_taylor_check take a sequence of measures or
+functions and a 1-D grid of levels, check them together on padded arrays, and
+return a dict of (objects, levels) arrays. Interval masses keep np.sum's
+rounding, so an object's row has the bits of the same object checked alone.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -68,17 +68,6 @@ class PLConvex1D:
         vals = _pl_values(*_pl_rows([self]), xq.reshape(1, -1)).reshape(xq.shape)
         return float(vals[0]) if scalar else vals
 
-    def left_slope(self, x: float) -> float:
-        return self._slope(x, "left")
-
-    def right_slope(self, x: float) -> float:
-        return self._slope(x, "right")
-
-    def _slope(self, x: float, side: str) -> float:
-        if not math.isfinite(x):
-            raise ValueError(f"{side}_slope needs a finite point, got {x}")
-        return float(self.slopes[int(np.searchsorted(self.breakpoints, x, side=side))])
-
 
 @dataclass(frozen=True)
 class AtomicMeasure1D:
@@ -107,18 +96,6 @@ class AtomicMeasure1D:
     @property
     def count(self) -> int:
         return self.locations.size
-
-    def total(self) -> float:
-        return float(np.sum(self.masses))
-
-    def mass_closed(self, a: float, b: float) -> float:
-        """Mass of the closed interval [a, b]."""
-        sel = (self.locations >= a) & (self.locations <= b)
-        return float(np.sum(self.masses[sel]))
-
-    def restrict(self, a: float, b: float) -> "AtomicMeasure1D":
-        sel = (self.locations >= a) & (self.locations <= b)
-        return AtomicMeasure1D(self.locations[sel], self.masses[sel])
 
 
 def _packed(rows: Sequence[np.ndarray], width: int = 0) -> np.ndarray:
@@ -173,11 +150,6 @@ def _pl_values(bp: np.ndarray, sl: np.ndarray, count: np.ndarray, z: np.ndarray)
     raw = np.take_along_axis(node, left, 1)
     raw += np.take_along_axis(sl, idx, 1) * (z - np.take_along_axis(bp, left, 1))
     return 0.0 + raw[:, 1:] - raw[:, :1]  # 0.0 + turns -0.0 into 0.0
-
-
-def _rows(row: type, table: dict[str, np.ndarray]) -> list:
-    """The first object of a table as one `row` per level, from the columns named as its fields."""
-    return [row(*vals) for vals in zip(*(table[f.name][0].tolist() for f in fields(row)))]
 
 
 def second_derivative_measure(f: PLConvex1D) -> AtomicMeasure1D:
@@ -258,9 +230,9 @@ class _LineRuns:
     def measure(
         self, t: float | np.ndarray, lo: float | np.ndarray = -math.inf, hi: float | np.ndarray = math.inf
     ) -> np.ndarray:
-        """|{M mu > t} cap [lo, hi]| per line: its intervals clipped, then summed
-        left to right from 0, as IntervalUnion.intersect(lo, hi).measure adds them.
-        Like t, lo and hi may be (lines, 1) columns, one bound per line."""
+        """|{M mu > t} cap [lo, hi]| per line: its intervals clipped to [lo, hi], then
+        their lengths added left to right from 0, as IntervalUnion.measure adds an
+        exact union's. Like t, lo and hi may be (lines, 1) columns, one bound per line."""
         start, end, last = self.intervals(t)
         a, b = np.maximum(start, lo), np.minimum(end, hi)
         lengths = np.zeros((len(a), a.shape[1] + 1))  # a leading 0: each sum starts from 0
@@ -298,24 +270,6 @@ class IntervalUnion:
     def measure(self) -> float:
         return float(sum(b - a for a, b in self.intervals))
 
-    def intersect(self, lo: float, hi: float) -> "IntervalUnion":
-        out = []
-        for a, b in self.intervals:
-            a2, b2 = max(a, lo), min(b, hi)
-            if a2 < b2:
-                out.append((a2, b2))
-        return IntervalUnion(tuple(out))
-
-    def contains_point(self, x: float) -> bool:
-        return any(a < x < b for a, b in self.intervals)
-
-    def covers(self, other: "IntervalUnion") -> bool:
-        """True when every interval of `other` lies inside one interval of self."""
-        for a, b in other.intervals:
-            if not any(a2 <= a and b <= b2 for a2, b2 in self.intervals):
-                return False
-        return True
-
 
 def superlevel(mu: AtomicMeasure1D, t: float) -> IntervalUnion:
     """{M mu > t} as an exact union of open intervals."""
@@ -325,28 +279,33 @@ def superlevel(mu: AtomicMeasure1D, t: float) -> IntervalUnion:
     return IntervalUnion(tuple(zip(start[last].tolist(), end[last].tolist())))
 
 
-@dataclass(frozen=True)
-class WeakOneOneRow:
-    t: float
-    measure: float
-    bound: float  # 2 mu(R) / t
-    ok: bool
-    local_measure: float  # |{M mu~ > t}| for the [-2,2] truncation
-    local_bound: float  # 2 mu[-2,2] / t
-    local_ok: bool
-    window_measure: float  # |{M mu > t} cap [-1,1]|
+def _grid(check: str, objects: Sequence, kind: type, name: str, grid: Sequence[float]) -> np.ndarray:
+    """A check's grid as a non-empty 1-D float array. A single object passed for the
+    sequence `objects`, or a grid of another shape, fails with the check's name."""
+    if not isinstance(objects, Sequence):
+        raise TypeError(f"{check} takes a sequence of {kind.__name__}, got {type(objects).__name__}")
+    arr = np.array(grid, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"{check} needs a non-empty 1-D {name}, got {arr.tolist()}")
+    return arr
 
 
-def weak_one_one_table(measures: Sequence[AtomicMeasure1D], t_grid: Sequence[float]) -> dict[str, np.ndarray]:
+def weak_one_one_check(measures: Sequence[AtomicMeasure1D], t_grid: Sequence[float]) -> dict[str, np.ndarray]:
     """The maximal-function distribution bound with explicit constant 2, plus the
     localized variant through the [-2,2] truncation, for every measure and level at
-    once: one (measures, levels) array per WeakOneOneRow field.
+    once. Each key holds a (measures, levels) array:
+
+    - t: the level;
+    - measure, bound, ok: |{M mu > t}|, 2 mu(R) / t, and measure <= bound + 1e-12;
+    - local_measure, local_bound, local_ok: the same for the truncation mu~ of mu
+      to [-2, 2], with bound 2 mu[-2, 2] / t;
+    - window_measure: |{M mu > t} cap [-1, 1]|.
 
     The measures, their truncations and the measures again (clipped to [-1, 1])
     are one padded run set, measured one level at a time: a line per measure
     and level would hold levels times the memory.
     """
-    t_arr = np.array([float(t) for t in t_grid])
+    t_arr = _grid("weak_one_one_check", measures, AtomicMeasure1D, "t_grid", t_grid)
     if not np.all((t_arr > 0) & np.isfinite(t_arr)):
         raise ValueError(f"superlevel thresholds must be positive and finite, got {t_arr.tolist()}")
     for k, mu in enumerate(measures):
@@ -379,33 +338,23 @@ def weak_one_one_table(measures: Sequence[AtomicMeasure1D], t_grid: Sequence[flo
     }
 
 
-def weak_one_one_check(mu: AtomicMeasure1D, t_grid: Sequence[float]) -> list[WeakOneOneRow]:
-    """The rows of weak_one_one_table for the one measure mu."""
-    return _rows(WeakOneOneRow, weak_one_one_table([mu], t_grid))
-
-
-@dataclass(frozen=True)
-class TaylorChainRow:
-    h: float
-    f_plus: float
-    bound_mid_plus: float  # f''[0,h] * h
-    f_minus: float
-    bound_mid_minus: float  # f''[-h,0] * h
-    bound_max: float  # M f''(0) * h^2, inf when vacuous
-    ok: bool
-    vacuous: bool
-
-
-def convex_taylor_table(functions: Sequence[PLConvex1D], h_grid: Sequence[float]) -> dict[str, np.ndarray]:
+def convex_taylor_check(functions: Sequence[PLConvex1D], h_grid: Sequence[float]) -> dict[str, np.ndarray]:
     """The chain 0 <= f(h) <= f''[0,h] h <= M f''(0) h^2 and its mirror, for every
-    function and h at once: one (functions, h) array per TaylorChainRow field.
+    function and h at once. Each key holds a (functions, h) array:
+
+    - h: the step;
+    - f_plus, bound_mid_plus: f(h) and f''[0, h] h;
+    - f_minus, bound_mid_minus: f(-h) and f''[-h, 0] h;
+    - bound_max: M f''(0) h^2, inf when vacuous;
+    - ok: every link of both chains, to a 1e-10 roundoff slack;
+    - vacuous: f'' has an atom at 0, so bound_max is inf.
 
     Every PLConvex1D has f(0) = 0; this also requires 0 in the subdifferential
     at 0. The interval masses use closed endpoints; an atom exactly at 0 makes
     the maximal bound infinite and the final inequality vacuous (flagged).
     """
     tol = 1e-10  # roundoff slack
-    h = np.asarray(list(h_grid), dtype=float)
+    h = _grid("convex_taylor_check", functions, PLConvex1D, "h_grid", h_grid)
     if not np.all((h > 0) & np.isfinite(h)):
         raise ValueError(f"h grid must be positive and finite, got {h.tolist()}")
     for k, f in enumerate(functions):
@@ -446,11 +395,6 @@ def convex_taylor_table(functions: Sequence[PLConvex1D], h_grid: Sequence[float]
         "ok": ok,
         "vacuous": np.broadcast_to(np.isinf(m0)[:, None], shape),
     }
-
-
-def convex_taylor_check(f: PLConvex1D, h_grid: Sequence[float]) -> list[TaylorChainRow]:
-    """The rows of convex_taylor_table for the one function f."""
-    return _rows(TaylorChainRow, convex_taylor_table([f], h_grid))
 
 
 @dataclass(frozen=True)

@@ -388,9 +388,6 @@ class SampledField:
     def node_coords(self) -> np.ndarray:
         return make_grid(self.grid).coords
 
-    def valid_coords(self) -> np.ndarray:
-        return self.node_coords()[self.mask]
-
     def valid_values(self) -> np.ndarray:
         return self.values[self.mask]
 

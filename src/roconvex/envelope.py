@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import GridSpec, SampledField, loglog_fit, seeded_rng
+from .core import GridSpec, SampledField, seeded_rng
 from .corpus import FunctionHandle
 
 _CHUNK = 256
@@ -257,10 +257,6 @@ class RemainderProfile:
         r = self.ratios
         decreasing = bool(np.all(np.diff(r) <= 1e-12 + 0.1 * np.abs(r[:-1])))
         return decreasing and bool(r[-1] <= 0.05)
-
-    def loglog_slope(self) -> float | None:
-        fit = loglog_fit(self.radii, self.ratios, 2)
-        return None if fit is None else fit[0]
 
 
 def second_order_remainder(

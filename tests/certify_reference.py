@@ -19,7 +19,6 @@ from roconvex.convex1d import (
     FubiniTailReport,
     InclusionProbe,
     IntervalUnion,
-    WeakOneOneRow,
     osc_on_cube,
 )
 from roconvex.core import (
@@ -174,28 +173,40 @@ def superlevel(mu, t):
     return _merge(right[keep] - ell[keep], left[keep] + ell[keep])
 
 
+def table_row(table, k):
+    """Object k of a 1-D check's table, in the references' form: each key's levels as a list."""
+    return {name: column[k].tolist() for name, column in table.items()}
+
+
+def clipped_measure(union, lo, hi):
+    """|union cap [lo, hi]|: the clipped intervals' lengths added left to right from 0."""
+    return float(sum(min(b, hi) - max(a, lo) for a, b in union.intervals if max(a, lo) < min(b, hi)))
+
+
 def weak_one_one_check(mu, t_grid):
-    """Two superlevel unions per level, one level at a time."""
-    trunc = mu.restrict(-2.0, 2.0)
-    total, local_total = mu.total(), trunc.total()
+    """Two superlevel unions per level, one level at a time, as the columns of the
+    check's table."""
+    sel = (mu.locations >= -2.0) & (mu.locations <= 2.0)
+    trunc = AtomicMeasure1D(mu.locations[sel], mu.masses[sel])
+    total, local_total = float(np.sum(mu.masses)), float(np.sum(trunc.masses))
     rows = []
     for t in t_grid:
         t = float(t)
         full = superlevel(mu, t)
         local = superlevel(trunc, t)
         rows.append(
-            WeakOneOneRow(
-                t=t,
-                measure=full.measure,
-                bound=2.0 * total / t,
-                ok=full.measure <= 2.0 * total / t + 1e-12,
-                local_measure=local.measure,
-                local_bound=2.0 * local_total / t,
-                local_ok=local.measure <= 2.0 * local_total / t + 1e-12,
-                window_measure=full.intersect(-1.0, 1.0).measure,
-            )
+            {
+                "t": t,
+                "measure": full.measure,
+                "bound": 2.0 * total / t,
+                "ok": full.measure <= 2.0 * total / t + 1e-12,
+                "local_measure": local.measure,
+                "local_bound": 2.0 * local_total / t,
+                "local_ok": local.measure <= 2.0 * local_total / t + 1e-12,
+                "window_measure": clipped_measure(full, -1.0, 1.0),
+            }
         )
-    return rows
+    return {name: [row[name] for row in rows] for name in rows[0]}
 
 
 def line_values(f, offset, direction, s_grid):
@@ -234,7 +245,7 @@ def fubini_tail_experiment(f, t_grid, lines_per_direction=48, seed=0, probe_coun
     measures = np.zeros(t_arr.size)
     for j, t in enumerate(t_arr):
         for i in range(n):
-            meas = [superlevel(mu, float(t)).intersect(-1.0, 1.0).measure for mu in line_measures[i]]
+            meas = [clipped_measure(superlevel(mu, float(t)), -1.0, 1.0) for mu in line_measures[i]]
             measures[j] += float(np.mean(meas)) * cross_volume
     good = measures > 0
     slope = None

@@ -14,13 +14,10 @@ import certify_reference as ref
 from roconvex import convex1d, lowerbound, verify
 from roconvex.convex1d import (
     AtomicMeasure1D,
-    WeakOneOneRow,
     _LineRuns,
-    _rows,
     maximal_function,
     superlevel,
     weak_one_one_check,
-    weak_one_one_table,
 )
 from roconvex.core import MatrixShape, ball_samples, grid_spec
 from roconvex.corpus import abs_entry, corpus, frob_norm, half_norm_sq
@@ -28,7 +25,6 @@ from roconvex.corpus import abs_entry, corpus, frob_norm, half_norm_sq
 GENERAL = [h for h in corpus() if not h.shape.symmetric]
 S12 = MatrixShape(1, 2)
 TAIL_T = np.exp(np.linspace(np.log(7.0), np.log(80.0), 8))  # the certify workload's levels
-
 
 @pytest.mark.parametrize("h", GENERAL, ids=[h.name for h in GENERAL])
 @pytest.mark.parametrize("centred", [True, False], ids=["x0_zero", "x0_off_centre"])
@@ -97,7 +93,7 @@ def test_line_runs_match_superlevel_and_maximal_function():
         unions = [ref.superlevel(mu, t) for mu in measures]
         assert sum(len(u.intervals) > 1 for u in unions) > 0
         assert repr([superlevel(mu, t) for mu in measures]) == repr(unions)
-        want = [u.intersect(-1.0, 1.0).measure for u in unions]
+        want = [ref.clipped_measure(u, -1.0, 1.0) for u in unions]
         assert runs.measure(t, -1.0, 1.0).tobytes() == np.array(want).tobytes()
     x = rng.uniform(-1.0, 1.0, 200)
     x[:20] = [mu.locations[0] if mu.count else 0.0 for mu in measures[:20]]  # some points on atoms
@@ -124,7 +120,7 @@ def test_padded_measures_match_their_own_runs_and_reference():
         for lo, hi in ((-np.inf, np.inf), (-1.0, 1.0)):
             got = runs.measure(t, lo, hi).tobytes()
             assert got == np.concatenate([one.measure(t, lo, hi) for one in singles]).tobytes()
-            assert got == np.array([u.intersect(lo, hi).measure for u in unions]).tobytes()
+            assert got == np.array([ref.clipped_measure(u, lo, hi) for u in unions]).tobytes()
     x = rng.uniform(-2.5, 2.5, len(measures))
     x[2] = measures[2].locations[1]  # a point on an atom
     got = runs.maximal(x).tobytes()
@@ -147,9 +143,9 @@ def test_weak_one_one_rows_match_reference_bitwise():
     for _ in range(60):
         locs = np.unique(rng.uniform(-3.0, 3.0, size=int(rng.integers(0, 9))))
         mu = AtomicMeasure1D(locs, rng.uniform(0.1, 3.0, size=locs.size))
-        assert repr(weak_one_one_check(mu, t_grid)) == repr(ref.weak_one_one_check(mu, t_grid))
+        assert repr(ref.table_row(weak_one_one_check([mu], t_grid), 0)) == repr(ref.weak_one_one_check(mu, t_grid))
     with pytest.raises(ValueError, match="positive"):
-        weak_one_one_check(mu, [1.0, 0.0])
+        weak_one_one_check([mu], [1.0, 0.0])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -167,10 +163,9 @@ def test_weak_one_one_table_rows_match_reference_bitwise(seed):
     for _ in range(30):
         locs = np.unique(rng.uniform(-3.0, 3.0, size=int(rng.integers(0, 7))))
         measures.append(AtomicMeasure1D(locs, rng.uniform(0.1, 3.0, size=locs.size)))
-    table = weak_one_one_table(measures, t_grid)
+    table = weak_one_one_check(measures, t_grid)
     assert all(column.shape == (len(measures), t_grid.size) for column in table.values())
     for k, mu in enumerate(measures):
-        rows = _rows(WeakOneOneRow, {name: column[k : k + 1] for name, column in table.items()})
-        assert repr(rows) == repr(ref.weak_one_one_check(mu, t_grid))
+        assert repr(ref.table_row(table, k)) == repr(ref.weak_one_one_check(mu, t_grid))
     assert table["local_bound"][2].tolist() == [0.0] * t_grid.size  # its one atom is dropped
 

@@ -348,11 +348,14 @@ def test_all_writes_one_manifest_and_every_stage_summary(tmp_path):
 
 def test_appendix_random_checks_keep_their_bytes(tmp_path):
     # the seed-42 weak (1,1) and Taylor tables, as one check per measure and function wrote them
-    cli.run_appendix(ExperimentConfig(experiment="appendix", seed=42, out_dir=str(tmp_path), lines_per_direction=16))
+    cli.run(ExperimentConfig(experiment="appendix", seed=42, out_dir=str(tmp_path), lines_per_direction=16))
     assert {name: sha256_file(tmp_path / "appendix" / name) for name in ("weak11.csv", "taylor.csv")} == {
         "weak11.csv": "90baad72c7aa755d811cb7dec9cdc6ee0f21094e67382f38252e6a18f16298f8",
         "taylor.csv": "ce5ce3ada9c713bf8f88486848029c76d08aa6a046b042ae511e33f4befbe094",
     }
+    # the unit atom's one-measure check: |{M delta_0 > t}| = 2 / t
+    summary = json.loads((tmp_path / "appendix" / "summary.json").read_text())
+    assert summary["summary"]["weak11_unit"] == [[1, 2], [2, 1], [4, 0.5], [8, 0.25]]
 
 
 def test_field_csv_roundtrip(tmp_path):

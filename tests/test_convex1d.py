@@ -1,22 +1,20 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certify_reference import line_measure
+from certify_reference import line_measure, table_row
 from roconvex.core import MatrixShape
 from roconvex.corpus import FunctionHandle, abs_entry, half_norm_sq, linear
 from roconvex.convex1d import (
     AtomicMeasure1D,
     InclusionProbe,
     PLConvex1D,
-    TaylorChainRow,
     _inclusion_probes,
-    _rows,
     convex_taylor_check,
-    convex_taylor_table,
     fubini_tail_experiment,
     l1_ball_containment,
     maximal_function,
@@ -25,12 +23,26 @@ from roconvex.convex1d import (
     second_derivative_measure,
     superlevel,
     weak_one_one_check,
-    weak_one_one_table,
 )
 
 S12 = MatrixShape(1, 2)
 
 ABS = PLConvex1D(np.array([0.0]), np.array([-1.0, 1.0]))
+
+
+def _slope(f, x, side):
+    """f's one-sided slope at x: "left" or "right"."""
+    return float(f.slopes[int(np.searchsorted(f.breakpoints, x, side=side))])
+
+
+def _mass_closed(mu, a, b):
+    """mu([a, b])."""
+    return float(np.sum(mu.masses[(mu.locations >= a) & (mu.locations <= b)]))
+
+
+def _covers(big, small):
+    """Every interval of the union `small` lies inside one interval of `big`."""
+    return all(any(a2 <= a and b <= b2 for a2, b2 in big.intervals) for a, b in small.intervals)
 
 
 def test_pl_validation():
@@ -66,9 +78,7 @@ def test_atomic_measure_validation():
 
 def test_pl_evaluation_and_slopes():
     assert np.array_equal(ABS(np.array([-2.0, -1.0, 0.0, 0.5, 2.0])), [2.0, 1.0, 0.0, 0.5, 2.0])
-    assert ABS.left_slope(0.0) == -1.0
-    assert ABS.right_slope(0.0) == 1.0
-    assert ABS.left_slope(0.5) == ABS.right_slope(0.5) == 1.0
+    assert ABS.slopes.tolist() == [-1.0, 1.0]
     lin = PLConvex1D(np.zeros(0), np.array([2.0]))
     assert lin(0.0) == 0.0
     assert lin(3.0) == 6.0
@@ -86,7 +96,7 @@ def test_second_derivative_measure_examples():
     assert np.array_equal(mu.locations, [-0.5, 0.5])
     assert np.array_equal(mu.masses, [1.0, 1.0])
     # total mass on [-2,2] equals the slope increment across it
-    assert mu.mass_closed(-2.0, 2.0) == f.right_slope(2.0) - f.left_slope(-2.0)
+    assert _mass_closed(mu, -2.0, 2.0) == _slope(f, 2.0, "right") - _slope(f, -2.0, "left")
 
 
 def test_total_mass_bounded_by_oscillation():
@@ -96,7 +106,7 @@ def test_total_mass_bounded_by_oscillation():
         mu = second_derivative_measure(f)
         xs = np.linspace(-3.0, 3.0, 601)
         osc = float(np.max(f(xs)) - np.min(f(xs)))
-        assert mu.mass_closed(-2.0, 2.0) <= 2.0 * osc + 1e-9
+        assert _mass_closed(mu, -2.0, 2.0) <= 2.0 * osc + 1e-9
 
 
 def test_maximal_function_examples():
@@ -119,10 +129,6 @@ def test_non_finite_points_are_named(x):
     d0 = AtomicMeasure1D(np.array([0.0]), np.array([1.0]))
     with pytest.raises(ValueError, match=f"maximal_function needs a finite point, got {x}"):
         maximal_function(d0, x)
-    with pytest.raises(ValueError, match=f"left_slope needs a finite point, got {x}"):
-        ABS.left_slope(x)
-    with pytest.raises(ValueError, match=f"right_slope needs a finite point, got {x}"):
-        ABS.right_slope(x)
     with pytest.raises(ValueError, match=f"PLConvex1D needs a finite point, got {x}"):
         ABS(x)
     with pytest.raises(ValueError, match=f"PLConvex1D needs a finite point, got {x}"):
@@ -157,14 +163,14 @@ def test_maximal_function_against_dense_interval_oracle():
                     hi = max(mu.locations[j], float(x))
                     if hi - lo <= 0.0:
                         continue
-                    best = max(best, mu.mass_closed(lo, hi) / (hi - lo))
+                    best = max(best, _mass_closed(mu, lo, hi) / (hi - lo))
             assert best == pytest.approx(exact, abs=1e-9)
             for _ in range(100):
                 a = x - rng.uniform(0.0, 4.5)
                 b = x + rng.uniform(0.0, 4.5)
                 if b - a < 1e-12:
                     continue
-                assert mu.mass_closed(a + 1e-12, b - 1e-12) / (b - a) <= exact + 1e-9
+                assert _mass_closed(mu, a + 1e-12, b - 1e-12) / (b - a) <= exact + 1e-9
 
 
 def test_superlevel_single_atom_exact():
@@ -186,7 +192,7 @@ def test_superlevel_nested_in_t():
         for t in np.exp(np.linspace(np.log(0.3), np.log(6.0), 7)):
             cur = superlevel(mu, float(t))
             if prev is not None:
-                assert prev.covers(cur)
+                assert _covers(prev, cur)
             prev = cur
 
 
@@ -197,64 +203,61 @@ def test_superlevel_membership_matches_maximal_function():
     for t in (0.5, 1.0, 3.0):
         union = superlevel(mu, t)
         for x in rng.uniform(-3.0, 3.0, size=200):
-            inside = union.contains_point(float(x))
+            inside = any(a < x < b for a, b in union.intervals)
             m = maximal_function(mu, float(x))
             assert inside == (m > t) or abs(m - t) < 1e-12
 
 
 def test_weak_one_one_unit_atom_and_zero():
     d0 = AtomicMeasure1D(np.array([0.0]), np.array([1.0]))
-    rows = weak_one_one_check(d0, [1.0, 2.0, 4.0, 8.0])
-    for r in rows:
-        assert r.measure * r.t == 2.0
-        assert r.ok and r.local_ok
+    table = weak_one_one_check([d0], [1.0, 2.0, 4.0, 8.0])
+    assert np.all(table["measure"] * table["t"] == 2.0)
+    assert np.all(table["ok"] & table["local_ok"])
     empty = AtomicMeasure1D(np.zeros(0), np.zeros(0))
-    rows = weak_one_one_check(empty, [1.0])
-    assert rows[0].measure == 0.0
+    assert weak_one_one_check([empty], [1.0])["measure"][0, 0] == 0.0
 
 
 def test_weak_one_one_random_measures_constant_two():
     rng = np.random.default_rng(21)
     t_grid = np.exp(np.linspace(np.log(0.5), np.log(5.0), 9))
+    measures = []
     for _ in range(100):
         k = int(rng.integers(1, 6))
         locs = np.sort(rng.uniform(-2.0, 2.0, size=k))
         locs = locs[np.concatenate([[True], np.diff(locs) > 1e-6])]
-        mu = AtomicMeasure1D(locs, rng.uniform(0.1, 3.0, size=locs.size))
-        for r in weak_one_one_check(mu, t_grid):
-            assert r.ok
-            assert r.local_ok
-            assert r.window_measure <= r.local_measure + 1e-12
+        measures.append(AtomicMeasure1D(locs, rng.uniform(0.1, 3.0, size=locs.size)))
+    table = weak_one_one_check(measures, t_grid)
+    assert np.all(table["ok"])
+    assert np.all(table["local_ok"])
+    assert np.all(table["window_measure"] <= table["local_measure"] + 1e-12)
 
 
 def test_taylor_chain_abs_and_shifted_kink():
-    rows = convex_taylor_check(ABS, np.linspace(0.05, 1.0, 20))
-    assert all(r.ok for r in rows)
-    assert all(r.vacuous for r in rows)  # atom at 0 makes the maximal bound infinite
+    table = convex_taylor_check([ABS], np.linspace(0.05, 1.0, 20))
+    assert np.all(table["ok"])
+    assert np.all(table["vacuous"])  # atom at 0 makes the maximal bound infinite
     shifted = PLConvex1D(np.array([0.5]), np.array([0.0, 1.0]))
-    rows = convex_taylor_check(shifted, [0.25, 1.0])
-    assert all(r.ok for r in rows) and not any(r.vacuous for r in rows)
-    r1 = rows[1]
-    assert r1.f_plus == 0.5 and r1.bound_mid_plus == 1.0 and r1.bound_max == 2.0
+    table = convex_taylor_check([shifted], [0.25, 1.0])
+    assert np.all(table["ok"]) and not np.any(table["vacuous"])
+    assert table["f_plus"][0, 1] == 0.5 and table["bound_mid_plus"][0, 1] == 1.0 and table["bound_max"][0, 1] == 2.0
 
 
 def test_taylor_chain_zero_slope_line():
     f = PLConvex1D(np.zeros(0), np.array([0.0]))
-    rows = convex_taylor_check(f, [0.5, 1.0])
-    for r in rows:
-        assert r.f_plus == 0.0 and r.bound_mid_plus == 0.0 and r.ok
+    table = convex_taylor_check([f], [0.5, 1.0])
+    assert np.all(table["f_plus"] == 0.0) and np.all(table["bound_mid_plus"] == 0.0) and np.all(table["ok"])
 
 
 def test_taylor_chain_rejects_bad_normalization():
     tilted = PLConvex1D(np.array([0.5]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match="subgradient"):
-        convex_taylor_check(tilted, [0.5])
+        convex_taylor_check([tilted], [0.5])
     with pytest.raises(ValueError, match="positive"):
-        convex_taylor_check(ABS, [0.5, 0.0])
+        convex_taylor_check([ABS], [0.5, 0.0])
     # NaN passes an `h <= 0` test, and an infinite step makes every bound inf
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="h grid must be positive and finite"):
-            convex_taylor_check(ABS, [0.5, bad])
+            convex_taylor_check([ABS], [0.5, bad])
 
 
 @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
@@ -264,7 +267,7 @@ def test_superlevel_levels_must_be_positive_and_finite(t):
     with pytest.raises(ValueError, match="superlevel threshold must be positive and finite"):
         superlevel(d0, t)
     with pytest.raises(ValueError, match="superlevel thresholds must be positive and finite"):
-        weak_one_one_check(d0, [1.0, t])
+        weak_one_one_check([d0], [1.0, t])
 
 
 def _pl_reference(f, x):
@@ -284,7 +287,8 @@ def _pl_reference(f, x):
 
 
 def _taylor_reference(f, h_grid, tol=1e-10):
-    """The chain one h at a time, with mass_closed per window."""
+    """The chain one h at a time, with the closed mass of each window, as the columns
+    of the check's table."""
     mu = second_derivative_measure(f)
     m0 = maximal_function(mu, 0.0)
     rows = []
@@ -292,8 +296,8 @@ def _taylor_reference(f, h_grid, tol=1e-10):
         h = float(h)
         fp = _pl_reference(f, h)
         fm = _pl_reference(f, -h)
-        jp = mu.mass_closed(0.0, h) * h
-        jm = mu.mass_closed(-h, 0.0) * h
+        jp = _mass_closed(mu, 0.0, h) * h
+        jm = _mass_closed(mu, -h, 0.0) * h
         vac = math.isinf(m0)
         top = math.inf if vac else m0 * h * h
         ok = (
@@ -303,8 +307,9 @@ def _taylor_reference(f, h_grid, tol=1e-10):
             and fm <= jm + tol
             and (vac or (jp <= top + tol and jm <= top + tol))
         )
-        rows.append(TaylorChainRow(h, fp, jp, fm, jm, top, ok, vac))
-    return rows
+        rows.append((h, fp, jp, fm, jm, top, ok, vac))
+    names = ("h", "f_plus", "bound_mid_plus", "f_minus", "bound_mid_minus", "bound_max", "ok", "vacuous")
+    return {name: list(column) for name, column in zip(names, zip(*rows))}
 
 
 def test_taylor_chain_matches_per_h_reference():
@@ -317,7 +322,7 @@ def test_taylor_chain_matches_per_h_reference():
         vs = np.abs(xs) ** p
         fs.append(PLConvex1D(xs[1:-1], np.diff(vs) / np.diff(xs)))  # 0 is a node of xs, so f(0) = 0
     for f in fs:
-        assert repr(convex_taylor_check(f, h_grid)) == repr(_taylor_reference(f, h_grid))
+        assert repr(table_row(convex_taylor_check([f], h_grid), 0)) == repr(_taylor_reference(f, h_grid))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -337,41 +342,63 @@ def test_taylor_table_rows_match_per_h_reference(seed):
         PLConvex1D(np.array([-2.0, -1.0, 0.0]), np.array([-1.0, -0.0, -0.0, 1.0])),
     ]
     fs += [random_pl_convex(rng, atom_at_zero=(k % 2 == 0)) for k in range(20)]
-    table = convex_taylor_table(fs, h_grid)
+    table = convex_taylor_check(fs, h_grid)
     assert all(column.shape == (len(fs), h_grid.size) for column in table.values())
     for k, f in enumerate(fs):
-        rows = _rows(TaylorChainRow, {name: column[k : k + 1] for name, column in table.items()})
-        assert repr(rows) == repr(_taylor_reference(f, h_grid))
+        assert repr(table_row(table, k)) == repr(_taylor_reference(f, h_grid))
     assert table["vacuous"][0].all() and table["vacuous"][3].all() and not table["vacuous"][2].any()
 
 
 def test_tables_name_a_bad_object_by_index():
     d0 = AtomicMeasure1D(np.array([0.0]), np.array([1.0]))
     with pytest.raises(TypeError, match="measure 1 must be an AtomicMeasure1D, got PLConvex1D"):
-        weak_one_one_table([d0, ABS], [1.0])
+        weak_one_one_check([d0, ABS], [1.0])
     with pytest.raises(ValueError, match="superlevel thresholds must be positive and finite"):
-        weak_one_one_table([d0, d0], [1.0, math.nan])
+        weak_one_one_check([d0, d0], [1.0, math.nan])
     tilted = PLConvex1D(np.array([0.5]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError, match=r"function 2: 0 is not a subgradient at 0: slopes \(1.000e\+00, 1.000e\+00\)"):
-        convex_taylor_table([ABS, ABS, tilted], [0.5])
+        convex_taylor_check([ABS, ABS, tilted], [0.5])
     with pytest.raises(TypeError, match="function 1 must be a PLConvex1D, got AtomicMeasure1D"):
-        convex_taylor_table([ABS, d0], [0.5])
+        convex_taylor_check([ABS, d0], [0.5])
     with pytest.raises(ValueError, match="h grid must be positive and finite"):
-        convex_taylor_table([ABS, ABS], [0.5, -1.0])
+        convex_taylor_check([ABS, ABS], [0.5, -1.0])
     # no objects: (0, levels) columns
-    assert all(c.shape == (0, 2) for c in weak_one_one_table([], [1.0, 2.0]).values())
-    assert all(c.shape == (0, 3) for c in convex_taylor_table([], [0.25, 0.5, 1.0]).values())
+    assert all(c.shape == (0, 2) for c in weak_one_one_check([], [1.0, 2.0]).values())
+    assert all(c.shape == (0, 3) for c in convex_taylor_check([], [0.25, 0.5, 1.0]).values())
+
+
+def test_checks_name_a_single_object_passed_for_a_sequence():
+    # unnamed, a single measure fails with "'AtomicMeasure1D' object is not iterable"
+    d0 = AtomicMeasure1D(np.array([0.0]), np.array([1.0]))
+    with pytest.raises(TypeError, match="weak_one_one_check takes a sequence of AtomicMeasure1D, got AtomicMeasure1D"):
+        weak_one_one_check(d0, [1.0])
+    with pytest.raises(TypeError, match="convex_taylor_check takes a sequence of PLConvex1D, got PLConvex1D"):
+        convex_taylor_check(ABS, [0.5])
+    # a generator would be used up by the type checks and read as no objects
+    with pytest.raises(TypeError, match="convex_taylor_check takes a sequence of PLConvex1D, got generator"):
+        convex_taylor_check((f for f in [ABS]), [0.5])
+
+
+# unnamed, a 2-D grid fails inside numpy (a scalar conversion, a broadcast), and an
+# empty one gives (objects, 0) arrays, on which np.all reads True with nothing checked
+@pytest.mark.parametrize(
+    "grid, shown", [([[1.0, 2.0]], "[[1.0, 2.0]]"), ([], "[]"), (1.0, "1.0")], ids=["2d", "empty", "scalar"]
+)
+def test_checks_name_a_grid_that_is_not_a_non_empty_1d_array(grid, shown):
+    d0 = AtomicMeasure1D(np.array([0.0]), np.array([1.0]))
+    with pytest.raises(ValueError, match=re.escape(f"weak_one_one_check needs a non-empty 1-D t_grid, got {shown}")):
+        weak_one_one_check([d0], grid)
+    with pytest.raises(ValueError, match=re.escape(f"convex_taylor_check needs a non-empty 1-D h_grid, got {shown}")):
+        convex_taylor_check([ABS], grid)
 
 
 def test_taylor_chain_random_pl():
     rng = np.random.default_rng(17)
     h_grid = np.linspace(0.05, 1.0, 20)
-    for k in range(50):
-        f = random_pl_convex(rng, atom_at_zero=(k % 2 == 0))
-        rows = convex_taylor_check(f, h_grid)
-        assert all(r.ok for r in rows)
-        if k % 2 == 0:
-            assert all(r.vacuous for r in rows)
+    fs = [random_pl_convex(rng, atom_at_zero=(k % 2 == 0)) for k in range(50)]
+    table = convex_taylor_check(fs, h_grid)
+    assert np.all(table["ok"])
+    assert np.all(table["vacuous"][::2])
 
 
 def test_l1_ball_dimensions():
@@ -540,9 +567,9 @@ def test_superlevel_nesting_property(atoms, t, factor):
     mu = AtomicMeasure1D(locs, masses)
     lo = superlevel(mu, t)
     hi = superlevel(mu, t * factor)
-    assert lo.covers(hi)
+    assert _covers(lo, hi)
     assert hi.measure <= lo.measure + 1e-12
-    assert lo.measure <= 2.0 * mu.total() / t + 1e-9
+    assert lo.measure <= 2.0 * float(np.sum(mu.masses)) / t + 1e-9
 
 
 @given(
@@ -556,5 +583,5 @@ def test_pl_convexity_property(jumps, x):
     slopes = np.concatenate([[-1.0], -1.0 + np.cumsum(jumps)])
     f = PLConvex1D(bp, slopes)
     for pivot in (-1.0, 0.0, 0.7):
-        tangent = f(pivot) + f.right_slope(pivot) * (x - pivot)
+        tangent = f(pivot) + _slope(f, pivot, "right") * (x - pivot)
         assert float(f(x)) >= tangent - 1e-9

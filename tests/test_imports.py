@@ -1,6 +1,7 @@
 """Every module under src/roconvex (but the package's __init__, which re-exports)
 and every test module uses each name it imports, every module under
-src/roconvex reads each private name it defines at module level, and every
+src/roconvex reads each private name it defines at module level, every method
+a class under src/roconvex defines is read by src/roconvex or bench, and every
 module-level array under src/roconvex is read-only."""
 
 import ast
@@ -13,6 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(p for p in (ROOT / "src" / "roconvex").glob("*.py") if p.name != "__init__.py")
 MODULES = sorted(SOURCES + list((ROOT / "tests").glob("*.py")))
+BENCH = sorted(p for p in (ROOT / "bench").glob("*.py") if not p.name.startswith("test_"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -71,6 +73,62 @@ def test_the_check_sees_an_unread_private_name():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_module_reads_every_private_name_it_defines(path):
     assert unread_privates(path.read_text()) == []
+
+
+def unread_methods(sources: list[str], readers: list[str]) -> list[str]:
+    """The methods (but dunders) that classes in `sources` define and that no live
+    code reads, as Class.method in definition order. Code is live unless it is the
+    body of an unread method; a read is an attribute, or the last part of a dotted
+    string such as "SampledField.interpolate"."""
+    trees = [ast.parse(s) for s in sources]
+    methods = {
+        f"{cls.name}.{fn.name}": fn
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and not fn.name.startswith("__")
+    }
+    bodies = set(methods.values())
+
+    def reads(root: ast.AST) -> set[str]:
+        names, stack = set(), list(ast.iter_child_nodes(root))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if all(part.isidentifier() for part in node.value.split(".")):
+                    names.add(node.value.rpartition(".")[2])
+            stack += [c for c in ast.iter_child_nodes(node) if c not in bodies]
+        return names
+
+    live = set().union(*(reads(tree) for tree in trees + [ast.parse(s) for s in readers]))
+    grown = True
+    while grown:  # a live method's body is live code
+        more = set().union(*(reads(fn) for fn in methods.values() if fn.name in live))
+        grown = not more <= live
+        live |= more
+    return [name for name, fn in methods.items() if fn.name not in live]
+
+
+def test_the_check_sees_an_unread_method():
+    source = (
+        "class A:\n"
+        "    def __init__(self):\n        self.used()\n"
+        "    def used(self):\n        return 1\n"
+        "    def unread(self):\n        return self.only_from_unread()\n"
+        "    def only_from_unread(self):\n        return self.unread()\n"
+        "    def named(self):\n        return 2\n"
+        "A()\n"
+    )
+    assert unread_methods([source], ['TARGETS = ("A.named",)\n']) == ["A.unread", "A.only_from_unread"]
+
+
+def test_every_method_is_read_by_the_library_or_the_benchmark():
+    # fd_gradient is the finite-difference reference every exact gradient is tested against
+    unread = unread_methods([p.read_text() for p in SOURCES], [p.read_text() for p in BENCH])
+    assert [name for name in unread if name != "FunctionHandle.fd_gradient"] == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")

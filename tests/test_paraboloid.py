@@ -61,7 +61,7 @@ def test_theta_upper_on_a_ball_field_reads_zero_on_the_boundary_sphere():
     # so the slope can tilt until no constraint binds; inside, the true opening 0.5.
     spec = grid_spec(S22, 1.0, 7, "ball")
     fld = sample(half_norm_sq(0.5), spec)
-    nodes = fld.valid_coords()
+    nodes = fld.node_coords()[fld.mask]
     openings = np.array([theta_upper(fld, x0, spec).opening for x0 in nodes])
     lattice = np.rint(nodes / spec.spacing).astype(int)
     on_sphere = np.sum(lattice * lattice, axis=1) == 9  # |x| = 1 at spacing 1/3
