@@ -2,7 +2,6 @@
 
 from .convex1d import (
     AtomicMeasure1D,
-    IntervalUnion,
     PLConvex1D,
     convex_taylor_check,
     fubini_tail_experiment,
@@ -18,7 +17,6 @@ from .core import (
     GridSpec,
     MatrixPoint,
     MatrixShape,
-    RankOneDirection,
     SampledField,
     ball_samples,
     ball_volume,

@@ -389,7 +389,7 @@ def run_appendix(cfg: ExperimentConfig) -> StageRecord:
     )
     level_rows = []
     for t in (1.0, 2.0, 4.0, 8.0):
-        for a, b in convex1d.superlevel(mu_abs, t).intervals:
+        for a, b in convex1d.superlevel(mu_abs, t):
             level_rows.append((t, a, b))
     artifacts.append(
         fieldio.write_csv(out / "abs_superlevel.csv", ("t", "start", "end"), level_rows)
@@ -552,6 +552,9 @@ def main(argv: list[str] | None = None) -> int:
         manifest = run(ExperimentConfig(**values | {"experiment": args.experiment}))
     except ValueError as exc:  # bad input: names, config file, counts, grid sizes
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output path that cannot be written; str(exc) names it
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
     failed = [k for k, v in manifest.checks.items() if not v]
     for name, ok in sorted(manifest.checks.items()):

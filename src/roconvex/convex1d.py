@@ -231,8 +231,9 @@ class _LineRuns:
         self, t: float | np.ndarray, lo: float | np.ndarray = -math.inf, hi: float | np.ndarray = math.inf
     ) -> np.ndarray:
         """|{M mu > t} cap [lo, hi]| per line: its intervals clipped to [lo, hi], then
-        their lengths added left to right from 0, as IntervalUnion.measure adds an
-        exact union's. Like t, lo and hi may be (lines, 1) columns, one bound per line."""
+        their lengths added left to right from 0, as Python's sum adds them over the
+        (start, end) pairs of `superlevel`. Like t, lo and hi may be (lines, 1)
+        columns, one bound per line."""
         start, end, last = self.intervals(t)
         a, b = np.maximum(start, lo), np.minimum(end, hi)
         lengths = np.zeros((len(a), a.shape[1] + 1))  # a leading 0: each sum starts from 0
@@ -260,23 +261,13 @@ def maximal_function(mu: AtomicMeasure1D, x: float) -> float:
     return float(_LineRuns.of(mu).maximal(np.array([float(x)]))[0])
 
 
-@dataclass(frozen=True)
-class IntervalUnion:
-    """Disjoint sorted open intervals; endpoints touching at a point are merged."""
-
-    intervals: tuple[tuple[float, float], ...]
-
-    @property
-    def measure(self) -> float:
-        return float(sum(b - a for a, b in self.intervals))
-
-
-def superlevel(mu: AtomicMeasure1D, t: float) -> IntervalUnion:
-    """{M mu > t} as an exact union of open intervals."""
+def superlevel(mu: AtomicMeasure1D, t: float) -> tuple[tuple[float, float], ...]:
+    """{M mu > t} as an exact union of open intervals: disjoint, sorted (start, end)
+    pairs, with endpoints touching at a point merged."""
     if not (t > 0 and math.isfinite(t)):
         raise ValueError(f"superlevel threshold must be positive and finite, got {t}")
     start, end, last = _LineRuns.of(mu).intervals(t)
-    return IntervalUnion(tuple(zip(start[last].tolist(), end[last].tolist())))
+    return tuple(zip(start[last].tolist(), end[last].tolist()))
 
 
 def _grid(check: str, objects: Sequence, kind: type, name: str, grid: Sequence[float]) -> np.ndarray:
@@ -498,6 +489,8 @@ def fubini_tail_experiment(
     osc = osc_on_cube(f, 3.0)
     threshold = 2.0 * osc
     t_arr = np.asarray(list(t_grid), dtype=float)
+    if t_arr.ndim != 1:
+        raise ValueError(f"fubini_tail_experiment needs a non-empty 1-D t_grid, got {t_arr.tolist()}")
     if t_arr.size == 0 or not np.all(np.isfinite(t_arr)):
         raise ValueError(f"t_grid must be non-empty and finite, got {t_arr.tolist()}")
     if np.any(np.diff(t_arr) <= 0):

@@ -133,78 +133,19 @@ class MatrixPoint:
         return cls(shape, np.zeros(shape.dim))
 
 
-
-@dataclass(frozen=True)
-class RankOneDirection:
-    """A rank-one direction: a (x) b in general shape, or r_ij in symmetric shape.
-
-    Symmetric convention: r_ij = (e_i+e_j) (x) (e_i+e_j) for i != j, and
-    r_ii = e_i (x) e_i, so that 2 sym(e_i (x) e_j) = r_ij - r_ii - r_jj exactly.
-    """
-
-    shape: MatrixShape
-    a: np.ndarray | None = None
-    b: np.ndarray | None = None
-    pair: tuple[int, int] | None = None
-
-    def __post_init__(self) -> None:
-        if self.shape.symmetric:
-            if self.pair is None or self.a is not None or self.b is not None:
-                raise ValueError("symmetric directions are given by an index pair")
-            i, j = self.pair
-            if not (0 <= i < self.shape.rows and 0 <= j < self.shape.cols):
-                raise ValueError(f"index pair {self.pair} out of range")
-        else:
-            if self.pair is not None or self.a is None or self.b is None:
-                raise ValueError("general directions are given by vectors a and b")
-            a = np.asarray(self.a, dtype=float).reshape(-1)
-            b = np.asarray(self.b, dtype=float).reshape(-1)
-            if a.size != self.shape.rows or b.size != self.shape.cols:
-                raise ValueError("direction vectors do not match the shape")
-            if np.linalg.norm(a) == 0.0 or np.linalg.norm(b) == 0.0:
-                raise ValueError("direction vectors must be nonzero")
-            a.flags.writeable = False
-            b.flags.writeable = False
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self.shape.symmetric:
-            i, j = self.pair  # type: ignore[misc]
-            e = np.zeros(self.shape.rows)
-            if i == j:
-                e[i] = 1.0
-            else:
-                e[i] = 1.0
-                e[j] = 1.0
-            return np.outer(e, e)
-        return np.outer(self.a, self.b)
-
-    def label(self) -> str:
-        if self.shape.symmetric:
-            i, j = self.pair  # type: ignore[misc]
-            return f"r_{i + 1}{j + 1}"
-        return f"({np.array2string(self.a, precision=4)})(x)({np.array2string(self.b, precision=4)})"
-
-
-def coordinate_directions(shape: MatrixShape) -> list[RankOneDirection]:
-    """The deterministic direction set: e_i (x) e_j, or r_ij = (e_i+e_j)(x)(e_i+e_j)."""
-    if shape.symmetric:
-        return [
-            RankOneDirection(shape, pair=(i, j))
-            for i in range(shape.rows)
-            for j in range(i, shape.cols)
-        ]
-    dirs = []
-    for i in range(shape.rows):
-        for j in range(shape.cols):
-            a = np.zeros(shape.rows)
-            a[i] = 1.0
-            b = np.zeros(shape.cols)
-            b[j] = 1.0
-            dirs.append(RankOneDirection(shape, a=a, b=b))
-    return dirs
+def coordinate_directions(shape: MatrixShape) -> np.ndarray:
+    """The deterministic rank-one directions as (k, rows, cols) matrices, one per
+    coordinate in `shape.coord_pairs()` order: e_i (x) e_j in general shape; in
+    symmetric shape r_ij = (e_i+e_j) (x) (e_i+e_j) for i != j and r_ii = e_i (x) e_i,
+    so that 2 sym(e_i (x) e_j) = r_ij - r_ii - r_jj exactly."""
+    pairs = shape.coord_pairs()
+    a = np.zeros((len(pairs), shape.rows))
+    b = np.zeros((len(pairs), shape.cols))
+    for k, (i, j) in enumerate(pairs):
+        a[k, i] = b[k, j] = 1.0
+        if shape.symmetric:
+            a[k, j] = b[k, i] = 1.0
+    return a[:, :, None] * b[:, None, :]
 
 
 def random_directions(shape: MatrixShape, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -392,7 +333,10 @@ class SampledField:
         return self.values[self.mask]
 
     def sup_abs(self) -> float:
-        return float(np.max(np.abs(self.valid_values())))
+        vals = self.valid_values()
+        if vals.size == 0:
+            raise ValueError("sup_abs: field has no valid nodes")
+        return float(np.max(np.abs(vals)))
 
     def interpolate(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Multilinear interpolation at query coordinates (K, dim).

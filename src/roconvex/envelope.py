@@ -198,6 +198,8 @@ def envelope_lipschitz_violation(fld: SampledField, L: float) -> float:
     """
     _check_slope(L)
     vals = fld.valid_values()
+    if vals.size == 0:  # else no pair is scanned and -inf passes any bound
+        raise ValueError("envelope_lipschitz_violation: field has no valid nodes")
     padded = np.append(vals, np.nan)
     worst = -math.inf
     rows = np.flatnonzero(fld.mask)

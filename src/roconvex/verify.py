@@ -9,14 +9,13 @@ counterexample that replays deterministically under the same seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import (
     GridSpec,
     MatrixShape,
-    RankOneDirection,
     SampledField,
     ball_samples,
     coordinate_directions,
@@ -92,16 +91,35 @@ def _midpoint_gaps(
     return v0 - 0.5 * vp - 0.5 * vm, (ok & region.contains(pts)).reshape(3, -1).all(axis=0)
 
 
+def _labeller(
+    shape: MatrixShape, pairs: Sequence[tuple[int, int]], a: np.ndarray = (), b: np.ndarray = ()
+) -> Callable[[int], str]:
+    """label(k) for the coordinate directions of `pairs` followed by the a[j] (x) b[j]:
+    r_ij for a symmetric coordinate direction, else ({a})(x)({b}) from its factors."""
+
+    def label(k: int) -> str:
+        if k < len(pairs):
+            i, j = pairs[k]
+            if shape.symmetric:
+                return f"r_{i + 1}{j + 1}"
+            u, v = np.eye(shape.rows)[i], np.eye(shape.cols)[j]
+        else:
+            u, v = a[k - len(pairs)], b[k - len(pairs)]
+        return f"({np.array2string(u, precision=4)})(x)({np.array2string(v, precision=4)})"
+
+    return label
+
+
 def _segment_check(
     f: FunctionHandle | SampledField,
     domain: GridSpec | None,
     sampler: SegmentSampler,
     matrices: np.ndarray,
-    direction: Callable[[int], RankOneDirection],
+    label: Callable[[int], str],
     operation: str,
 ) -> ConvexityReport:
-    """Midpoint gaps along the direction matrices (count, rows, cols); `direction(k)`
-    rebuilds the k-th one, and is called only to label the witness."""
+    """Midpoint gaps along the direction matrices (count, rows, cols); `label(k)`
+    names the k-th one, and is called only for the witness."""
     region = _region(f, domain)
     shape = region.shape
     radius = region.radius
@@ -137,7 +155,7 @@ def _segment_check(
     witness = SegmentSample(
         base=tuple(float(c) for c in base[k]),
         direction=tuple(float(c) for c in dirs[k]),
-        direction_label=direction(k // block).label(),
+        direction_label=label(k // block),
         t=float(t[k]),
     )
     return ConvexityReport(operation, float(violations[k]), witness, checked, skipped, sampler.seed)
@@ -151,16 +169,10 @@ def rank_one_convexity_check(
     """Midpoint convexity along rank-one segments; positive violations are counterexamples."""
     shape = f.shape
     rng = seeded_rng(sampler.seed + 1)
-    fixed = coordinate_directions(shape)
     a, b = random_directions(shape, sampler.direction_count, rng)
-    matrices = np.concatenate([[d.matrix for d in fixed], a[:, :, None] * b[:, None, :]])
-    square = MatrixShape(shape.rows, shape.cols)  # v (x) v is not an r_ij, so it keeps its factors
-
-    def direction(k: int) -> RankOneDirection:
-        j = k - len(fixed)
-        return fixed[k] if j < 0 else RankOneDirection(square, a=a[j], b=b[j])
-
-    return _segment_check(f, domain, sampler, matrices, direction, "rank_one_convexity_check")
+    matrices = np.concatenate([coordinate_directions(shape), a[:, :, None] * b[:, None, :]])
+    label = _labeller(shape, shape.coord_pairs(), a, b)
+    return _segment_check(f, domain, sampler, matrices, label, "rank_one_convexity_check")
 
 
 def separate_convexity_check(
@@ -170,12 +182,12 @@ def separate_convexity_check(
 ) -> ConvexityReport:
     """Midpoint convexity along the coordinate axes only."""
     shape = f.shape
-    if shape.symmetric:
-        directions = [RankOneDirection(shape, pair=(i, i)) for i in range(shape.rows)]
-    else:
-        directions = coordinate_directions(shape)
-    matrices = np.array([d.matrix for d in directions])
-    return _segment_check(f, domain, sampler, matrices, directions.__getitem__, "separate_convexity_check")
+    # symmetric shapes keep the diagonal r_ii = e_i (x) e_i only
+    pairs = shape.coord_pairs()
+    keep = [k for k, (i, j) in enumerate(pairs) if i == j or not shape.symmetric]
+    matrices = coordinate_directions(shape)[keep]
+    label = _labeller(shape, [pairs[k] for k in keep])
+    return _segment_check(f, domain, sampler, matrices, label, "separate_convexity_check")
 
 
 def replay_violation(
@@ -231,9 +243,9 @@ def symmetric_operator_check(fld: SampledField) -> NodeMinReport:
     h = fld.grid.spacing
     v = fld.values_nd()
     total = np.zeros_like(v)
-    for d in coordinate_directions(shape):
-        step = shape.matrix_to_coords(d.matrix).astype(int)
-        weight = 1.0 if d.pair[0] == d.pair[1] else 2.0  # r_ij and r_ji coincide
+    for (i, j), d in zip(shape.coord_pairs(), coordinate_directions(shape)):
+        step = shape.matrix_to_coords(d).astype(int)
+        weight = 1.0 if i == j else 2.0  # r_ij and r_ji coincide
         second = (shifted(v, step) + shifted(v, -step) - 2.0 * v) / (h * h)
         total = total + weight * second
     return _node_min(fld, total)

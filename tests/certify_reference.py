@@ -1,6 +1,6 @@
 """Reference implementations of the certify path as it was before its
 vectorisation: the majorant build with each sample kept beside its column
-split, segment checks built one direction object at a time, the tail
+split, segment checks built one (matrix, label) direction at a time, the tail
 experiment one line at a time, with one merged interval union per line and
 level, each from the reference's own atom runs (`_runs`). The tests compare the
 library against these for exact equality; nothing in `src` calls them.
@@ -18,16 +18,9 @@ from roconvex.convex1d import (
     AtomicMeasure1D,
     FubiniTailReport,
     InclusionProbe,
-    IntervalUnion,
     osc_on_cube,
 )
-from roconvex.core import (
-    MatrixShape,
-    RankOneDirection,
-    ball_samples,
-    coordinate_directions,
-    cube_samples,
-)
+from roconvex.core import ball_samples, cube_samples
 from roconvex.lowerbound import RadialMajorant, recentered_values
 from roconvex.verify import ConvexityReport, SegmentSample, _midpoint_gaps, _region
 
@@ -62,20 +55,38 @@ def empirical_majorant(f, x0, samples):
     return RadialMajorant(x0=x0, radii=edges, values=profile)
 
 
+def factor_label(a, b):
+    return f"({np.array2string(a, precision=4)})(x)({np.array2string(b, precision=4)})"
+
+
+def coordinate_directions(shape):
+    """One (matrix, label) per coordinate: e_i (x) e_j, or in symmetric shape
+    r_ij = (e_i+e_j) (x) (e_i+e_j) and r_ii = e_i (x) e_i."""
+    dirs = []
+    for i, j in shape.coord_pairs():
+        a = np.zeros(shape.rows)
+        b = np.zeros(shape.cols)
+        a[i] = b[j] = 1.0
+        if shape.symmetric:
+            a[j] = b[i] = 1.0
+        dirs.append((np.outer(a, b), f"r_{i + 1}{j + 1}" if shape.symmetric else factor_label(a, b)))
+    return dirs
+
+
 def random_directions(shape, count, rng):
-    """One RankOneDirection per draw: a then b, each normalised by np.linalg.norm."""
+    """One (a (x) b, label) per draw: a then b, each normalised by np.linalg.norm."""
     dirs = []
     for _ in range(count):
         if shape.symmetric:
-            v = rng.standard_normal(shape.rows)
-            v /= np.linalg.norm(v)
-            dirs.append(RankOneDirection(MatrixShape(shape.rows, shape.cols), a=v, b=v))
+            a = rng.standard_normal(shape.rows)
+            a /= np.linalg.norm(a)
+            b = a
         else:
             a = rng.standard_normal(shape.rows)
             a /= np.linalg.norm(a)
             b = rng.standard_normal(shape.cols)
             b /= np.linalg.norm(b)
-            dirs.append(RankOneDirection(shape, a=a, b=b))
+        dirs.append((np.outer(a, b), factor_label(a, b)))
     return dirs
 
 
@@ -90,9 +101,9 @@ def _segment_check(f, domain, sampler, directions, operation):
     base = np.empty((len(directions) * block, shape.dim))
     dirs = np.empty_like(base)
     t = np.empty(len(base))
-    for k, d in enumerate(directions):
+    for k, (matrix, _) in enumerate(directions):
         lo, hi = k * block, (k + 1) * block
-        dirs[lo:hi] = shape.matrix_to_coords(d.matrix)
+        dirs[lo:hi] = shape.matrix_to_coords(matrix)
         dnorm = _frob_norm(shape, dirs[lo])
         base[lo : lo + 2] = region.center.coords
         t[lo : lo + 2] = np.array([0.5, 0.25]) * radius / dnorm
@@ -109,7 +120,7 @@ def _segment_check(f, domain, sampler, directions, operation):
     witness = SegmentSample(
         base=tuple(float(c) for c in base[k]),
         direction=tuple(float(c) for c in dirs[k]),
-        direction_label=directions[k // block].label(),
+        direction_label=directions[k // block][1],
         t=float(t[k]),
     )
     return ConvexityReport(operation, float(violations[k]), witness, checked, skipped, sampler.seed)
@@ -124,10 +135,9 @@ def rank_one_convexity_check(f, domain, sampler):
 
 def separate_convexity_check(f, domain, sampler):
     shape = f.shape
+    directions = coordinate_directions(shape)
     if shape.symmetric:
-        directions = [RankOneDirection(shape, pair=(i, i)) for i in range(shape.rows)]
-    else:
-        directions = coordinate_directions(shape)
+        directions = [d for (i, j), d in zip(shape.coord_pairs(), directions) if i == j]  # r_ii
     return _segment_check(f, domain, sampler, directions, "separate_convexity_check")
 
 
@@ -149,7 +159,7 @@ def maximal_function(mu, x):
 
 def _merge(starts, ends):
     if starts.size == 0:
-        return IntervalUnion(())
+        return ()
     order = np.argsort(starts, kind="stable")
     s, e = starts[order], ends[order]
     out = []
@@ -161,13 +171,13 @@ def _merge(starts, ends):
             out.append((cur_s, cur_e))
             cur_s, cur_e = float(s[k]), float(e[k])
     out.append((cur_s, cur_e))
-    return IntervalUnion(tuple(out))
+    return tuple(out)
 
 
 def superlevel(mu, t):
     left, right, mass = _runs(mu)
     if mass.size == 0:
-        return IntervalUnion(())
+        return ()
     ell = mass / t
     keep = (right - left) < ell
     return _merge(right[keep] - ell[keep], left[keep] + ell[keep])
@@ -178,9 +188,14 @@ def table_row(table, k):
     return {name: column[k].tolist() for name, column in table.items()}
 
 
+def measure(union):
+    """|union|: the lengths of its (start, end) pairs added left to right from 0."""
+    return float(sum(b - a for a, b in union))
+
+
 def clipped_measure(union, lo, hi):
     """|union cap [lo, hi]|: the clipped intervals' lengths added left to right from 0."""
-    return float(sum(min(b, hi) - max(a, lo) for a, b in union.intervals if max(a, lo) < min(b, hi)))
+    return float(sum(min(b, hi) - max(a, lo) for a, b in union if max(a, lo) < min(b, hi)))
 
 
 def weak_one_one_check(mu, t_grid):
@@ -197,12 +212,12 @@ def weak_one_one_check(mu, t_grid):
         rows.append(
             {
                 "t": t,
-                "measure": full.measure,
+                "measure": measure(full),
                 "bound": 2.0 * total / t,
-                "ok": full.measure <= 2.0 * total / t + 1e-12,
-                "local_measure": local.measure,
+                "ok": measure(full) <= 2.0 * total / t + 1e-12,
+                "local_measure": measure(local),
                 "local_bound": 2.0 * local_total / t,
-                "local_ok": local.measure <= 2.0 * local_total / t + 1e-12,
+                "local_ok": measure(local) <= 2.0 * local_total / t + 1e-12,
                 "window_measure": clipped_measure(full, -1.0, 1.0),
             }
         )

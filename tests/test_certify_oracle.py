@@ -91,7 +91,7 @@ def test_line_runs_match_superlevel_and_maximal_function():
     assert any(mu.count > 8 for mu in measures) and any(mu.count == 0 for mu in measures)
     for t in (0.5, 2.0, 7.0, 30.0):
         unions = [ref.superlevel(mu, t) for mu in measures]
-        assert sum(len(u.intervals) > 1 for u in unions) > 0
+        assert sum(len(u) > 1 for u in unions) > 0
         assert repr([superlevel(mu, t) for mu in measures]) == repr(unions)
         want = [ref.clipped_measure(u, -1.0, 1.0) for u in unions]
         assert runs.measure(t, -1.0, 1.0).tobytes() == np.array(want).tobytes()

@@ -285,6 +285,28 @@ def test_verify_exit_codes(tmp_path, monkeypatch, capsys):
     assert manifest["passed"] is False
 
 
+def test_unwritable_output_is_bad_input(tmp_path, capsys):
+    # an output path under a file: the stage runs, its first write fails with exit 2, not 1
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    assert main(["verify", "--function", "neg_uv", "--out", str(blocker)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker / "verify") in err
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("neg_det_2x2_sym", "e55a76f14dc07c9857680c5abf82263961a400439c914fc388e239fd4d80e4ab"),
+        ("neg_uv", "ffa2d532e440b061fa0c107a940c9495cd9e0c426fda82cc970d93ca9c477ef4"),
+    ],
+)
+def test_verify_reports_keep_their_bytes(tmp_path, name, digest):
+    # the seed-42 reports, witness labels included, as labelled direction objects wrote them
+    run(ExperimentConfig(experiment="verify", function=name, seed=42, out_dir=str(tmp_path)))
+    assert sha256_file(tmp_path / "verify" / f"{name}_reports.json") == digest
+
+
 def test_tail_rejects_grid_over_budget(tmp_path, capsys):
     # the requested grid size is the one used: past the axis budget it fails loudly
     argv = ["tail", "--function", "abs_x11", "--grid-points", "15", "--eval-count", "4"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from certify_reference import line_measure, table_row
+from certify_reference import line_measure, measure, table_row
 from roconvex.core import MatrixShape
 from roconvex.corpus import FunctionHandle, abs_entry, half_norm_sq, linear
 from roconvex.convex1d import (
@@ -42,7 +42,7 @@ def _mass_closed(mu, a, b):
 
 def _covers(big, small):
     """Every interval of the union `small` lies inside one interval of `big`."""
-    return all(any(a2 <= a and b <= b2 for a2, b2 in big.intervals) for a, b in small.intervals)
+    return all(any(a2 <= a and b <= b2 for a2, b2 in big) for a, b in small)
 
 
 def test_pl_validation():
@@ -177,8 +177,8 @@ def test_superlevel_single_atom_exact():
     d0 = AtomicMeasure1D(np.array([0.0]), np.array([1.0]))
     for t in (1.0, 2.0, 4.0, 8.0):
         union = superlevel(d0, t)
-        assert union.intervals == ((-1.0 / t, 1.0 / t),)
-        assert union.measure * t == 2.0
+        assert union == ((-1.0 / t, 1.0 / t),)
+        assert measure(union) * t == 2.0
 
 
 def test_superlevel_nested_in_t():
@@ -203,7 +203,7 @@ def test_superlevel_membership_matches_maximal_function():
     for t in (0.5, 1.0, 3.0):
         union = superlevel(mu, t)
         for x in rng.uniform(-3.0, 3.0, size=200):
-            inside = any(a < x < b for a, b in union.intervals)
+            inside = any(a < x < b for a, b in union)
             m = maximal_function(mu, float(x))
             assert inside == (m > t) or abs(m - t) < 1e-12
 
@@ -531,6 +531,12 @@ def test_fubini_rejects_empty_or_non_finite_levels(t_grid):
         fubini_tail_experiment(abs_entry(0, 0, S12), t_grid, lines_per_direction=4, seed=0)
 
 
+def test_fubini_rejects_a_grid_of_levels_that_is_not_1d():
+    # numpy would fail on the increasing-order test with an ambiguous truth value
+    with pytest.raises(ValueError, match=re.escape("needs a non-empty 1-D t_grid, got [[20.0, 40.0, 80.0]]")):
+        fubini_tail_experiment(abs_entry(0, 0, S12), np.array([[20.0, 40.0, 80.0]]), lines_per_direction=4)
+
+
 def test_fubini_rejects_negative_probe_count():
     with pytest.raises(ValueError, match="probe_count >= 0, got -1"):
         fubini_tail_experiment(abs_entry(0, 0, S12), [19.0, 40.0], lines_per_direction=4, probe_count=-1)
@@ -568,8 +574,8 @@ def test_superlevel_nesting_property(atoms, t, factor):
     lo = superlevel(mu, t)
     hi = superlevel(mu, t * factor)
     assert _covers(lo, hi)
-    assert hi.measure <= lo.measure + 1e-12
-    assert lo.measure <= 2.0 * float(np.sum(mu.masses)) / t + 1e-9
+    assert measure(hi) <= measure(lo) + 1e-12
+    assert measure(lo) <= 2.0 * float(np.sum(mu.masses)) / t + 1e-9
 
 
 @given(

@@ -9,7 +9,7 @@ from roconvex.core import (
     GridSpec,
     MatrixPoint,
     MatrixShape,
-    RankOneDirection,
+    SampledField,
     ball_samples,
     ball_volume,
     coordinate_directions,
@@ -145,6 +145,15 @@ def test_sample_rejects_non_finite():
     bad = FunctionHandle("bad", shape, lambda x: 1.0 / x[..., 0, 0])
     with pytest.raises(ValueError, match="non-finite"):
         sample(bad, grid_spec(shape, 1.0, 3, "cube"))
+
+
+def test_sup_abs_names_a_field_without_valid_nodes():
+    # numpy's own error names a zero-size reduction, not the field
+    fld = sample(abs_entry(0, 0, MatrixShape(2, 2)), grid_spec(MatrixShape(2, 2), 1.0, 5, "cube"))
+    assert fld.sup_abs() == 1.0
+    empty = SampledField(fld.grid, fld.values, np.zeros(fld.values.size, bool))
+    with pytest.raises(ValueError, match="sup_abs: field has no valid nodes"):
+        empty.sup_abs()
 
 
 def test_resample_refined_grid_agrees_exactly():
@@ -441,17 +450,31 @@ def test_rank_one_directions():
     dirs = coordinate_directions(shape)
     assert len(dirs) == 4
     for d in dirs:
-        assert np.linalg.matrix_rank(d.matrix) == 1
+        assert np.linalg.matrix_rank(d) == 1
     sym = MatrixShape(2, 2, symmetric=True)
-    sdirs = coordinate_directions(sym)
-    labels = {d.label() for d in sdirs}
-    assert labels == {"r_11", "r_12", "r_22"}
-    r12 = next(d for d in sdirs if d.label() == "r_12")
-    assert np.array_equal(r12.matrix, np.ones((2, 2)))
-    r11 = next(d for d in sdirs if d.label() == "r_11")
-    assert np.array_equal(r11.matrix, np.array([[1.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        RankOneDirection(shape, a=np.zeros(2), b=np.ones(2))
+    sdirs = dict(zip((f"r_{i + 1}{j + 1}" for i, j in sym.coord_pairs()), coordinate_directions(sym)))
+    assert sdirs.keys() == {"r_11", "r_12", "r_22"}
+    assert np.array_equal(sdirs["r_12"], np.ones((2, 2)))
+    assert np.array_equal(sdirs["r_11"], np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [MatrixShape(1, 2), MatrixShape(2, 3), MatrixShape(2, 2, symmetric=True), MatrixShape(3, 3, symmetric=True)],
+    ids=["1x2", "2x3", "sym2", "sym3"],
+)
+def test_coordinate_directions_follow_coord_pairs(shape):
+    dirs = coordinate_directions(shape)
+    pairs = shape.coord_pairs()
+    assert dirs.shape == (len(pairs), shape.rows, shape.cols)
+    eye_r, eye_c = np.eye(shape.rows), np.eye(shape.cols)
+    for d, (i, j) in zip(dirs, pairs):
+        assert np.linalg.matrix_rank(d) == 1
+        if shape.symmetric:  # r_ij = (e_i+e_j) (x) (e_i+e_j), r_ii = e_i (x) e_i
+            e = eye_r[i] + eye_r[j] if i != j else eye_r[i]
+            assert np.array_equal(d, np.outer(e, e))
+        else:
+            assert np.array_equal(d, np.outer(eye_r[i], eye_c[j]))
 
 
 

@@ -284,6 +284,14 @@ def test_empty_source_rejected():
         cone_convolutions(src, 0.0)
 
 
+def test_lipschitz_violation_rejects_a_field_without_valid_nodes():
+    # with no pair to scan the worst gap would stay -inf and pass any bound
+    fld = abs_field(points=5)
+    empty = SampledField(fld.grid, fld.values, np.zeros(fld.values.size, bool))
+    with pytest.raises(ValueError, match="envelope_lipschitz_violation: field has no valid nodes"):
+        envelope_lipschitz_violation(empty, 1.0)
+
+
 def test_remainder_quadratic_zero():
     prof = second_order_remainder(half_norm_sq(1.0), np.zeros(4), [0.5, 0.25, 0.125])
     assert np.all(prof.ratios <= 1e-12)

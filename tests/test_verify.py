@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from roconvex.core import MatrixShape, RankOneDirection, coordinate_directions, grid_spec, random_directions, sample
+import certify_reference as ref
+from roconvex.core import MatrixShape, coordinate_directions, grid_spec, random_directions, sample
 from roconvex.corpus import (
     FunctionHandle,
     constant,
@@ -114,17 +115,33 @@ def test_field_is_checked_on_its_own_grid():
 def test_witness_replays_and_names_its_direction(f, domain):
     rep = rank_one_convexity_check(f, domain, SAMPLER)
     assert replay_violation(f, rep.witness, domain) == rep.worst_violation
-    directions = coordinate_directions(f.shape)
+    # (matrix, label) pairs, each label written from its factors by the reference
+    directions = ref.coordinate_directions(f.shape)
     a, b = random_directions(f.shape, SAMPLER.direction_count, np.random.default_rng(SAMPLER.seed + 1))
-    square = MatrixShape(f.shape.rows, f.shape.cols)
-    directions += [RankOneDirection(square, a=u, b=v) for u, v in zip(a, b)]
+    directions += [(np.outer(u, v), ref.factor_label(u, v)) for u, v in zip(a, b)]
     assert rep.samples_checked + rep.samples_skipped == len(directions) * (2 + SAMPLER.step_count)
     labels = {
-        d.label()
-        for d in directions
-        if np.array_equal(f.shape.matrix_to_coords(d.matrix), np.array(rep.witness.direction))
+        label
+        for matrix, label in directions
+        if np.array_equal(f.shape.matrix_to_coords(matrix), np.array(rep.witness.direction))
     }
     assert labels == {rep.witness.direction_label}
+
+
+@pytest.mark.parametrize(
+    "name, check, label",
+    [
+        ("neg_det_2x2_sym", separate_convexity_check, "r_22"),
+        ("neg_uv", separate_convexity_check, "([1.])(x)([0. 1.])"),
+        ("neg_det_2x2_sym", rank_one_convexity_check, "([ 0.9918 -0.1281])(x)([ 0.9918 -0.1281])"),
+    ],
+    ids=["separate_sym", "separate_general", "rank_one_sym"],
+)
+def test_witness_labels_keep_their_text(name, check, label):
+    # the verify stage's sampler and 9-point unit cube, as `roconvex verify --seed 42` runs them
+    h = get_handle(name)
+    rep = check(h, grid_spec(h.shape, 1.0, 9, "cube"), SegmentSampler(12, 10, 42))
+    assert rep.witness.direction_label == label
 
 
 def test_laplacian_quadratic_exact():
@@ -154,7 +171,8 @@ def test_laplacian_rejects_symmetric():
 
 
 def _r(n, i, j):
-    return RankOneDirection(MatrixShape(n, n, symmetric=True), pair=(i, j)).matrix
+    shape = MatrixShape(n, n, symmetric=True)
+    return coordinate_directions(shape)[shape.coord_pairs().index((min(i, j), max(i, j)))]
 
 
 def test_symmetric_basis_identity():
