@@ -219,6 +219,8 @@ def envelope_idempotence_gap(pair: ConeEnvelopePair) -> float:
         raise ValueError("w_minus and w_plus must share one grid and output mask")
     _check_slope(pair.L)
     lo_vals, hi_vals = lower.valid_values(), upper.valid_values()
+    if lo_vals.size == 0:  # else the max of no deviation fails inside numpy
+        raise ValueError("envelope_idempotence_gap: the envelopes have no valid nodes")
     radius = max(_osc(lo_vals), _osc(hi_vals)) / pair.L
     rows = np.flatnonzero(lower.mask)
     redone_lo, redone_hi = _envelope_pass(
@@ -240,6 +242,8 @@ def sandwich_check(pair: ConeEnvelopePair) -> SandwichReport:
     lo = pair.w_minus.values[mask]
     hi = pair.w_plus.values[mask]
     src = pair.source.values[mask]
+    if src.size == 0:  # else the max of no violation fails inside numpy
+        raise ValueError("sandwich_check: w_minus, w_plus and the source share no valid node")
     return SandwichReport(max(0.0, float(np.max(lo - src)), float(np.max(src - hi))))
 
 

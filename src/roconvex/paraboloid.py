@@ -24,6 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .core import (GridSpec, MatrixShape, SampledField, ball_samples, ball_volume, evaluate, loglog_fit,
                    make_grid, seeded_rng)
@@ -37,6 +38,11 @@ DUAL_RTOL = 1e-9  # replay: |sum lam B| <= DUAL_RTOL * max(1, max|B|)
 # the tail levels t: eight log-spaced over one decade, from 2 to 20; read-only
 TAIL_T_GRID = np.exp(np.linspace(math.log(2.0), math.log(20.0), 8))
 TAIL_T_GRID.flags.writeable = False
+# LAPACK gesv as the gufuncs that np.linalg.solve wraps, the same bits without its
+# Python wrapper: one right-hand side vector, and stacks of (m, n) right-hand sides.
+# `_solve_dual` sets the error state np.linalg.solve sets around them.
+_solve1 = _umath_linalg.solve1
+_solve = _umath_linalg.solve
 
 
 @dataclass(frozen=True)
@@ -134,19 +140,22 @@ class _TouchProblem:
 
     def __init__(self, x0: np.ndarray, fx0: float, cloud: tuple[np.ndarray, ...], shape: MatrixShape, cut: float):
         coords, fy, d, q = cloud
-        keep = q > cut**2
-        if not np.all(keep):  # x0 sits on a node; drop it
+        if not q.min(initial=math.inf) > cut**2:  # x0 sits on a node; drop it
+            keep = q > cut**2
             coords, fy, d, q = coords[keep], fy[keep], d[:, keep], q[keep]
         if q.shape[0] == 0:
             raise ValueError("constraint cloud is empty after removing x0")
         self.x0 = x0
         self.fx0 = fx0
         self.coords = coords
-        # Element-wise, so any subset of rows keeps its bits. B is formed in the
-        # cloud's (rows*cols, K) layout and copied once to C-order rows: the
-        # matrix-vector products over B read rows, and their bits follow the layout.
-        self.c = 2.0 * (fy - self.fx0) / q
-        d *= 2.0
+        # Element-wise, so any subset of rows keeps its bits. One division by q/2
+        # gives 2a/q bit for bit, since doubling a and halving q are exact. B is
+        # formed in the cloud's (rows*cols, K) layout and copied once to C-order
+        # rows: the matrix-vector products over B read rows, and their bits follow
+        # the layout.
+        q = q / 2.0
+        self.c = np.subtract(fy, self.fx0)
+        self.c /= q
         d /= q
         self.B = d.T.copy()
         self.P = _slope_map(shape)
@@ -154,20 +163,38 @@ class _TouchProblem:
     @classmethod
     def on_grid(cls, f: FunctionHandle | SampledField, x0: np.ndarray, constraints: GridSpec) -> _TouchProblem:
         """The problem over the nodes of the constraint grid, less x0 when it is one of them."""
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        if not np.isfinite(x0).all():
-            raise ValueError(f"the opening needs a finite x0, got {x0.tolist()}")
+        x0 = _finite_x0(x0)
         cloud = _cloud(f, x0, constraints)
         vals, ok = evaluate(f, x0[None, :])
         if not ok[0]:
             raise ValueError("x0 is not interpolable on the constraint grid")
         return cls(x0, float(vals[0]), cloud, constraints.shape, 1e-9 * constraints.spacing)
 
-    def scores(self, p: np.ndarray) -> np.ndarray:
-        return self.c - self.B @ p
+    def opening(self, p: np.ndarray, what: str) -> float:
+        """a(p) = max(0, max(c - B p)), refusing a non-finite slope p or objective by name."""
+        if not np.isfinite(p).all():
+            raise ValueError(f"the {what} at x0 = {self.x0.tolist()} is not finite: {p.tolist()}")
+        value = float(np.max(self.c - self.B @ p))
+        if not math.isfinite(value):
+            raise ValueError(f"the opening at x0 = {self.x0.tolist()} is {value} at the {what}")
+        return max(0.0, value)
 
-    def objective(self, p: np.ndarray) -> float:
-        return float(np.max(self.scores(p)))
+
+def _finite_x0(x0) -> np.ndarray:
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if not np.isfinite(x0).all():
+        raise ValueError(f"the opening needs a finite x0, got {x0.tolist()}")
+    return x0
+
+
+def _touch_slope(touch: ParaboloidTouch, shape: MatrixShape) -> np.ndarray:
+    """The touch's slope, flattened, once it is a finite (rows, cols) matrix."""
+    slope = np.asarray(touch.slope, dtype=float)
+    if slope.shape != (shape.rows, shape.cols):
+        raise ValueError(f"the touch's slope has shape {slope.shape}, not ({shape.rows}, {shape.cols})")
+    if not np.isfinite(slope).all():
+        raise ValueError(f"the touch's slope at x0 = {list(touch.x0)} is not finite: {slope.tolist()}")
+    return slope.reshape(-1)
 
 
 def _solve_dual(prob: _TouchProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -176,8 +203,18 @@ def _solve_dual(prob: _TouchProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray
     Column 0 is the row t >= 0; column j >= 1 is cloud row j - 1. A column's
     entries are (B_y P, 1) against the right-hand side (0, ..., 0, 1). Returns
     the slope (flattened matrix), the basic cloud rows, their weights, and the
-    pivot count.
+    pivot count. A singular or non-finite basis system raises LinAlgError.
     """
+
+    def singular(err: str, flag: int) -> None:
+        raise np.linalg.LinAlgError(f"opening LP at x0 = {prob.x0.tolist()} has a singular or non-finite basis system")
+
+    # np.linalg.solve's error state around its gufunc, here around the whole solve
+    with np.errstate(call=singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _simplex(prob)
+
+
+def _simplex(prob: _TouchProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     n, k = prob.B.shape[0], prob.P.shape[1]
     A = np.empty((n + 1, k))  # row j is column j of the LP without its last entry 1
     A[0] = 0.0
@@ -188,18 +225,21 @@ def _solve_dual(prob: _TouchProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray
     c = np.empty(n + 1)
     c[0] = 0.0
     c[1:] = prob.c
-    tol = OPT_RTOL * float(np.max(np.abs(c)))
+    tol = OPT_RTOL * float(max(c.max(), -c.min()))
     eye = np.eye(k + 1)
     # Start from the unit basis: slack columns for the k slope rows, column 0
     # (weight 1) for the last row. Crash each slack out with a degenerate pivot
     # on the cloud column of largest pivot element.
     basis = [0] * (k + 1)
     M = eye.copy()
-    span_tol = 1e-9 * float(np.max(np.abs(A)))
+    span_tol = 1e-9 * float(max(A.max(), -A.min()))
     for row in range(k):
-        w = np.linalg.solve(M.T, eye[row])
-        r = np.abs(A @ w[:k] + w[k])
-        j = int(np.argmax(r))
+        if row == 0:  # M is the identity, so w = e_0 and the pivot elements are |A[:, 0]| exactly
+            r = np.abs(A[:, 0])
+        else:
+            w = _solve1(M.T, eye[row])
+            r = np.abs(A @ w[:k] + w[k])
+        j = int(r.argmax())
         if not r[j] > span_tol:
             raise ValueError("constraint cloud does not span the slope space")
         basis[row] = j
@@ -219,19 +259,19 @@ def _solve_dual(prob: _TouchProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray
         systems[0] = M
         systems[1] = M.T
         rhs[1, :, 0] = c[basis]
-        lam, pi = np.linalg.solve(systems, rhs)[:, :, 0]
+        lam, pi = _solve(systems, rhs)[:, :, 0]
         np.matmul(A, pi[:k], out=d)
         np.subtract(c, d, out=d)
         d -= pi[k]
         d[basis] = 0.0
         bland = degenerate >= BLAND_AFTER
-        j = int(np.argmax(d > tol)) if bland else int(np.argmax(d))
+        j = int((d > tol).argmax()) if bland else int(d.argmax())
         if not d[j] > tol:
             break
         if pivots >= MAX_PIVOTS:
             raise RuntimeError(f"opening LP at x0 = {prob.x0.tolist()} exceeded {MAX_PIVOTS} pivots")
         col[:k] = A[j]
-        u = np.linalg.solve(M, col).tolist()
+        u = _solve1(M, col).tolist()
         # Ratio test on k + 1 <= 5 floats. The last row of every column is 1,
         # so sum(u) = 1 and some u_i > 0; min and max keep the first extremum.
         cut = 1e-11 * max(map(abs, u))
@@ -274,11 +314,11 @@ def theta_upper(
     if isinstance(f, FunctionHandle) and f.gradient is not None:
         # Keep the exact gradient when the certificate proves it optimal too.
         p_grad = f.gradient_at_coords(prob.x0).reshape(-1)
-        grad_opening = max(0.0, prob.objective(p_grad))
+        grad_opening = prob.opening(p_grad, "gradient")
         if _certified(grad_opening, lower_bound):
             p, opening = p_grad, grad_opening
     if opening is None:
-        opening = max(0.0, prob.objective(p))
+        opening = prob.opening(p, "LP slope")
     return ParaboloidTouch(
         x0=tuple(float(v) for v in prob.x0),
         slope=p.reshape(constraints.shape.rows, constraints.shape.cols),
@@ -296,8 +336,8 @@ def replay_opening(
     f: FunctionHandle | SampledField, touch: ParaboloidTouch, constraints: GridSpec
 ) -> float:
     """Re-evaluate the constraint maximum at the certified slope."""
-    prob = _TouchProblem.on_grid(f, touch.x0, constraints)
-    return max(0.0, prob.objective(touch.slope.reshape(-1)))
+    slope = _touch_slope(touch, constraints.shape)
+    return _TouchProblem.on_grid(f, touch.x0, constraints).opening(slope, "touch's slope")
 
 
 def replay_lower_bound(
@@ -333,9 +373,10 @@ def touch_feasibility_gap(
     f: FunctionHandle | SampledField, touch: ParaboloidTouch, constraints: GridSpec
 ) -> float:
     """max_y f(y) - P(y); <= 0 up to roundoff by construction."""
-    _, fy, d, q = _cloud(f, np.asarray(touch.x0), constraints)
+    slope = _touch_slope(touch, constraints.shape)
+    _, fy, d, q = _cloud(f, _finite_x0(touch.x0), constraints)
     # d @ slope over C-order rows, the layout whose bits the artifacts hold
-    pvals = touch.value_at_x0 + d.T.copy() @ touch.slope.reshape(-1) + 0.5 * touch.opening * q
+    pvals = touch.value_at_x0 + d.T.copy() @ slope + 0.5 * touch.opening * q
     return float(np.max(fy - pvals))
 
 

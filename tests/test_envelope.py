@@ -292,6 +292,18 @@ def test_lipschitz_violation_rejects_a_field_without_valid_nodes():
         envelope_lipschitz_violation(empty, 1.0)
 
 
+def test_pair_checks_reject_a_pair_without_a_shared_valid_node():
+    fld = abs_field(points=5)
+    empty = SampledField(fld.grid, fld.values, np.zeros(fld.values.size, bool))
+    with pytest.raises(ValueError, match="envelope_idempotence_gap: the envelopes have no valid nodes"):
+        envelope_idempotence_gap(envelope.ConeEnvelopePair(1.0, empty, empty, empty))
+    # each field has valid nodes, but no node is valid in all three
+    left = SampledField(fld.grid, fld.values, np.arange(5) < 2)
+    right = SampledField(fld.grid, fld.values, np.arange(5) >= 2)
+    with pytest.raises(ValueError, match="sandwich_check: w_minus, w_plus and the source share no valid node"):
+        sandwich_check(envelope.ConeEnvelopePair(1.0, left, left, right))
+
+
 def test_remainder_quadratic_zero():
     prof = second_order_remainder(half_norm_sq(1.0), np.zeros(4), [0.5, 0.25, 0.125])
     assert np.all(prof.ratios <= 1e-12)

@@ -1,8 +1,9 @@
 """Every module under src/roconvex (but the package's __init__, which re-exports)
 and every test module uses each name it imports, every module under
 src/roconvex reads each private name it defines at module level, every method
-a class under src/roconvex defines is read by src/roconvex or bench, and every
-module-level array under src/roconvex is read-only."""
+a class under src/roconvex defines is read by src/roconvex or bench, every
+module-level array under src/roconvex is read-only, and no module under
+src/roconvex imports a private numpy module but the one LAPACK kernel module."""
 
 import ast
 import importlib
@@ -137,3 +138,43 @@ def test_module_level_arrays_are_read_only(path):
     module = importlib.import_module(f"roconvex.{path.stem}")
     writable = [name for name, v in vars(module).items() if isinstance(v, np.ndarray) and v.flags.writeable]
     assert writable == []
+
+
+# The one private numpy module src may import, and where: numpy's gesv gufuncs,
+# which paraboloid calls without np.linalg.solve's Python wrapper.
+PRIVATE_NUMPY_ALLOWED = {"paraboloid.py": {"numpy.linalg._umath_linalg"}}
+
+
+def private_numpy_imports(source: str) -> list[str]:
+    """The dotted names a module imports from numpy with a private part after
+    `numpy`, such as numpy._core or numpy.linalg._umath_linalg."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names += [f"{node.module}.{a.name}" for a in node.names]
+    return [
+        name for name in names
+        if name.split(".")[0] == "numpy" and any(part.startswith("_") for part in name.split(".")[1:])
+    ]
+
+
+def test_the_check_sees_a_private_numpy_import():
+    source = (
+        "import numpy as np\nimport numpy._core.multiarray\nfrom numpy import linalg, _core\n"
+        "from numpy.linalg import _umath_linalg\nfrom numpy.lib._index_tricks_impl import r_\n"
+    )
+    found = private_numpy_imports(source)
+    assert sorted(found) == [
+        "numpy._core",
+        "numpy._core.multiarray",
+        "numpy.lib._index_tricks_impl.r_",
+        "numpy.linalg._umath_linalg",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_module_imports_no_private_numpy_module_but_the_gesv_kernel(path):
+    allowed = PRIVATE_NUMPY_ALLOWED.get(path.name, set())
+    assert [name for name in private_numpy_imports(path.read_text()) if name not in allowed] == []

@@ -550,6 +550,92 @@ def test_sub_cloud_openings_match_highs_oracle(name, points, clip):
     for x0 in _test_points(h, spec):
         sub, _ = _sub_problem(paraboloid._TouchProblem.on_grid(h, x0, spec), h, spec, 0.5)
         p, rows, weights, _ = paraboloid._solve_dual(sub)
-        opening = max(0.0, sub.objective(p))
+        opening = sub.opening(p, "LP slope")
         assert opening == pytest.approx(_highs_opening(sub), rel=1e-12, abs=1e-12)
         assert paraboloid._certified(opening, float(weights @ sub.c[rows]))
+
+
+def _conditioned(rng, m, cond):
+    """A seeded m x m matrix with condition number cond."""
+    u, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    v, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    return (u * np.logspace(0.0, -math.log10(cond), m)) @ v.T
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_direct_gesv_matches_np_linalg_solve_bitwise(m):
+    # the solver's kernels against the public wrapper, on the layouts the solver
+    # passes: C-order bases, their transposed views and (2, m, m) stacks
+    rng = np.random.default_rng(38 + m)
+    for cond in np.logspace(0.0, 12.0, 25):
+        a = _conditioned(rng, m, cond)
+        for mat in (a, a.T):
+            b = rng.standard_normal(m)
+            assert paraboloid._solve1(mat, b).tobytes() == np.linalg.solve(mat, b).tobytes()
+        systems, rhs = np.stack([a, a.T]), rng.standard_normal((2, m, 1))
+        assert paraboloid._solve(systems, rhs).tobytes() == np.linalg.solve(systems, rhs).tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["_solve1", "_solve"])
+def test_a_singular_basis_system_raises_by_name(monkeypatch, kernel):
+    # Alone, the kernel answers a singular system with NaN; inside the solve it is refused.
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(paraboloid._solve1(np.zeros((3, 3)), np.ones(3))).all()
+    real = getattr(paraboloid, kernel)
+    monkeypatch.setattr(paraboloid, kernel, lambda a, b: real(np.zeros_like(a), b))
+    cause = r"opening LP at x0 = \[0.1, -0.2, 0.05, 0.3\] has a singular or non-finite basis system"
+    with pytest.raises(np.linalg.LinAlgError, match=cause):
+        theta_upper(neg_det(), np.array([0.1, -0.2, 0.05, 0.3]), grid_spec(S22, 1.0, 7, "ball"))
+
+
+def _nan_gradient_handle():
+    """x11 with a gradient that returns NaN: the LP finds the slope, the gradient is bad input."""
+    from roconvex.corpus import FunctionHandle
+
+    h = get_handle("neg_det_2x2")
+    return FunctionHandle(
+        name="x11_nan_gradient",
+        shape=h.shape,
+        value=lambda x: x[..., 0, 0],
+        gradient=lambda x: np.full(np.shape(x), np.nan),
+        flags=h.flags,
+    )
+
+
+def test_a_non_finite_gradient_or_slope_never_reads_as_opening_zero():
+    h = _nan_gradient_handle()
+    spec = grid_spec(S22, 1.0, 7, "ball")
+    x0 = np.array([0.1, -0.2, 0.05, 0.3])
+    with pytest.raises(ValueError, match=r"the gradient at x0 = \[0.1, -0.2, 0.05, 0.3\] is not finite"):
+        theta_upper(h, x0, spec)
+    touch = theta_upper(neg_det(), x0, spec)
+    for bad in (np.nan, np.inf):
+        slope = touch.slope.copy()
+        slope[1, 0] = bad
+        for replay in (replay_opening, touch_feasibility_gap):
+            with pytest.raises(ValueError, match=r"the touch's slope at x0 = \[0.1, -0.2, 0.05, 0.3\] is not finite"):
+                replay(neg_det(), replace(touch, slope=slope), spec)
+
+
+def test_a_non_finite_objective_is_refused():
+    # finite slope, but a constraint value of inf: the opening would be inf
+    spec = grid_spec(S22, 1.0, 7, "ball")
+    x0 = np.array([0.1, -0.2, 0.05, 0.3])
+    prob = paraboloid._TouchProblem.on_grid(neg_det(), x0, spec)
+    prob.c[3] = np.inf
+    with pytest.raises(ValueError, match=r"the opening at x0 = \[0.1, -0.2, 0.05, 0.3\] is inf at the LP slope"):
+        prob.opening(np.zeros(4), "LP slope")
+
+
+def test_the_replays_refuse_a_bad_x0_or_slope_shape_by_name():
+    spec = grid_spec(S22, 1.0, 9, "cube")
+    touch = theta_upper(neg_det(), np.array([0.1, -0.2, 0.05, 0.3]), spec)
+    nan_x0 = replace(touch, x0=(0.1, np.nan, 0.0, 0.0))
+    for replay in (replay_opening, replay_lower_bound, touch_feasibility_gap):
+        with pytest.raises(ValueError, match=r"the opening needs a finite x0, got \[0.1, nan, 0.0, 0.0\]"):
+            replay(neg_det(), nan_x0, spec)
+    for slope in (touch.slope.reshape(-1), touch.slope.T[:1], touch.slope[None]):
+        flat = replace(touch, slope=slope)
+        for replay in (replay_opening, touch_feasibility_gap):
+            with pytest.raises(ValueError, match=r"the touch's slope has shape \(.*\), not \(2, 2\)"):
+                replay(neg_det(), flat, spec)
