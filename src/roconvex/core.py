@@ -265,6 +265,38 @@ class Grid:
         mats_t.flags.writeable = False
         return coords, mats_t
 
+    def cloud_positions(self, points: np.ndarray) -> np.ndarray:
+        """Positions in `cloud` of the nodes at coordinates `points` (k, dim), in their order.
+
+        A point is a node when each coordinate equals one of that axis's values
+        exactly, so the lookup reads no node but its own. Raises ValueError
+        naming the first point that is off the grid or on a masked node.
+        """
+        points = np.asarray(points, dtype=float).reshape(-1, self.spec.shape.dim)
+        n = self.spec.points_per_axis
+        flat = np.zeros(points.shape[0], dtype=np.intp)
+        on_grid = np.ones(points.shape[0], dtype=bool)
+        for k, column in enumerate(points.T):
+            axis = self.spec.axis_values(k)
+            i = np.searchsorted(axis, column).clip(max=n - 1)
+            on_grid &= axis[i] == column
+            flat = flat * n + i
+        positions = self._cloud_rank[flat]
+        bad = ~on_grid | (positions < 0)
+        if bad.any():
+            j = int(bad.argmax())
+            cause = "the grid masks it" if on_grid[j] else "it is off the grid"
+            raise ValueError(f"point {points[j].tolist()} is not a constraint node: {cause}")
+        return positions
+
+    @functools.cached_property
+    def _cloud_rank(self) -> np.ndarray:
+        """Each node's position in `cloud`, -1 on masked nodes; read-only."""
+        rank = np.cumsum(self.mask) - 1
+        rank[~self.mask] = -1
+        rank.flags.writeable = False
+        return rank
+
 
 @functools.lru_cache(maxsize=8)
 def make_grid(spec: GridSpec) -> Grid:
@@ -330,7 +362,14 @@ class SampledField:
         return make_grid(self.grid).coords
 
     def valid_values(self) -> np.ndarray:
-        return self.values[self.mask]
+        """The values on the valid nodes, in node order; computed once, read-only."""
+        return self._valid_values
+
+    @functools.cached_property
+    def _valid_values(self) -> np.ndarray:
+        values = self.values[self.mask]
+        values.flags.writeable = False
+        return values
 
     def sup_abs(self) -> float:
         vals = self.valid_values()

@@ -90,32 +90,73 @@ class TailReport:
 
 
 def _cloud(
-    f: FunctionHandle | SampledField, x0: np.ndarray, constraints: GridSpec
+    f: FunctionHandle | SampledField, x0: np.ndarray, constraints: GridSpec, support: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The grid's node set for an opening at x0: the masked constraint nodes y
     (K, dim), f(y), the offsets d = y - x0 of their flattened matrices
-    transposed, (rows*cols, K), and |d|^2.
+    transposed, (rows*cols, K), and |d|^2. Given `support` points, the set is
+    those nodes alone, in their order, found by `Grid.cloud_positions`.
 
-    The nodes and the transposed matrices come from the grid's shared cloud;
+    The nodes, the transposed matrices and f(y) are read-only and computed
+    once per grid (f(y) once per handle or field on it, by `_node_values`);
     only the offsets from x0 are computed per call, one contiguous row per
     matrix entry. Flattened matrices, not storage coordinates, so |d|^2 is the
     Frobenius norm. It adds the squares entry by entry, ((d_0^2 + d_1^2) +
     d_2^2) + d_3^2: the order np.sum(d * d, axis=1) takes over fewer than 8
     columns of the (K, rows*cols) layout. Every operation is element-wise in
     the node, so a node's offsets and |d|^2 get the same bits in either layout
-    and at any cloud size. A field supplies its own node values, so it must be
-    sampled on `constraints`.
+    and at any cloud size.
     """
-    if isinstance(f, SampledField) and f.grid != constraints:
-        raise ValueError("field constraints must use the field's own grid")
-    coords, mats_t = make_grid(constraints).cloud
-    fy = f.valid_values() if isinstance(f, SampledField) else f.value_at_coords(coords)
+    grid = make_grid(constraints)
+    fy = _node_values(f, constraints)
+    coords, mats_t = grid.cloud
+    if support is not None:
+        at = grid.cloud_positions(support)
+        coords, fy, mats_t = coords[at], fy[at], mats_t[:, at]
     d = mats_t - constraints.shape.coords_to_matrix(x0).reshape(-1, 1)
     sq = d * d
     q = sq[0]
     for row in sq[1:]:
         q += row
     return coords, fy, d, q
+
+
+def _node_values(f: FunctionHandle | SampledField, constraints: GridSpec) -> np.ndarray:
+    """f at the masked nodes of the constraint grid, in cloud order; read-only.
+
+    A field supplies its own values, so it must be sampled on `constraints`. A
+    handle's values are a pure function of the handle and the grid, like the
+    grid's cloud, so they are cached per handle object and grid, in a cache
+    as small as `make_grid`'s.
+    """
+    if isinstance(f, SampledField):
+        if f.grid != constraints:
+            raise ValueError("field constraints must use the field's own grid")
+        return f.valid_values()
+    return _handle_node_values(_ByIdentity(f), constraints)
+
+
+class _ByIdentity:
+    """A cache key that stands for its object alone: two distinct objects never share an entry."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj: object):
+        self.obj = obj
+
+    def __hash__(self) -> int:
+        return id(self.obj)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _ByIdentity) and other.obj is self.obj
+
+
+@functools.lru_cache(maxsize=8)
+def _handle_node_values(key: _ByIdentity, constraints: GridSpec) -> np.ndarray:
+    # The key holds the handle, so its id is not reused while the entry lives.
+    values = np.array(key.obj.value_at_coords(make_grid(constraints).cloud[0]), dtype=float)
+    values.flags.writeable = False
+    return values
 
 
 @functools.cache
@@ -130,12 +171,15 @@ def _slope_map(shape: MatrixShape) -> np.ndarray:
 
 
 class _TouchProblem:
-    """Constraint data for one evaluation point: c_y and b_y with a(p) = max(0, max(c - B p)).
+    """Constraint data for one evaluation point: c_y and B_y with a(p) = max(0, max(c - B p)).
 
-    The one builder of an opening's rows: the solver and the certificate replay both read them.
+    The one builder of an opening's rows: the solver and the certificate replays read them.
     It takes a node set in the form `_cloud` returns, (nodes y, f(y), offsets d = y - x0 in the
     (rows*cols, K) layout, |d|^2), with x0, f(x0), the matrix shape and the radius within which a
     node counts as x0 itself; the node source supplies all of them. `on_grid` is the grid's source.
+
+    The rows are written where the solver reads them: `lp_c` (K+1,) and `lp_B` (K+1, rows*cols),
+    C order, whose row 0 is the clamp row t >= 0 (c = 0, B = 0); `c` and `B` are their rows 1 and on.
     """
 
     def __init__(self, x0: np.ndarray, fx0: float, cloud: tuple[np.ndarray, ...], shape: MatrixShape, cut: float):
@@ -143,32 +187,45 @@ class _TouchProblem:
         if not q.min(initial=math.inf) > cut**2:  # x0 sits on a node; drop it
             keep = q > cut**2
             coords, fy, d, q = coords[keep], fy[keep], d[:, keep], q[keep]
-        if q.shape[0] == 0:
-            raise ValueError("constraint cloud is empty after removing x0")
         self.x0 = x0
         self.fx0 = fx0
         self.coords = coords
-        # Element-wise, so any subset of rows keeps its bits. One division by q/2
-        # gives 2a/q bit for bit, since doubling a and halving q are exact. B is
-        # formed in the cloud's (rows*cols, K) layout and copied once to C-order
-        # rows: the matrix-vector products over B read rows, and their bits follow
-        # the layout.
+        # Element-wise, so any subset of rows keeps its bits, and so does any
+        # layout. One division by q/2 gives 2a/q bit for bit, since doubling a
+        # and halving q are exact. B is written through the transposed view of
+        # its C-order rows: the matrix-vector products over B read rows, and
+        # their bits follow the layout.
         q = q / 2.0
-        self.c = np.subtract(fy, self.fx0)
+        self.lp_c = np.empty(q.shape[0] + 1)
+        self.lp_c[0] = 0.0
+        self.c = self.lp_c[1:]
+        np.subtract(fy, fx0, out=self.c)
         self.c /= q
-        d /= q
-        self.B = d.T.copy()
+        self.lp_B = np.empty((q.shape[0] + 1, d.shape[0]))
+        self.lp_B[0] = 0.0
+        self.B = self.lp_B[1:]
+        np.divide(d, q, out=self.B.T)
         self.P = _slope_map(shape)
 
     @classmethod
-    def on_grid(cls, f: FunctionHandle | SampledField, x0: np.ndarray, constraints: GridSpec) -> _TouchProblem:
-        """The problem over the nodes of the constraint grid, less x0 when it is one of them."""
+    def on_grid(
+        cls, f: FunctionHandle | SampledField, x0: np.ndarray, constraints: GridSpec, support: np.ndarray | None = None
+    ) -> _TouchProblem:
+        """The problem over the nodes of the constraint grid, less x0 when it is one of them;
+        or over the `support` points alone, in their order, each of which must be such a node."""
         x0 = _finite_x0(x0)
-        cloud = _cloud(f, x0, constraints)
+        cloud = _cloud(f, x0, constraints, support)
         vals, ok = evaluate(f, x0[None, :])
         if not ok[0]:
             raise ValueError("x0 is not interpolable on the constraint grid")
-        return cls(x0, float(vals[0]), cloud, constraints.shape, 1e-9 * constraints.spacing)
+        cut = 1e-9 * constraints.spacing
+        if support is not None and not cloud[3].min(initial=math.inf) > cut**2:
+            point = cloud[0][int(cloud[3].argmin())]
+            raise ValueError(f"point {point.tolist()} is not a constraint node: it is x0")
+        prob = cls(x0, float(vals[0]), cloud, constraints.shape, cut)
+        if support is None and not prob.c.size:
+            raise ValueError("constraint cloud is empty after removing x0")
+        return prob
 
     def opening(self, p: np.ndarray, what: str) -> float:
         """a(p) = max(0, max(c - B p)), refusing a non-finite slope p or objective by name."""
@@ -215,23 +272,27 @@ def _solve_dual(prob: _TouchProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _simplex(prob: _TouchProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    n, k = prob.B.shape[0], prob.P.shape[1]
-    A = np.empty((n + 1, k))  # row j is column j of the LP without its last entry 1
-    A[0] = 0.0
-    if prob.P.shape[0] == k:  # a square slope map is the identity: every general shape
-        A[1:] = prob.B
-    else:
+    # row j of A is column j of the LP without its last entry 1
+    A, c = prob.lp_B, prob.lp_c
+    n, k = c.shape[0] - 1, prob.P.shape[1]
+    if prob.P.shape[0] != k:  # a symmetric shape: the rows in storage coordinates
+        A = np.empty((n + 1, k))
+        A[0] = 0.0
         np.matmul(prob.B, prob.P, out=A[1:])
-    c = np.empty(n + 1)
-    c[0] = 0.0
-    c[1:] = prob.c
     tol = OPT_RTOL * float(max(c.max(), -c.min()))
     eye = np.eye(k + 1)
+    # lam solves M lam = e_k and pi solves M^T pi = c_B, as one stack of
+    # single right-hand sides: a 2-column right-hand side can change bits.
+    # A pivot writes its column of M, its row of M^T and its entry of c_B.
+    systems = np.empty((2, k + 1, k + 1))
+    M, Mt = systems
+    rhs = np.zeros((2, k + 1, 1))
+    rhs[0, k, 0] = 1.0
     # Start from the unit basis: slack columns for the k slope rows, column 0
     # (weight 1) for the last row. Crash each slack out with a degenerate pivot
     # on the cloud column of largest pivot element.
-    basis = [0] * (k + 1)
-    M = eye.copy()
+    basis = np.zeros(k + 1, dtype=np.intp)
+    M[...] = eye
     span_tol = 1e-9 * float(max(A.max(), -A.min()))
     for row in range(k):
         if row == 0:  # M is the identity, so w = e_0 and the pivot elements are |A[:, 0]| exactly
@@ -245,20 +306,14 @@ def _simplex(prob: _TouchProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, i
         basis[row] = j
         M[:k, row] = A[j]
         M[k, row] = 1.0
+    Mt[...] = M.T
+    rhs[1, :, 0] = c[basis]
     pivots = k
     degenerate = 0
-    # lam solves M lam = e_k and pi solves M^T pi = c_B, as one stack of
-    # single right-hand sides: a 2-column right-hand side can change bits.
-    systems = np.empty((2, k + 1, k + 1))
-    rhs = np.zeros((2, k + 1, 1))
-    rhs[0, k, 0] = 1.0
     d = np.empty(n + 1)  # reduced costs
     col = np.empty(k + 1)  # the entering column
     col[k] = 1.0
     while True:
-        systems[0] = M
-        systems[1] = M.T
-        rhs[1, :, 0] = c[basis]
         lam, pi = _solve(systems, rhs)[:, :, 0]
         np.matmul(A, pi[:k], out=d)
         np.subtract(c, d, out=d)
@@ -285,8 +340,9 @@ def _simplex(prob: _TouchProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, i
         degenerate = degenerate + 1 if least == 0.0 else 0
         basis[leave] = j
         M[:, leave] = col
+        Mt[leave] = col
+        rhs[1, leave, 0] = c[j]
         pivots += 1
-    basis = np.array(basis)
     cloud = (basis > 0) & (lam > 0.0)
     return prob.P @ pi[:k], basis[cloud] - 1, lam[cloud], pivots
 
@@ -345,28 +401,26 @@ def replay_lower_bound(
 ) -> float:
     """Recompute the certified lower bound sum lam_y c_y from f at the support points.
 
-    Checks first that the weights are dual feasible: every support point is a
-    constraint node, lam >= 0, sum lam <= 1 (the rest weighs the row t >= 0),
-    and sum lam_y B_y = 0 up to DUAL_RTOL. Raises ValueError when one fails.
-    The rows of c and B are those the solver built for the opening at x0, found
-    by exact equality of their nodes, so the replay repeats the solver's bits.
+    Checks first that the weights are dual feasible: one weight per support
+    point, lam >= 0, sum lam <= 1 (the rest weighs the row t >= 0), every
+    support point a constraint node (an unmasked grid node other than x0), and
+    sum lam_y B_y = 0 up to DUAL_RTOL. Raises ValueError when one fails. The
+    rows of c and B are built from the support nodes alone by the solver's row
+    builder; each row is element-wise in its node, so the replay repeats the
+    solver's bits.
     """
-    prob = _TouchProblem.on_grid(f, touch.x0, constraints)
-    points = np.asarray(touch.support, dtype=float).reshape(-1, prob.coords.shape[1])
-    hit = np.all(points[:, None, :] == prob.coords, axis=2)  # (k, K): k <= 5 support points
-    found = np.any(hit, axis=1)
-    if not np.all(found):
-        point = points[int(np.argmin(found))]
-        raise ValueError(f"support point {point.tolist()} is not a constraint node")
-    rows = np.argmax(hit, axis=1)
-    w = touch.weights
-    if np.any(w < 0.0) or np.sum(w) > 1.0 + 1e-12:
+    x0 = _finite_x0(touch.x0)
+    points = np.asarray(touch.support, dtype=float).reshape(-1, constraints.shape.dim)
+    w = np.asarray(touch.weights, dtype=float)
+    if w.shape != (points.shape[0],):
+        raise ValueError(f"certificate weights have shape {w.shape}, not one per support point ({points.shape[0]},)")
+    if not (np.all(w >= 0.0) and np.sum(w) <= 1.0 + 1e-12):  # a NaN weight fails both
         raise ValueError("certificate weights are not a sub-probability vector")
-    B = prob.B[rows]
-    residual = float(np.max(np.abs(w @ B), initial=0.0))
-    if residual > DUAL_RTOL * max(1.0, float(np.max(np.abs(B), initial=0.0))):
+    prob = _TouchProblem.on_grid(f, x0, constraints, points)
+    residual = float(np.max(np.abs(w @ prob.B), initial=0.0))
+    if residual > DUAL_RTOL * max(1.0, float(np.max(np.abs(prob.B), initial=0.0))):
         raise ValueError(f"certificate weights leave sum lam B = {residual:.3e}, not 0")
-    return float(w @ prob.c[rows])
+    return float(w @ prob.c)
 
 
 def touch_feasibility_gap(
@@ -374,6 +428,9 @@ def touch_feasibility_gap(
 ) -> float:
     """max_y f(y) - P(y); <= 0 up to roundoff by construction."""
     slope = _touch_slope(touch, constraints.shape)
+    for what, value in (("opening", touch.opening), ("value at x0", touch.value_at_x0)):
+        if not math.isfinite(value):
+            raise ValueError(f"the touch's {what} at x0 = {list(touch.x0)} is not finite: {value}")
     _, fy, d, q = _cloud(f, _finite_x0(touch.x0), constraints)
     # d @ slope over C-order rows, the layout whose bits the artifacts hold
     pvals = touch.value_at_x0 + d.T.copy() @ slope + 0.5 * touch.opening * q

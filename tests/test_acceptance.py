@@ -231,18 +231,17 @@ def test_criterion_10_determinism(tmp_path):
     m1 = sweep(tmp_path / "run1", 1)
     m2 = sweep(tmp_path / "run2", 1)
     m3 = sweep(tmp_path / "run3", 2)
-    same_artifacts = m1["artifacts"] == m2["artifacts"] == m3["artifacts"]
-    same_checks = m1["checks"] == m2["checks"] == m3["checks"]
+    m4 = sweep(tmp_path / "run4", 2)
+    same_artifacts = m1["artifacts"] == m2["artifacts"] == m3["artifacts"] == m4["artifacts"]
+    same_checks = m1["checks"] == m2["checks"] == m3["checks"] == m4["checks"]
     byte_identical = True
     for rel in m1["artifacts"]:
-        a = (tmp_path / "run1" / rel).read_bytes()
-        b = (tmp_path / "run2" / rel).read_bytes()
-        c = (tmp_path / "run3" / rel).read_bytes()
-        byte_identical &= a == b == c
+        a, b, c, d = ((tmp_path / run / rel).read_bytes() for run in ("run1", "run2", "run3", "run4"))
+        byte_identical &= a == b == c == d
     all_pass = all(m1["checks"].values())
     _report(
         10,
-        f"determinism: {len(m1['artifacts'])} artifacts byte-identical across reruns and 1 vs 2 threads",
+        f"determinism: {len(m1['artifacts'])} artifacts byte-identical across reruns at 1 and at 2 threads",
         same_artifacts and same_checks and byte_identical and all_pass,
     )
 

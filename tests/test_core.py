@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,6 +114,27 @@ def test_signed_zero_center_shares_one_grid():
     minus = grid_spec(shape, 1.0, 5, center=MatrixPoint(shape, np.array([-0.0])))
     assert plus == minus and hash(plus) == hash(minus)
     assert make_grid(minus) is make_grid(plus)
+
+
+@pytest.mark.parametrize("points, clip, centre", [(7, "ball", 0.0), (5, "cube", 0.0), (9, "ball", 0.3)])
+def test_cloud_positions_find_every_node_and_refuse_the_rest_by_name(points, clip, centre):
+    shape = MatrixShape(2, 2)
+    grid = make_grid(grid_spec(shape, 0.7, points, clip, MatrixPoint(shape, np.linspace(-centre, centre, 4))))
+    nodes = grid.cloud[0]
+    order = np.random.default_rng(points).permutation(nodes.shape[0])
+    assert np.array_equal(grid.cloud_positions(nodes[order]), order)
+    assert grid.cloud_positions(np.empty((0, 4))).shape == (0,)
+    off = nodes[:3].copy()
+    off[1, 2] = np.nextafter(off[1, 2], np.inf)
+    with pytest.raises(ValueError, match=r"point \[.*\] is not a constraint node: it is off the grid"):
+        grid.cloud_positions(off)
+    for bad in (np.nan, 1e300, -1e300):
+        with pytest.raises(ValueError, match="it is off the grid"):
+            grid.cloud_positions(np.full(4, bad))
+    if clip == "ball":
+        masked = grid.coords[~grid.mask][-1]
+        with pytest.raises(ValueError, match=rf"point {re.escape(str(masked.tolist()))} .* the grid masks it"):
+            grid.cloud_positions(np.stack([nodes[0], masked]))
 
 
 def test_grid_spec_validation():

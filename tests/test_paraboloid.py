@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -288,6 +290,16 @@ def test_replay_lower_bound_rejects_tampered_certificates():
         replay_lower_bound(neg_det(), replace(touch, weights=skewed), spec)
     with pytest.raises(ValueError, match="not a constraint node"):
         replay_lower_bound(neg_det(), replace(touch, support=touch.support + 0.01), spec)
+    nan_weight = touch.weights.copy()
+    nan_weight[0] = np.nan
+    with pytest.raises(ValueError, match="sub-probability"):
+        replay_lower_bound(neg_det(), replace(touch, weights=nan_weight), spec)
+    short = touch.weights[:-1], touch.support
+    empty = touch.weights, touch.support[:0]
+    column = touch.weights[:, None], touch.support
+    for weights, support in (short, empty, column):
+        with pytest.raises(ValueError, match=r"certificate weights have shape \(.*\), not one per support point"):
+            replay_lower_bound(neg_det(), replace(touch, weights=weights, support=support), spec)
 
 
 def test_pivot_cap_raises(monkeypatch):
@@ -334,14 +346,16 @@ def test_theta_upper_rejects_non_finite_x0(bad):
         replay_lower_bound(neg_det(), replace(touch, x0=tuple(x0)), spec)
 
 
-def _per_call_cloud(f, x0, constraints):
-    """The constraint cloud rebuilt from the grid on every call: the reference for `_cloud`."""
+def _per_call_cloud(f, x0, constraints, support=None):
+    """The constraint cloud rebuilt from the grid on every call: the reference for `_cloud`
+    over the whole grid (its support replay has the reference `_per_point_scan_replay`)."""
+    assert support is None
     if isinstance(f, SampledField) and f.grid != constraints:
         raise ValueError("field constraints must use the field's own grid")
     shape = constraints.shape
     grid = make_grid(constraints)
     coords = grid.coords[grid.mask]
-    fy = f.valid_values() if isinstance(f, SampledField) else f.value_at_coords(coords)
+    fy = f.values[grid.mask] if isinstance(f, SampledField) else f.value_at_coords(coords)
     d = (shape.coords_to_matrix(coords) - shape.coords_to_matrix(x0)).reshape(coords.shape[0], -1)
     return coords, fy, d.T, np.sum(d * d, axis=1)  # offsets in `_cloud`'s (rows*cols, K) layout
 
@@ -510,6 +524,43 @@ def test_replay_lower_bound_rejects_what_the_node_scan_rejects(name, field):
     assert replay_lower_bound(f, touch, spec) == _per_point_scan_replay(f, touch, spec) == touch.lower_bound
 
 
+def test_node_values_are_cached_per_handle_object(monkeypatch):
+    # two handles with one name on one grid, used in turn: each reads its own node values
+    spec = grid_spec(S22, 1.0, 7, "ball")
+    ells = (np.eye(2), np.array([[0.5, -1.0], [2.0, 0.25]]))
+    handles = [linear(ell, name="linear") for ell in ells]
+    pts = _test_points(handles[0], spec)
+    cached = [_bits(theta_upper(h, x0, spec), h, spec) for x0 in pts for h in handles]
+    with monkeypatch.context() as m:
+        m.setattr(paraboloid, "_cloud", _per_call_cloud)
+        m.setattr(paraboloid, "replay_lower_bound", _per_point_scan_replay)
+        per_call = [_bits(theta_upper(h, x0, spec), h, spec) for x0 in pts for h in handles]
+    assert cached == per_call
+    for h, ell in zip(handles, ells):
+        touch = theta_upper(h, pts[0], spec)
+        assert touch.opening <= 1e-12 and np.array_equal(touch.slope, ell)
+
+
+def test_node_value_cache_is_bounded_read_only_and_lets_its_handles_go():
+    spec = grid_spec(S22, 1.0, 7, "ball")
+    x0 = np.array([0.1, -0.2, 0.05, 0.3])
+    bound = paraboloid._handle_node_values.cache_info().maxsize
+    first = linear(np.eye(2), name="linear")
+    values = paraboloid._node_values(first, spec)
+    assert not values.flags.writeable and paraboloid._node_values(first, spec) is values
+    first_ref = weakref.ref(first)
+    del first
+    for s in range(bound):
+        h = linear(np.full((2, 2), float(s)), name="linear")
+        assert replay_opening(h, theta_upper(h, x0, spec), spec) <= 1e-12
+    assert paraboloid._handle_node_values.cache_info().currsize <= bound
+    gc.collect()
+    assert first_ref() is None  # evicted, and nothing else held it
+    fld = sample(neg_det(), spec)
+    assert fld.valid_values() is fld.valid_values() and not fld.valid_values().flags.writeable
+    assert paraboloid._node_values(fld, spec) is fld.valid_values()
+
+
 def _sub_problem(full, f, spec, r):
     """The opening's problem over the rows of the grid's `_cloud` within r of x0,
     and which rows of `full`, the problem over the whole grid, those are."""
@@ -615,6 +666,11 @@ def test_a_non_finite_gradient_or_slope_never_reads_as_opening_zero():
         for replay in (replay_opening, touch_feasibility_gap):
             with pytest.raises(ValueError, match=r"the touch's slope at x0 = \[0.1, -0.2, 0.05, 0.3\] is not finite"):
                 replay(neg_det(), replace(touch, slope=slope), spec)
+    for field, what in (("opening", "opening"), ("value_at_x0", "value at x0")):
+        for bad in (np.nan, -np.inf):
+            cause = rf"the touch's {what} at x0 = \[0.1, -0.2, 0.05, 0.3\] is not finite: {bad}"
+            with pytest.raises(ValueError, match=cause):
+                touch_feasibility_gap(neg_det(), replace(touch, **{field: bad}), spec)
 
 
 def test_a_non_finite_objective_is_refused():
