@@ -25,6 +25,11 @@ from .corpus import FunctionHandle, abs_entry, corpus, get_handle
 ANALYTIC_TOL = 1e-9  # verdict tolerance of the analytic convexity and operator checks
 FIELD_TOL_SCALE = 1.0  # field checks pass at K h^2 with K = 1; measured margins
 # on the corpus are <= 0.24 h^2 for flagged functions and >= 9 h^2 for controls.
+# the appendix's per-line tail levels: eight log-spaced from 7 to 80; read-only. Literals, each
+# exp(np.linspace(log 7, log 80, 8)[i]) correctly rounded, so no exp at run time sets their bits.
+APPENDIX_T_TAIL = np.array([6.999999999999999, 9.913790720242439, 14.04046377782359, 19.88488850121252,
+                            28.162089013768046, 39.88472238961932, 56.48697010080769, 79.99999999999997])
+APPENDIX_T_TAIL.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -355,9 +360,8 @@ def run_appendix(cfg: ExperimentConfig) -> StageRecord:
 
     # per-line tail on |x_1| over the plane, first: it validates lines_per_direction
     h12 = abs_entry(0, 0, MatrixShape(1, 2))
-    t_tail = np.exp(np.linspace(np.log(7.0), np.log(80.0), 8))
     tail = convex1d.fubini_tail_experiment(
-        h12, t_tail, lines_per_direction=cfg.lines_per_direction, seed=cfg.seed, probe_count=6
+        h12, APPENDIX_T_TAIL, lines_per_direction=cfg.lines_per_direction, seed=cfg.seed, probe_count=6
     )
     checks["tail_slope_is_minus_one"] = (
         tail.fitted_slope is not None and abs(tail.fitted_slope + 1.0) <= 0.1

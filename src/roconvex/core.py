@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -244,10 +245,36 @@ class Grid:
     spec: GridSpec
     coords: np.ndarray  # (N, dim)
     mask: np.ndarray  # (N,) True when the node lies in the clip region
+    # each live handle's values at the masked nodes, filled by `cloud_values`
+    _handle_values: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False
+    )
 
     @property
     def node_count(self) -> int:
         return self.coords.shape[0]
+
+    def cloud_values(self, f: FunctionHandle | SampledField) -> np.ndarray:
+        """f at the masked nodes, in `cloud` order; read-only. A field must be sampled on this
+        grid and supplies its own values. A handle is evaluated once, and its values are kept
+        while it lives; equal handles (their callables are the same objects) share them.
+        Raises ValueError naming the first node where f is not finite."""
+        if isinstance(f, SampledField):
+            if f.grid != self.spec:
+                raise ValueError("a field is read on the field's own grid, and this grid differs from it")
+            return f.valid_values()
+        values = self._handle_values.get(f)
+        if values is None:
+            coords = self.coords[self.mask]
+            # The check below names the node, so numpy warnings would only repeat it.
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                values = np.array(f.value_at_coords(coords), dtype=float)
+            if not np.all(np.isfinite(values)):
+                k = int(np.flatnonzero(~np.isfinite(values))[0])
+                raise ValueError(f"non-finite value of {f.name} at node {coords[k]}")
+            values.flags.writeable = False
+            self._handle_values[f] = values
+        return values
 
     @functools.cached_property
     def cloud(self) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +329,8 @@ class Grid:
 def make_grid(spec: GridSpec) -> Grid:
     """Build the tensor grid for `spec`, masking nodes outside the clip region.
 
-    Grids are read-only, so the few most recently used ones are cached and shared.
+    Grids are read-only, so the few most recently used ones are cached and
+    shared, and with them the node values of the handles read on them.
     """
     dim = spec.shape.dim
     if dim > MAX_GRID_DIM:
@@ -438,17 +466,11 @@ def evaluate(f: FunctionHandle | SampledField, coords: np.ndarray) -> tuple[np.n
 
 
 def sample(f: FunctionHandle, spec: GridSpec) -> SampledField:
-    """Evaluate `f` at all valid grid nodes of `spec`."""
+    """`f` at all valid grid nodes of `spec`, from `Grid.cloud_values`: a handle
+    already read on this grid is not evaluated again."""
     grid = make_grid(spec)
     values = np.full(grid.node_count, np.nan)
-    coords = grid.coords[grid.mask]
-    # The check below names the node, so numpy warnings would only repeat it.
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        vals = np.asarray(f.value_at_coords(coords), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        k = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise ValueError(f"non-finite value of {f.name} at node {coords[k]}")
-    values[grid.mask] = vals
+    values[grid.mask] = grid.cloud_values(f)
     return SampledField(spec, values, grid.mask)
 
 

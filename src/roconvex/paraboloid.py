@@ -35,8 +35,10 @@ BLAND_AFTER = 8  # consecutive degenerate pivots before Bland's rule replaces Da
 OPT_RTOL = 1e-12  # reduced costs up to OPT_RTOL * max|c| count as optimal
 GAP_RTOL = 1e-9  # converged: opening - lower bound <= GAP_RTOL * max(1, opening)
 DUAL_RTOL = 1e-9  # replay: |sum lam B| <= DUAL_RTOL * max(1, max|B|)
-# the tail levels t: eight log-spaced over one decade, from 2 to 20; read-only
-TAIL_T_GRID = np.exp(np.linspace(math.log(2.0), math.log(20.0), 8))
+# the tail levels t: eight log-spaced over one decade, from 2 to 20; read-only. Literals,
+# each exp(np.linspace(log 2, log 20, 8)[i]) correctly rounded, so no exp at run time sets their bits.
+TAIL_T_GRID = np.array([2.0, 2.778990988746275, 3.8613954577664993, 5.365391590559451,
+                        7.45518744062988, 10.35894935846242, 14.393713460023035, 19.999999999999996])
 TAIL_T_GRID.flags.writeable = False
 # LAPACK gesv as the gufuncs that np.linalg.solve wraps, the same bits without its
 # Python wrapper: one right-hand side vector, and stacks of (m, n) right-hand sides.
@@ -97,10 +99,11 @@ def _cloud(
     transposed, (rows*cols, K), and |d|^2. Given `support` points, the set is
     those nodes alone, in their order, found by `Grid.cloud_positions`.
 
-    The nodes, the transposed matrices and f(y) are read-only and computed
-    once per grid (f(y) once per handle or field on it, by `_node_values`);
-    only the offsets from x0 are computed per call, one contiguous row per
-    matrix entry. Flattened matrices, not storage coordinates, so |d|^2 is the
+    The nodes, the transposed matrices and f(y) are read-only and kept on the
+    grid: f(y) is `Grid.cloud_values`, the values `sample` reads, computed once
+    per handle on the grid and naming a node where f is not finite. Only the
+    offsets from x0 are computed per call, one contiguous row per matrix
+    entry. Flattened matrices, not storage coordinates, so |d|^2 is the
     Frobenius norm. It adds the squares entry by entry, ((d_0^2 + d_1^2) +
     d_2^2) + d_3^2: the order np.sum(d * d, axis=1) takes over fewer than 8
     columns of the (K, rows*cols) layout. Every operation is element-wise in
@@ -108,7 +111,7 @@ def _cloud(
     and at any cloud size.
     """
     grid = make_grid(constraints)
-    fy = _node_values(f, constraints)
+    fy = grid.cloud_values(f)
     coords, mats_t = grid.cloud
     if support is not None:
         at = grid.cloud_positions(support)
@@ -119,44 +122,6 @@ def _cloud(
     for row in sq[1:]:
         q += row
     return coords, fy, d, q
-
-
-def _node_values(f: FunctionHandle | SampledField, constraints: GridSpec) -> np.ndarray:
-    """f at the masked nodes of the constraint grid, in cloud order; read-only.
-
-    A field supplies its own values, so it must be sampled on `constraints`. A
-    handle's values are a pure function of the handle and the grid, like the
-    grid's cloud, so they are cached per handle object and grid, in a cache
-    as small as `make_grid`'s.
-    """
-    if isinstance(f, SampledField):
-        if f.grid != constraints:
-            raise ValueError("field constraints must use the field's own grid")
-        return f.valid_values()
-    return _handle_node_values(_ByIdentity(f), constraints)
-
-
-class _ByIdentity:
-    """A cache key that stands for its object alone: two distinct objects never share an entry."""
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj: object):
-        self.obj = obj
-
-    def __hash__(self) -> int:
-        return id(self.obj)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _ByIdentity) and other.obj is self.obj
-
-
-@functools.lru_cache(maxsize=8)
-def _handle_node_values(key: _ByIdentity, constraints: GridSpec) -> np.ndarray:
-    # The key holds the handle, so its id is not reused while the entry lives.
-    values = np.array(key.obj.value_at_coords(make_grid(constraints).cloud[0]), dtype=float)
-    values.flags.writeable = False
-    return values
 
 
 @functools.cache

@@ -1,4 +1,6 @@
+import decimal
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import roconvex
-from roconvex import cli
+from roconvex import cli, paraboloid
 from roconvex.cli import ExperimentConfig, list_corpus, load_config, main, run
 from roconvex.fieldio import read_field, sha256_file, write_field
 from roconvex.core import MAX_POINTS_PER_AXIS, MatrixPoint, MatrixShape, SampledField, grid_spec, make_grid, sample
@@ -504,3 +506,14 @@ def test_readme_lists_the_config_keys_and_flags():
         for name in re.findall(r"`(\w+)`", names):
             table[name] = tuple(key for key, _ in documented[0] + pairs)
     assert table == cli.READS
+
+
+@pytest.mark.parametrize(
+    "levels, lo, hi", [(paraboloid.TAIL_T_GRID, 2.0, 20.0), (cli.APPENDIX_T_TAIL, 7.0, 80.0)], ids=["tail", "appendix"]
+)
+def test_tail_levels_are_correctly_rounded_exps_of_log_spaced_nodes(levels, lo, hi):
+    # exp at 50 digits, then one rounding to double: the bits no libm or SIMD exp can move
+    nodes = np.linspace(math.log(lo), math.log(hi), 8)
+    with decimal.localcontext(prec=50):
+        exact = [float(decimal.Decimal(float(x)).exp()) for x in nodes]
+    assert levels.tolist() == exact and not levels.flags.writeable

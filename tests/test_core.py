@@ -1,4 +1,6 @@
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -168,6 +170,33 @@ def test_sample_rejects_non_finite():
     bad = FunctionHandle("bad", shape, lambda x: 1.0 / x[..., 0, 0])
     with pytest.raises(ValueError, match="non-finite"):
         sample(bad, grid_spec(shape, 1.0, 3, "cube"))
+
+
+def test_grid_cloud_values_refuses_a_field_sampled_on_another_grid():
+    shape = MatrixShape(2, 2)
+    fld = sample(neg_det(), grid_spec(shape, 1.0, 5, "ball"))
+    other = grid_spec(shape, 1.0, 7, "ball")
+    for read in (make_grid(other).cloud_values, lambda f: sample(f, other)):
+        with pytest.raises(ValueError, match="field's own grid"):
+            read(fld)
+    assert make_grid(fld.grid).cloud_values(fld) is fld.valid_values()
+
+
+def test_cloud_values_read_from_many_threads_agree_and_keep_one_entry_per_handle():
+    grid = make_grid(grid_spec(MatrixShape(2, 2), 1.0, 5, "ball"))
+    handles = [linear(np.full((2, 2), float(k)), name="linear") for k in range(16)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(grid.cloud_values, h) for h in handles for _ in range(8)]
+            reads = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(switch)
+    for k, h in enumerate(handles):
+        kept = grid.cloud_values(h)
+        assert all(read.tobytes() == kept.tobytes() for read in reads[8 * k : 8 * k + 8])
+    assert len(grid._handle_values) == len(handles)
 
 
 def test_sup_abs_names_a_field_without_valid_nodes():

@@ -18,6 +18,7 @@ from roconvex.core import (
     sample,
 )
 from roconvex.corpus import (
+    FunctionHandle,
     abs_entry,
     frob_norm,
     get_handle,
@@ -541,24 +542,83 @@ def test_node_values_are_cached_per_handle_object(monkeypatch):
         assert touch.opening <= 1e-12 and np.array_equal(touch.slope, ell)
 
 
-def test_node_value_cache_is_bounded_read_only_and_lets_its_handles_go():
+def test_node_values_are_read_only_and_released_with_their_handle_or_grid():
+    # the grid keeps a handle's values while both live: no count bounds them but make_grid's grids
     spec = grid_spec(S22, 1.0, 7, "ball")
     x0 = np.array([0.1, -0.2, 0.05, 0.3])
-    bound = paraboloid._handle_node_values.cache_info().maxsize
     first = linear(np.eye(2), name="linear")
-    values = paraboloid._node_values(first, spec)
-    assert not values.flags.writeable and paraboloid._node_values(first, spec) is values
-    first_ref = weakref.ref(first)
-    del first
-    for s in range(bound):
-        h = linear(np.full((2, 2), float(s)), name="linear")
-        assert replay_opening(h, theta_upper(h, x0, spec), spec) <= 1e-12
-    assert paraboloid._handle_node_values.cache_info().currsize <= bound
+    values = make_grid(spec).cloud_values(first)
+    assert not values.flags.writeable and make_grid(spec).cloud_values(first) is values
+    assert make_grid(spec).cloud_values(replace(first)) is values  # an equal handle shares them
+    assert paraboloid._cloud(first, x0, spec)[1] is values
+    assert np.array_equal(sample(first, spec).valid_values(), values)
+    refs = weakref.ref(first), weakref.ref(values)
+    del first, values
     gc.collect()
-    assert first_ref() is None  # evicted, and nothing else held it
+    assert refs[0]() is None and refs[1]() is None  # nothing else held the handle or its values
+    h = linear(np.full((2, 2), 2.0), name="linear")
+    ref = weakref.ref(make_grid(spec).cloud_values(h))
+    make_grid.cache_clear()
+    gc.collect()
+    assert ref() is None  # gone with its grid, while the handle lives
     fld = sample(neg_det(), spec)
     assert fld.valid_values() is fld.valid_values() and not fld.valid_values().flags.writeable
-    assert paraboloid._node_values(fld, spec) is fld.valid_values()
+    assert make_grid(spec).cloud_values(fld) is fld.valid_values()
+
+
+def _counted(h: FunctionHandle) -> tuple[FunctionHandle, list[int]]:
+    """h, and the number of points of each of its evaluations, in order."""
+    calls: list[int] = []
+
+    def value(x):
+        calls.append(int(np.prod(x.shape[:-2])))
+        return h.value(x)
+
+    return replace(h, value=value), calls
+
+
+def test_a_handle_is_read_once_per_grid_by_openings_and_sample():
+    spec = grid_spec(S22, 1.0, 7, "ball")
+    nodes = int(make_grid(spec).mask.sum())
+    x0 = np.array([0.1, -0.2, 0.05, 0.3])
+    h, calls = _counted(neg_det())
+    touch = theta_upper(h, x0, spec)
+    assert calls == [nodes, 1]  # the nodes, then x0
+    fld = sample(h, spec)
+    assert calls == [nodes, 1]
+    assert fld.valid_values().tobytes() == make_grid(spec).cloud_values(h).tobytes()
+    for replay in (replay_opening, replay_lower_bound, touch_feasibility_gap):
+        replay(h, touch, spec)
+    assert calls == [nodes, 1, 1, 1]  # x0 once for each replay that reads f(x0)
+    h2, calls2 = _counted(neg_det())
+    sample(h2, spec)
+    theta_upper(h2, x0, spec)
+    assert calls2 == [nodes, 1]
+
+
+def _neg_inf_on_the_unit_sphere() -> FunctionHandle:
+    """|x|^2, but -inf where |x| = 1: not finite at the sphere nodes of a unit-ball grid."""
+
+    def value(x):
+        r = np.sum(x * x, axis=(-2, -1))
+        return np.where(r >= 1.0 - 1e-12, -np.inf, r)
+
+    return FunctionHandle("neg_inf_on_sphere", S22, value)
+
+
+def test_a_handle_not_finite_at_a_constraint_node_fails_by_name():
+    spec = grid_spec(S22, 1.0, 5, "ball")
+    x0 = np.array([0.1, 0.2, -0.1, 0.05])
+    bad = _neg_inf_on_the_unit_sphere()
+    touch = theta_upper(half_norm_sq(2.0), x0, spec)
+    cause = r"non-finite value of neg_inf_on_sphere at node \[-1\. +0\. +0\. +0\.\]"
+    with pytest.raises(ValueError, match=cause):
+        theta_upper(bad, x0, spec)
+    for replay in (replay_opening, replay_lower_bound, touch_feasibility_gap):
+        with pytest.raises(ValueError, match=cause):
+            replay(bad, touch, spec)
+    with pytest.raises(ValueError, match=cause):
+        sample(bad, spec)
 
 
 def _sub_problem(full, f, spec, r):
